@@ -100,9 +100,6 @@ class LossChannel:
         if not (0.0 <= self.T <= 1.0):
             raise ValueError(f"transmittance {self.T} outside [0, 1]")
 
-    def apply(self, inp: QubitInput) -> np.ndarray:
-        return self.as_transfer().apply(inp)
-
     def as_transfer(self) -> TransferChannel:
         return TransferChannel(
             h_keep=np.sqrt(self.T), h_env=np.sqrt(1.0 - self.T)
@@ -110,7 +107,7 @@ class LossChannel:
 
 
 def loss_apply(loss: LossChannel, inp: QubitInput) -> np.ndarray:
-    return loss.apply(inp)
+    return loss.as_transfer().apply(inp)
 
 
 def compose(first: TransferChannel, second: TransferChannel) -> TransferChannel:
@@ -127,17 +124,13 @@ def compose(first: TransferChannel, second: TransferChannel) -> TransferChannel:
 def concatenate(e1: jc.JCParams, loss: LossChannel, e2: jc.JCParams) -> TransferChannel:
     """Atom -> field -> lossy fiber -> field -> atom, as one channel.
 
-    The keep amplitude is the product of the stage amplitudes and sqrt(T);
-    the channel is decay-free, so the environment magnitude is the unit
-    complement.  The overall phase of the product is retained as a single
-    global phase.
+    The three stages composed in order: the keep amplitude is the product
+    of the stage amplitudes and sqrt(T), the environment magnitude is the
+    unit complement, and the overall phase of the product is retained as a
+    single global phase.
     """
-    hk = (
-        jc.transfer_amplitude(e1)
-        * np.sqrt(loss.T)
-        * jc.transfer_amplitude(e2)
-    )
-    return TransferChannel(h_keep=hk, h_env=np.sqrt(max(0.0, 1.0 - abs(hk) ** 2)))
+    fiber = compose(conversion_channel(e1), loss.as_transfer())
+    return compose(fiber, reception_channel(e2))
 
 
 def extended_state(ch: TransferChannel, inp: QubitInput) -> np.ndarray:

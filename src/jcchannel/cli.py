@@ -9,8 +9,8 @@ Subcommands:
   verify     run the oracle cross-check suites (quick or full)
 
 All numeric text uses shortest round-trip decimals so identical inputs
-produce byte-identical output regardless of worker count.  A flat
-key=value config file can supply any flag; explicit flags win.
+produce byte-identical output (--threads is accepted but changes nothing).
+A flat key=value config file can supply any flag; explicit flags win.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -133,40 +132,31 @@ class RunRecord:
         return obj
 
 
-def compute_record(mode: str, vals: dict) -> RunRecord:
-    """Build the channel for one parameter point and take its capacity."""
-    start = time.perf_counter()
-    params = {name: None for name in _PARAM_COLUMNS}
+def build_channel(mode: str, vals: dict) -> TransferChannel:
+    """The channel of one parameter point of a mode."""
+    if mode not in _REQUIRED:
+        raise ValueError(f"unknown mode {mode!r}")
+    stage = JCParams.from_detuning(
+        g=vals["g"], delta=vals["delta"], t=vals["t"], nu=vals["nu"]
+    )
     if mode == "conversion":
-        stage = JCParams.from_detuning(
-            g=vals["g"], delta=vals["delta"], t=vals["t"], nu=vals["nu"]
-        )
-        ch = conversion_channel(stage)
-        params.update(g=vals["g"], delta=vals["delta"], t=vals["t"])
-    elif mode == "concat":
-        e1 = JCParams.from_detuning(
-            g=vals["g"], delta=vals["delta"], t=vals["t"], nu=vals["nu"]
-        )
+        return conversion_channel(stage)
+    if mode == "concat":
         e2 = JCParams.from_detuning(
             g=vals["g2"], delta=vals["delta2"], t=vals["t2"], nu=vals["nu"]
         )
-        ch = concatenate(e1, LossChannel(T=vals["T"]), e2)
-        params.update(
-            g=vals["g"], delta=vals["delta"], t=vals["t"],
-            g2=vals["g2"], delta2=vals["delta2"], t2=vals["t2"], T=vals["T"],
-        )
-    elif mode == "decayed":
-        stage = JCParams.from_detuning(
-            g=vals["g"], delta=vals["delta"], t=vals["t"], nu=vals["nu"]
-        )
-        decay = DecayParams(kappa=vals["kappa"], gamma_at=vals["gamma"])
-        ch = decayed_conversion(stage, decay, vals["t"]).as_transfer()
-        params.update(
-            g=vals["g"], delta=vals["delta"], t=vals["t"],
-            kappa=vals["kappa"], gamma=vals["gamma"],
-        )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+        return concatenate(stage, LossChannel(T=vals["T"]), e2)
+    decay = DecayParams(kappa=vals["kappa"], gamma_at=vals["gamma"])
+    return decayed_conversion(stage, decay, vals["t"]).as_transfer()
+
+
+def compute_record(mode: str, vals: dict) -> RunRecord:
+    """Build the channel for one parameter point and take its capacity."""
+    start = time.perf_counter()
+    ch = build_channel(mode, vals)
+    # every model parameter of the mode except nu is a column
+    used = _REQUIRED[mode] + _DEFAULTED[mode]
+    params = {name: vals[name] if name in used else None for name in _PARAM_COLUMNS}
     res = quantum_capacity(ch)
     return RunRecord(
         mode=mode,
@@ -199,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep axis, repeatable up to 3 times")
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--threads", type=int, help="worker threads (default: cpu count)")
+        p.add_argument("--threads", type=int,
+                       help="accepted for compatibility; output is the same for every N >= 1")
         p.add_argument("--config", help="flat key=value file supplying flag defaults")
         p.add_argument("--stamp", action="store_true",
                        help="prepend a timestamp line to file output")
@@ -288,17 +279,12 @@ def _parse_axis(text: str, parser) -> SweepAxis:
 def _gather_values(args, mode: str, parser, swept=()) -> dict:
     """Collect fixed parameter values for a mode, applying zero defaults."""
     vals = {}
-    for name in _REQUIRED[mode]:
+    for name in _REQUIRED[mode] + _DEFAULTED[mode]:
         if name in swept:
             continue
         v = getattr(args, name)
-        if v is None:
+        if v is None and name in _REQUIRED[mode]:
             parser.error(f"--{name} is required for mode {mode} (or sweep it)")
-        vals[name] = v
-    for name in _DEFAULTED[mode]:
-        if name in swept:
-            continue
-        v = getattr(args, name)
         vals[name] = 0.0 if v is None else v
     _validate_ranges(vals, parser)
     return vals
@@ -319,30 +305,27 @@ def _validate_ranges(vals: dict, parser) -> None:
             parser.error(f"--{name} {msg}, got {vals[name]}")
 
 
-def _axis_ranges_ok(axis: SweepAxis, parser) -> None:
-    probe = {axis.name: axis.start}
-    _validate_ranges(probe, parser)
-    probe = {axis.name: axis.stop}
-    _validate_ranges(probe, parser)
-
-
 def _emit(lines, out_path: str | None) -> None:
-    """Print lines, or stream them to a file removed again on any failure."""
+    """Print lines, or write them to a file that appears only on success.
+
+    Lines go to a temporary file beside the target, which replaces it once
+    every line is written; a failure leaves an existing target as it was.
+    """
     if out_path is None:
         for line in lines:
             print(line)
         return
     path = Path(out_path)
-    fh = path.open("w", encoding="utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+        with tmp.open("w", encoding="utf-8") as fh:
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
+        os.replace(tmp, path)
     except BaseException:
-        fh.close()
-        path.unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
         raise
-    fh.close()
 
 
 def _stamp_line(fmt: str) -> str:
@@ -401,45 +384,31 @@ def _build_sweep_spec(args, parser) -> SweepSpec:
                 f"--sweep: axis {axis.name!r} not sweepable in mode {mode} "
                 f"(allowed: {', '.join(_SWEEPABLE[mode])})"
             )
-        _axis_ranges_ok(axis, parser)
+        for end in (axis.start, axis.stop):
+            _validate_ranges({axis.name: end}, parser)
     fixed = _gather_values(args, mode, parser, swept=set(names))
     fmt = "json-lines" if args.json else "csv"
     return SweepSpec(mode=mode, axes=axes, fixed=fixed, fmt=fmt)
 
 
-def _sweep_lines(spec: SweepSpec, threads: int, stamp: bool):
-    grids = [np.linspace(ax.start, ax.stop, ax.count) for ax in spec.axes]
-    points = []
-    for idx in itertools.product(*(range(ax.count) for ax in spec.axes)):
-        vals = dict(spec.fixed)
-        for ax, grid, i in zip(spec.axes, grids, idx):
-            vals[ax.name] = float(grid[i])
-        points.append(vals)
-
-    def work(vals):
-        return compute_record(spec.mode, vals)
-
+def _sweep_lines(spec: SweepSpec, stamp: bool):
+    """Yield the output lines of a sweep, evaluating one grid point per row."""
+    grids = [np.linspace(ax.start, ax.stop, ax.count).tolist() for ax in spec.axes]
     if stamp:
         yield _stamp_line(spec.fmt)
     if spec.fmt == "csv":
         yield CSV_HEADER
-    if threads <= 1:
-        records = map(work, points)
-        for rec in records:
-            yield rec.csv_row() if spec.fmt == "csv" else json.dumps(rec.json_obj())
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # map preserves submission order, so output order is grid order
-            for rec in pool.map(work, points):
-                yield rec.csv_row() if spec.fmt == "csv" else json.dumps(rec.json_obj())
+    # product walks the grid lazily in row-major order, first axis slowest
+    for point in itertools.product(*grids):
+        vals = dict(spec.fixed)
+        vals.update(zip((ax.name for ax in spec.axes), point))
+        rec = compute_record(spec.mode, vals)
+        yield rec.csv_row() if spec.fmt == "csv" else json.dumps(rec.json_obj())
 
 
 def _cmd_sweep(args, parser) -> int:
     spec = _build_sweep_spec(args, parser)
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
-    if threads < 1:
-        parser.error("--threads must be >= 1")
-    _emit(_sweep_lines(spec, threads, args.stamp), args.out)
+    _emit(_sweep_lines(spec, args.stamp), args.out)
     return 0
 
 
@@ -498,21 +467,7 @@ def _cmd_degrade(args, parser) -> int:
     mode = args.mode or "conversion"
     if mode == "decayed":
         parser.error("degrade supports decay-free modes only (conversion, concat)")
-    vals = _gather_values(args, mode, parser)
-    rec_vals = dict(vals)
-    if mode == "conversion":
-        stage = JCParams.from_detuning(
-            g=rec_vals["g"], delta=rec_vals["delta"], t=rec_vals["t"], nu=rec_vals["nu"]
-        )
-        ch = conversion_channel(stage)
-    else:
-        e1 = JCParams.from_detuning(
-            g=rec_vals["g"], delta=rec_vals["delta"], t=rec_vals["t"], nu=rec_vals["nu"]
-        )
-        e2 = JCParams.from_detuning(
-            g=rec_vals["g2"], delta=rec_vals["delta2"], t=rec_vals["t2"], nu=rec_vals["nu"]
-        )
-        ch = concatenate(e1, LossChannel(T=rec_vals["T"]), e2)
+    ch = build_channel(mode, _gather_values(args, mode, parser))
     try:
         second = degrading_map(ch)
     except NotDegradable as e:
@@ -552,6 +507,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _merge_config(args, parser)
+    if getattr(args, "threads", None) is not None and args.threads < 1:
+        parser.error("--threads must be >= 1")
     handlers = {
         "capacity": _cmd_capacity,
         "sweep": _cmd_sweep,

@@ -6,13 +6,15 @@ to photon numbers {0, 1}.  The joint basis is ordered
     index 0: |down, 0>   index 1: |down, 1>   index 2: |up, 0>   index 3: |up, 1>
 
 (atom-major).  With total excitation at most one the |up, 1> slot is never
-populated, so all dynamics lives on indices 0..2.  The closed-form evolution
-below is the textbook solution of the excitation-1 block; the transfer and
-residual amplitudes it produces define the atom-to-field conversion channel.
+populated, so all dynamics lives on indices 0..2.  block_propagator, the
+2x2 propagator of the pair (|down, 1>, |up, 0>) with optional decay, is the
+only place the Rabi dynamics is written: every closed form here and in the
+lindblad module reads its entries.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -60,62 +62,86 @@ class JCParams:
         return cls(g=g, nu=nu, omega=nu, t=t)
 
 
+def block_propagator(
+    params: JCParams, t: float, kappa: float = 0.0, gamma: float = 0.0
+) -> tuple[complex, complex, complex]:
+    """Entries (G00, G01 = G10, G11) of the one-excitation propagator at time t.
+
+    G carries the amplitudes of (|down,1>, |up,0>), entry [i, j] from slot j
+    to slot i.  Decay enters as -i kappa/2 and -i gamma/2 diagonal shifts:
+
+        G = e^{-i nu t - k1 t/2} [cos(mu t) - i sin(mu t)/mu W],
+        W = [[-w, g], [g, w]],  w = (delta + i k2)/2,  mu^2 = g^2 + w^2,
+
+    k1, k2 the half sum and difference of the rates.  cos(mu t) and
+    sin(mu t)/mu are even in mu, so either root serves.
+    """
+    k1 = 0.5 * (kappa + gamma)
+    w = complex(0.5 * params.delta, 0.25 * (kappa - gamma))
+    mu = cmath.sqrt(params.g * params.g + w * w)
+    mut = mu * t
+    sin_term = t * (1.0 - mut * mut / 6.0) if abs(mut) < 1e-8 else cmath.sin(mut) / mu
+    cos_term = cmath.cos(mut)
+    common = cmath.exp(complex(-0.5 * k1 * t, -params.nu * t))
+    return (
+        common * (cos_term + 1j * sin_term * w),
+        common * (-1j * sin_term * params.g),
+        common * (cos_term - 1j * sin_term * w),
+    )
+
+
+def ground_phase(params: JCParams, t: float) -> complex:
+    """Phase e^{i delta t/2} that |down, 0> picks up during t."""
+    return cmath.exp(0.5j * params.delta * t)
+
+
+def _amplitude(params: JCParams, entry: int) -> complex:
+    # ground-state coherence left per unit input: e^{i delta t/2} conj(G[entry])
+    g_entry = block_propagator(params, params.t)[entry]
+    return ground_phase(params, params.t) * g_entry.conjugate()
+
+
 def transfer_amplitude(params: JCParams) -> complex:
-    """Amplitude moved between the atom and field qubits during t.
+    """Amplitude moved between the atom and field qubits during t, from G01.
 
     i e^{i(delta/2 + nu) t} sin(rabi t) g / rabi.  Its squared magnitude is
     the probability that the single excitation swaps sides; the same factor
     multiplies the input coherence.  By symmetry of the excitation-1 block
     it applies to both transfer directions.
     """
-    d, w = params.delta, params.rabi
-    phase = np.exp(1j * (0.5 * d + params.nu) * params.t)
-    return complex(1j * phase * np.sin(w * params.t) * params.g / w)
+    return _amplitude(params, 1)
 
 
 def residual_amplitude(params: JCParams) -> complex:
-    """Amplitude left on the sender side (atom to field direction).
+    """Amplitude left on the sender side (atom to field direction), from G11.
 
     e^{i(delta/2 + nu) t} [cos(rabi t) + i sin(rabi t) delta / (2 rabi)].
     Together with the transfer amplitude it satisfies |h_t|^2 + |h_r|^2 = 1.
     """
-    d, w = params.delta, params.rabi
-    phase = np.exp(1j * (0.5 * d + params.nu) * params.t)
-    return complex(
-        phase * (np.cos(w * params.t) + 1j * np.sin(w * params.t) * 0.5 * d / w)
-    )
+    return _amplitude(params, 2)
 
 
 def reception_residual_amplitude(params: JCParams) -> complex:
-    """Residual field amplitude for the field-to-atom direction.
+    """Residual field amplitude for the field-to-atom direction, from G00.
 
     Same magnitude as residual_amplitude but with the detuning term
     conjugated, because the remaining excitation then sits on the
     |down, 1> side of the excitation-1 block, which carries -delta/2.
     """
-    d, w = params.delta, params.rabi
-    phase = np.exp(1j * (0.5 * d + params.nu) * params.t)
-    return complex(
-        phase * (np.cos(w * params.t) - 1j * np.sin(w * params.t) * 0.5 * d / w)
-    )
+    return _amplitude(params, 0)
 
 
 def kraus_operators(params: JCParams) -> tuple[np.ndarray, np.ndarray]:
     """Kraus pair of the atom-to-field conversion channel.
 
     Both operators map the atomic basis (|down>, |up>) to the photon basis
-    (|0>, |1>); rows index the photon state.  A1 carries the population that
-    transfers, A2 the branch where the excitation stays behind on the atom
-    and the field remains in vacuum.
+    (|0>, |1>); rows index the photon state.  A1 = diag(e^{i delta t/2}, G10)
+    carries the population that transfers, A2 = [[0, G11], [0, 0]] the
+    branch where the excitation stays on the atom and the field stays empty.
     """
-    d, w, t = params.delta, params.rabi, params.t
-    a1 = np.zeros((2, 2), dtype=complex)
-    a1[0, 0] = np.exp(0.5j * d * t)
-    a1[1, 1] = -1j * np.exp(-1j * params.nu * t) * np.sin(w * t) * params.g / w
-    a2 = np.zeros((2, 2), dtype=complex)
-    a2[0, 1] = np.exp(-1j * params.nu * t) * (
-        np.cos(w * t) - 1j * np.sin(w * t) * 0.5 * d / w
-    )
+    _, g10, g11 = block_propagator(params, params.t)
+    a1 = np.diag([ground_phase(params, params.t), g10])
+    a2 = np.array([[0.0, g11], [0.0, 0.0]], dtype=complex)
     return a1, a2
 
 
@@ -140,19 +166,15 @@ def hamiltonian(params: JCParams) -> np.ndarray:
 def joint_unitary(params: JCParams) -> np.ndarray:
     """Closed-form e^{-iHt} on the truncated joint space.
 
-    |down,0> picks up e^{i delta t/2}.  The excitation-1 pair
-    (|down,1>, |up,0>) rotates inside its 2x2 block at the rate rabi
-    around the detuning axis, with the common phase e^{-i nu t}.
+    |down,0> picks up e^{i delta t/2}, the excitation-1 pair
+    (|down,1>, |up,0>) evolves under the decay-free block_propagator, and
+    the unreachable |up,1> slot keeps its diagonal phase.
     """
-    d, w, t = params.delta, params.rabi, params.t
+    g00, g01, g11 = block_propagator(params, params.t)
     u = np.zeros((4, 4), dtype=complex)
-    u[0, 0] = np.exp(0.5j * d * t)
-    c, s = np.cos(w * t), np.sin(w * t)
-    common = np.exp(-1j * params.nu * t)
-    u[1, 1] = common * (c + 1j * s * 0.5 * d / w)
-    u[2, 2] = common * (c - 1j * s * 0.5 * d / w)
-    u[1, 2] = u[2, 1] = common * (-1j * s * params.g / w)
-    u[3, 3] = np.exp(-1j * (1.5 * params.nu + 0.5 * params.omega) * t)
+    u[0, 0] = ground_phase(params, params.t)
+    u[1:3, 1:3] = [[g00, g01], [g01, g11]]
+    u[3, 3] = cmath.exp(-1j * (1.5 * params.nu + 0.5 * params.omega) * params.t)
     return u
 
 

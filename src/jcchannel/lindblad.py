@@ -3,13 +3,15 @@
 The master equation adds two dissipators to the Jaynes-Cummings dynamics:
 photon loss at rate kappa and spontaneous emission at rate gamma_at.  Both
 jump operators only lower the excitation number, so the one-excitation
-block (|down,1>, |up,0>) evolves under an effective non-Hermitian 2x2
-propagator and the whole density matrix has closed-form entries.  An
-independent fixed-step RK4 integrator over the full Liouvillian serves as
-the oracle for those closed forms.
+block (|down,1>, |up,0>) evolves under jc.block_propagator with both rates
+passed in; the closed-form state and the decayed channel amplitudes are
+read off its entries.  An independent fixed-step RK4 integrator over the
+full Liouvillian serves as the oracle for those closed forms.
 
-Closed-form conventions, fixed against the integrator and the zero-decay
-limit (each choice below changes observable entries, so all are pinned):
+derive_constants supplies the constants of the paper's separate sign
+expression for degradability.  Their conventions are fixed against the
+integrator and the zero-decay limit (each choice changes observable
+values, so both are pinned):
 
 * x uses the minus branch and y the plus branch of the shared radical,
   sqrt((R -+ z)/2) with R = sqrt(z^2 + 4 k2^2 delta^2); the zero-decay
@@ -18,9 +20,6 @@ limit (each choice below changes observable entries, so all are pinned):
   x*y = k2*delta; y < 0 happens only for gamma_at > kappa with delta > 0.
   All formulas are even under (x, y) -> (-x, -y), so this is the whole
   convention freedom.
-* the decaying branch of the sender-side entries enters with coefficient
-  -(k2 + i delta); the opposite sign fails the pure-cavity-decay limit
-  (it would leave the photon coherence undamped) and the integrator gate.
 
 Initial states here are |down><down| (x) rho_photon: the qubit arrives on
 the field and is transferred to the atom.  The opposite transfer direction
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import TransferChannel
-from .jc import JCParams
+from .jc import JCParams, block_propagator, ground_phase
 from .qmat import QubitInput
 
 ORACLE_ATOL = 1e-10
@@ -100,26 +99,6 @@ def derive_constants(jc: JCParams, d: DecayParams) -> DecayConstants:
     return DecayConstants(k1=k1, k2=k2, z=z, x=x, y=y)
 
 
-def _effective_propagator(jc: JCParams, d: DecayParams, t: float) -> np.ndarray:
-    """2x2 propagator on the one-excitation pair (|down,1>, |up,0>).
-
-    Amplitude evolution under the block Hamiltonian with the decay rates
-    folded in as -i kappa/2 and -i gamma/2 diagonal shifts.  Entry [i, j]
-    carries slot j amplitude into slot i.
-    """
-    k1 = 0.5 * (d.kappa + d.gamma_at)
-    k2 = 0.5 * (d.kappa - d.gamma_at)
-    wt = 0.5 * (jc.delta + 1j * k2)
-    mu = np.sqrt(complex(jc.g**2 + wt**2))
-    if abs(mu) * t < 1e-8:
-        sin_term = t * (1.0 - (mu * t) ** 2 / 6.0)
-    else:
-        sin_term = np.sin(mu * t) / mu
-    w = np.array([[-wt, jc.g], [jc.g, wt]], dtype=complex)
-    common = np.exp(-1j * (jc.nu - 0.5j * k1) * t)
-    return common * (np.cos(mu * t) * np.eye(2) - 1j * sin_term * w)
-
-
 def closed_form_state(jc: JCParams, d: DecayParams, init: QubitInput, t: float) -> np.ndarray:
     """Joint state at time t for the initial state |down><down| (x) rho_photon.
 
@@ -128,18 +107,17 @@ def closed_form_state(jc: JCParams, d: DecayParams, init: QubitInput, t: float) 
     Returns the 4x4 matrix over |down,0>, |down,1>, |up,0>, |up,1>; the
     last row/column is identically zero.
     """
-    g = _effective_propagator(jc, d, t)
-    keep_photon, to_atom = g[0, 0], g[1, 0]
+    keep_photon, to_atom, _ = block_propagator(jc, t, d.kappa, d.gamma_at)
     p, r = init.p, complex(init.r)
     rho = np.zeros((4, 4), dtype=complex)
     rho[1, 1] = p * abs(keep_photon) ** 2
     rho[2, 2] = p * abs(to_atom) ** 2
-    rho[1, 2] = p * keep_photon * np.conj(to_atom)
+    rho[1, 2] = p * keep_photon * to_atom.conjugate()
     rho[2, 1] = np.conj(rho[1, 2])
-    ground_phase = np.exp(0.5j * jc.delta * t)
-    rho[0, 1] = r * ground_phase * np.conj(keep_photon)
+    phase = ground_phase(jc, t)
+    rho[0, 1] = r * phase * keep_photon.conjugate()
     rho[1, 0] = np.conj(rho[0, 1])
-    rho[0, 2] = r * ground_phase * np.conj(to_atom)
+    rho[0, 2] = r * phase * to_atom.conjugate()
     rho[2, 0] = np.conj(rho[0, 2])
     rho[0, 0] = 1.0 - rho[1, 1].real - rho[2, 2].real
     return rho
@@ -229,8 +207,6 @@ class DecayedConversion:
 
     h_keep: complex
     h_env: complex
-    theta_keep: float
-    theta_env: float
     constants: DecayConstants
     delta: float
     t: float
@@ -242,21 +218,15 @@ class DecayedConversion:
 def decayed_conversion(jc: JCParams, d: DecayParams, t: float) -> DecayedConversion:
     """Extract (h_keep, h_env) of the decayed field-to-atom conversion.
 
-    Magnitudes come from the populations of the p=1 closed-form state;
-    phases from the ground-state coherences of a reference input with
-    real positive coherence.
+    Both are read straight off the decayed propagator as the ground-state
+    coherences per unit input coherence: h_keep = e^{i delta t/2} conj(G10),
+    h_env = e^{i delta t/2} conj(G00).
     """
-    pops = closed_form_state(jc, d, QubitInput(p=1.0, r=0.0), t)
-    ref = closed_form_state(jc, d, QubitInput(p=0.5, r=0.5), t)
-    theta_keep = float(np.angle(ref[0, 2])) if abs(ref[0, 2]) > 0 else 0.0
-    theta_env = float(np.angle(ref[0, 1])) if abs(ref[0, 1]) > 0 else 0.0
-    h_keep = math.sqrt(max(0.0, pops[2, 2].real)) * np.exp(1j * theta_keep)
-    h_env = math.sqrt(max(0.0, pops[1, 1].real)) * np.exp(1j * theta_env)
+    keep_photon, to_atom, _ = block_propagator(jc, t, d.kappa, d.gamma_at)
+    phase = ground_phase(jc, t)
     return DecayedConversion(
-        h_keep=complex(h_keep),
-        h_env=complex(h_env),
-        theta_keep=theta_keep,
-        theta_env=theta_env,
+        h_keep=phase * to_atom.conjugate(),
+        h_env=phase * keep_photon.conjugate(),
         constants=derive_constants(jc, d),
         delta=jc.delta,
         t=t,

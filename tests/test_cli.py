@@ -1,7 +1,9 @@
 """Command-line behavior: records, determinism, formats, exit codes."""
 
+import itertools
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -9,6 +11,10 @@ from jcchannel.cli import (
     CSV_HEADER,
     EVOLVE_HEADER,
     RunRecord,
+    SweepAxis,
+    SweepSpec,
+    _emit,
+    _sweep_lines,
     compute_record,
     main,
 )
@@ -135,6 +141,29 @@ def test_sweep_thread_determinism(tmp_path):
     assert f1.read_bytes() == f8.read_bytes()
 
 
+def test_threads_below_one_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--mode", "conversion", "--g", "1", "--sweep", "t:0:1:3",
+              "--threads", "0"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_sweep_streams_rows_without_materializing_the_grid():
+    # 125k points: the first rows must come out before the grid is built
+    axes = (SweepAxis("g", 0.5, 2.0, 50), SweepAxis("delta", -1.0, 1.0, 50),
+            SweepAxis("t", 0.0, 3.0, 50))
+    spec = SweepSpec(mode="conversion", axes=axes, fixed={"nu": 0.0}, fmt="csv")
+    tracemalloc.start()
+    try:
+        lines = list(itertools.islice(_sweep_lines(spec, False), 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lines[0] == CSV_HEADER and len(lines) == 3
+    assert peak < 2_000_000
+
+
 def test_sweep_repeat_determinism_and_stamp(tmp_path):
     args = ["sweep", "--mode", "conversion", "--g", "1", "--sweep", "t:0:2:9"]
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -255,11 +284,25 @@ def test_out_file_removed_on_failure(tmp_path):
         yield "header"
         raise RuntimeError("mid-stream failure")
 
-    from jcchannel.cli import _emit
-
     with pytest.raises(RuntimeError):
         _emit(boom(), str(target))
     assert not target.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_file_kept_intact_on_failure(tmp_path):
+    # a failed run must not destroy the previous good output
+    target = tmp_path / "good.csv"
+    target.write_bytes(b"previous,output\n1,2\n")
+
+    def boom():
+        yield "header"
+        raise RuntimeError("mid-stream failure")
+
+    with pytest.raises(RuntimeError):
+        _emit(boom(), str(target))
+    assert target.read_bytes() == b"previous,output\n1,2\n"
+    assert list(tmp_path.iterdir()) == [target]
 
 
 def test_run_record_empty_fields_for_absent_params():

@@ -114,8 +114,16 @@ def test_joint_unitary_matches_expm_oracle():
     for t in (0.0, 0.7, 2.9):
         for delta in (-1.5, 0.0, 2.0):
             p = JCParams.from_detuning(g=0.8, delta=delta, t=t, nu=0.6)
-            numeric = expm_taylor(-1j * p.t * hamiltonian(p))
-            assert np.max(np.abs(joint_unitary(p) - numeric)) < 1e-11
+            u = expm_taylor(-1j * p.t * hamiltonian(p))
+            assert np.max(np.abs(joint_unitary(p) - u)) < 1e-11
+            # the amplitudes and the Kraus pair are read off the same
+            # propagator, so pin each of them to the oracle entries too
+            assert abs(transfer_amplitude(p) - u[0, 0] * np.conj(u[1, 2])) < 1e-11
+            assert abs(residual_amplitude(p) - u[0, 0] * np.conj(u[2, 2])) < 1e-11
+            assert abs(reception_residual_amplitude(p) - u[0, 0] * np.conj(u[1, 1])) < 1e-11
+            a1, a2 = kraus_operators(p)
+            assert np.max(np.abs(a1 - np.diag([u[0, 0], u[2, 1]]))) < 1e-11
+            assert np.max(np.abs(a2 - [[0.0, u[2, 2]], [0.0, 0.0]])) < 1e-11
 
 
 def test_hamiltonian_is_hermitian_and_coupling_sits_in_one_excitation_block():

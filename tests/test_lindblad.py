@@ -153,6 +153,18 @@ def test_decayed_conversion_reduces_to_ideal_transfer():
     assert abs(conv.h_keep) ** 2 + abs(conv.h_env) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
+def test_decayed_conversion_matches_integrator_coherences():
+    # a p = r = 1/2 photon leaves r h_keep on <down,0|up,0> and r h_env on
+    # <down,0|down,1>, so both amplitudes, magnitude and phase, are pinned
+    # to the RK4 oracle
+    init = _joint_init(QubitInput(p=0.5, r=0.5))
+    for jc, d, t in oracle_grid()[::11]:
+        conv = decayed_conversion(jc, d, t)
+        rho = integrate_master_equation(jc, d, init, t)
+        assert abs(conv.h_keep - 2.0 * rho[0, 2]) < 1e-6
+        assert abs(conv.h_env - 2.0 * rho[0, 1]) < 1e-6
+
+
 @given(params_strategy(), decay_strategy())
 @settings(max_examples=80)
 def test_decayed_amplitudes_never_exceed_unit_budget(jc, d):
