@@ -24,7 +24,7 @@ from jcchannel import (
     LossChannel,
     concatenate,
     conversion_channel,
-    quantum_capacity,
+    quantum_capacities,
 )
 
 
@@ -49,12 +49,13 @@ def main():
     args = ap.parse_args()
 
     tmax = args.tmax if args.tmax is not None else 2.0 * math.pi / args.g
-    rows = []
-    for i in range(args.points):
-        t = tmax * i / (args.points - 1) if args.points > 1 else tmax
-        ch = build_channel(args.g, args.delta, t, args.loss)
-        res = quantum_capacity(ch)
-        rows.append((t, ch.keep_prob, res.status.value, res.q, res.p_star))
+    ts = [tmax * i / (args.points - 1) if args.points > 1 else tmax
+          for i in range(args.points)]
+    chans = [build_channel(args.g, args.delta, t, args.loss) for t in ts]
+    rows = [
+        (t, ch.keep_prob, res.status.value, res.q, res.p_star)
+        for t, ch, res in zip(ts, chans, quantum_capacities(chans))
+    ]
 
     print(f"{'g*t':>10} {'keep_prob':>10} {'status':>16} {'Q':>12} {'p*':>8}")
     for t, kp, status, q, p_star in rows:

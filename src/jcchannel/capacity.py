@@ -6,27 +6,34 @@ have capacity
 
     Q = max_p  H2(|h_keep|^2 p) - H2((1 - |h_keep|^2) p)
 
-and the maximum is found by golden-section search (the objective is
-strictly concave in p when |h_keep|^2 > 1/2).  Channels that are not
-degradable are assigned Q = 0; for channels with decay leakage this
-follows the same amplitude comparison, with the decay environment not
-modeled as an extra output.
+and the maximum is found by golden-section search on [0, 1] (the
+objective is strictly concave in p when |h_keep|^2 > 1/2).
+quantum_capacity runs the scalar search for one channel;
+quantum_capacities settles many channels at once, replaying the same
+search on all of their keep shares together, lane by lane, so each result
+is bit for bit the one quantum_capacity gives.  Both share the rules that
+settle a channel without a search.  Channels that are not degradable are
+assigned Q = 0; for channels with decay leakage this follows the same
+amplitude comparison, with the decay environment not modeled as an extra
+output.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import TransferChannel, extended_state, reception_channel
 from .jc import JCParams
-from .qmat import QubitInput, binary_entropy, von_neumann_entropy
+from .qmat import QubitInput, binary_entropy, binary_entropy_array, von_neumann_entropy
 
 TIE_BAND = 1e-12
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_ORACLE_BLOCK = 4096  # grid points per array expression in capacity_grid_oracle
 
 
 class NotDegradable(ValueError):
@@ -120,6 +127,52 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[flo
     return xm, f(xm)
 
 
+def golden_section_max_batch(keep_probs, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """golden_section_max of the diagonal coherent information, many lanes at once.
+
+    Each lane holds one keep share a, 1/2 < a < 1, and replays the scalar
+    search on [0, 1] for H2(a p) - H2((1-a) p): the same operations in the
+    same order, each lane stopping at the same b - a > tol test.  Returns
+    the arrays (argmax, max), equal bit for bit to the scalar results.
+    """
+    k = np.asarray(keep_probs, dtype=float)
+    env = 1.0 - k
+
+    def f(p):
+        return binary_entropy_array(k * p) - binary_entropy_array(env * p)
+
+    a, b = np.zeros_like(k), np.ones_like(k)
+    x1 = b - GOLDEN * (b - a)
+    x2 = a + GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    active = b - a > tol
+    while active.any():
+        # both scalar branches on every lane, then keep the taken one
+        up = f1 < f2
+        a_next, b_next = np.where(up, x1, a), np.where(up, b, x2)
+        x_new = np.where(
+            up,
+            a_next + GOLDEN * (b_next - a_next),
+            b_next - GOLDEN * (b_next - a_next),
+        )
+        f_new = f(x_new)
+        stepped = (
+            a_next,
+            b_next,
+            np.where(up, x2, x_new),
+            np.where(up, f2, f_new),
+            np.where(up, x_new, x1),
+            np.where(up, f_new, f1),
+        )
+        # lanes whose interval is already within tol keep their state
+        a, b, x1, f1, x2, f2 = (
+            np.where(active, new, old) for new, old in zip(stepped, (a, b, x1, f1, x2, f2))
+        )
+        active = b - a > tol
+    xm = 0.5 * (a + b)
+    return xm, f(xm)
+
+
 def capacity_grid_oracle(keep_prob: float, step: float = 1e-5) -> tuple[float, float]:
     """Exhaustive p-grid maximization of the diagonal coherent information.
 
@@ -127,16 +180,20 @@ def capacity_grid_oracle(keep_prob: float, step: float = 1e-5) -> tuple[float, f
     (Q, p_star) at the stated grid resolution.
     """
     n = int(round(1.0 / step))
-    ps = np.arange(n + 1) * step
-    a, b = keep_prob, 1.0 - keep_prob
-    vals = np.zeros_like(ps)
-    for i, p in enumerate(ps):
-        vals[i] = binary_entropy(a * p) - binary_entropy(b * p)
-    i = int(np.argmax(vals))
-    return float(vals[i]), float(ps[i])
+    best_q, best_p = -math.inf, 0.0
+    # the grid p = i * step, i = 0..n, in blocks to keep the arrays small;
+    # a later block wins only with a strictly larger value, like argmax
+    for start in range(0, n + 1, _ORACLE_BLOCK):
+        ps = np.arange(start, min(start + _ORACLE_BLOCK, n + 1)) * step
+        vals = binary_entropy_array(keep_prob * ps) - binary_entropy_array((1.0 - keep_prob) * ps)
+        i = int(np.argmax(vals))
+        if vals[i] > best_q:
+            best_q, best_p = float(vals[i]), float(ps[i])
+    return best_q, best_p
 
 
-def quantum_capacity(ch: TransferChannel) -> CapacityResult:
+def _settled(ch: TransferChannel) -> CapacityResult | None:
+    """The result of a channel that needs no search, or None if it needs one."""
     status = classify(ch)
     if status is not DegradabilityStatus.DEGRADABLE:
         return CapacityResult(status=status, q=0.0, p_star=0.0)
@@ -146,7 +203,29 @@ def quantum_capacity(ch: TransferChannel) -> CapacityResult:
     if a <= 0.5:
         # possible only with decay leakage; the objective is nonpositive
         return CapacityResult(status=status, q=0.0, p_star=0.0)
-    p_star, q = golden_section_max(lambda p: coherent_information_diagonal(a, p), 0.0, 1.0)
+    return None
+
+
+def _searched(p_star: float, q: float) -> CapacityResult:
+    """The result of a degradable channel whose search gave (p_star, q)."""
     if q <= 0.0:
-        return CapacityResult(status=status, q=0.0, p_star=0.0)
-    return CapacityResult(status=status, q=q, p_star=p_star)
+        return CapacityResult(status=DegradabilityStatus.DEGRADABLE, q=0.0, p_star=0.0)
+    return CapacityResult(status=DegradabilityStatus.DEGRADABLE, q=q, p_star=p_star)
+
+
+def quantum_capacity(ch: TransferChannel) -> CapacityResult:
+    settled = _settled(ch)
+    if settled is not None:
+        return settled
+    a = ch.keep_prob
+    return _searched(*golden_section_max(lambda p: coherent_information_diagonal(a, p), 0.0, 1.0))
+
+
+def quantum_capacities(channels: Sequence[TransferChannel]) -> list[CapacityResult]:
+    """quantum_capacity of each channel, with every search run in one batch."""
+    results = [_settled(ch) for ch in channels]
+    lanes = [i for i, res in enumerate(results) if res is None]
+    p_star, q = golden_section_max_batch([channels[i].keep_prob for i in lanes])
+    for i, p, v in zip(lanes, p_star.tolist(), q.tolist()):
+        results[i] = _searched(p, v)
+    return results

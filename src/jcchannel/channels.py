@@ -76,18 +76,14 @@ class TransferChannel:
 
 def conversion_channel(params: jc.JCParams) -> TransferChannel:
     """Atom-to-field conversion: keep the field, trace the atom."""
-    return TransferChannel(
-        h_keep=jc.transfer_amplitude(params),
-        h_env=jc.residual_amplitude(params),
-    )
+    _, transfer, residual = jc.block_amplitudes(params)
+    return TransferChannel(h_keep=transfer, h_env=residual)
 
 
 def reception_channel(params: jc.JCParams) -> TransferChannel:
     """Field-to-atom conversion: atom prepared in ground, keep the atom."""
-    return TransferChannel(
-        h_keep=jc.transfer_amplitude(params),
-        h_env=jc.reception_residual_amplitude(params),
-    )
+    residual, transfer, _ = jc.block_amplitudes(params)
+    return TransferChannel(h_keep=transfer, h_env=residual)
 
 
 @dataclass(frozen=True)

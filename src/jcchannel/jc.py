@@ -95,10 +95,16 @@ def ground_phase(params: JCParams, t: float) -> complex:
     return cmath.exp(0.5j * params.delta * t)
 
 
-def _amplitude(params: JCParams, entry: int) -> complex:
-    # ground-state coherence left per unit input: e^{i delta t/2} conj(G[entry])
-    g_entry = block_propagator(params, params.t)[entry]
-    return ground_phase(params, params.t) * g_entry.conjugate()
+def block_amplitudes(params: JCParams) -> tuple[complex, complex, complex]:
+    """Amplitudes e^{i delta t/2} conj(G) of the entries G00, G01, G11 at params.t.
+
+    Each is the ground-state coherence left per unit input on one side of
+    the exchange: (reception residual, transfer, residual), all read off
+    one block_propagator call.
+    """
+    phase = ground_phase(params, params.t)
+    g00, g01, g11 = block_propagator(params, params.t)
+    return phase * g00.conjugate(), phase * g01.conjugate(), phase * g11.conjugate()
 
 
 def transfer_amplitude(params: JCParams) -> complex:
@@ -109,7 +115,7 @@ def transfer_amplitude(params: JCParams) -> complex:
     multiplies the input coherence.  By symmetry of the excitation-1 block
     it applies to both transfer directions.
     """
-    return _amplitude(params, 1)
+    return block_amplitudes(params)[1]
 
 
 def residual_amplitude(params: JCParams) -> complex:
@@ -118,7 +124,7 @@ def residual_amplitude(params: JCParams) -> complex:
     e^{i(delta/2 + nu) t} [cos(rabi t) + i sin(rabi t) delta / (2 rabi)].
     Together with the transfer amplitude it satisfies |h_t|^2 + |h_r|^2 = 1.
     """
-    return _amplitude(params, 2)
+    return block_amplitudes(params)[2]
 
 
 def reception_residual_amplitude(params: JCParams) -> complex:
@@ -128,7 +134,7 @@ def reception_residual_amplitude(params: JCParams) -> complex:
     conjugated, because the remaining excitation then sits on the
     |down, 1> side of the excitation-1 block, which carries -delta/2.
     """
-    return _amplitude(params, 0)
+    return block_amplitudes(params)[0]
 
 
 def kraus_operators(params: JCParams) -> tuple[np.ndarray, np.ndarray]:

@@ -81,6 +81,17 @@ def binary_entropy(x: float) -> float:
     return float(-x * np.log2(x) - (1.0 - x) * np.log2(1.0 - x))
 
 
+def binary_entropy_array(x: np.ndarray) -> np.ndarray:
+    """Elementwise H2 of an array in [0, 1], bit for bit with binary_entropy.
+
+    Same expression in the same order; 0 and 1 map to exactly 0.
+    """
+    inner = (x > 0.0) & (x < 1.0)
+    xs = np.where(inner, x, 0.5)
+    h = -xs * np.log2(xs) - (1.0 - xs) * np.log2(1.0 - xs)
+    return np.where(inner, h, 0.0)
+
+
 def partial_trace(m, keep: str) -> np.ndarray:
     """Trace out one qubit of a 4x4 state over the ordered basis sys1 (x) sys2.
 

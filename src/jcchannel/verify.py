@@ -215,23 +215,35 @@ def _capacity_goldens(level: str):
         if dev > tol and not detail:
             detail = what
 
-    perfect = channels.TransferChannel(h_keep=1.0, h_env=0.0)
-    res = cap.quantum_capacity(perfect)
-    check(abs(res.q - 1.0), 0.0, "Q at unit transfer is not exactly 1")
-    check(abs(res.p_star - 0.5), 0.0, "p_star at unit transfer is not exactly 1/2")
-
-    for a in (0.5, 0.3, 0.1):
-        ch = channels.TransferChannel(h_keep=math.sqrt(a), h_env=math.sqrt(1.0 - a))
-        check(cap.quantum_capacity(ch).q, 0.0, f"Q not exactly 0 at keep share {a}")
-
     goldens = ((0.75, GRID_ORACLE_Q_075), (0.9, GRID_ORACLE_Q_090))
-    for a, stored in goldens:
-        ch = channels.TransferChannel(h_keep=math.sqrt(a), h_env=math.sqrt(1.0 - a))
-        q = cap.quantum_capacity(ch).q
-        check(abs(q - stored), 1e-6, f"optimizer disagrees with stored grid value at {a}")
+    shares = (0.5, 0.3, 0.1) + tuple(a for a, _ in goldens)
+    chs = [channels.TransferChannel(h_keep=1.0, h_env=0.0)] + [
+        channels.TransferChannel(h_keep=math.sqrt(a), h_env=math.sqrt(1.0 - a))
+        for a in shares
+    ]
+    scalar = [cap.quantum_capacity(ch) for ch in chs]
+    batched = cap.quantum_capacities(chs)
+
+    # the batched search that sweeps use must give the scalar results exactly
+    for ch, one, many in zip(chs, scalar, batched):
+        dev = max(abs(one.q - many.q), abs(one.p_star - many.p_star))
+        if one.status is not many.status:
+            dev = math.inf
+        check(dev, 0.0, f"batched capacity differs from the scalar one at {ch}")
+
+    perfect = scalar[0]
+    check(abs(perfect.q - 1.0), 0.0, "Q at unit transfer is not exactly 1")
+    check(abs(perfect.p_star - 0.5), 0.0, "p_star at unit transfer is not exactly 1/2")
+
+    for a, res in zip(shares[:3], scalar[1:4]):
+        check(res.q, 0.0, f"Q not exactly 0 at keep share {a}")
+
+    for (a, stored), one, many in zip(goldens, scalar[4:], batched[4:]):
+        check(abs(one.q - stored), 1e-6, f"optimizer disagrees with stored grid value at {a}")
+        check(abs(many.q - stored), 1e-6, f"batched optimizer disagrees with stored grid value at {a}")
         if level == "full":
             fresh, _ = cap.capacity_grid_oracle(a, step=1e-5)
-            check(abs(q - fresh), 1e-6, f"optimizer disagrees with fresh grid oracle at {a}")
+            check(abs(one.q - fresh), 1e-6, f"optimizer disagrees with fresh grid oracle at {a}")
             check(abs(fresh - stored), 1e-12, f"stored grid value stale at {a}")
     return worst, detail
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,10 +16,12 @@ from jcchannel.capacity import (
     degrading_channel,
     degrading_map,
     golden_section_max,
+    golden_section_max_batch,
+    quantum_capacities,
     quantum_capacity,
 )
 from jcchannel.channels import TransferChannel, compose
-from jcchannel.qmat import QubitInput, trace_distance
+from jcchannel.qmat import QubitInput, binary_entropy, binary_entropy_array, trace_distance
 
 # Grid-oracle maxima (exhaustive p sweep, step 1e-5), frozen after one run.
 GRID_Q_075 = 0.41503749925179323
@@ -177,3 +180,74 @@ def test_capacity_bounds(a):
 @settings(max_examples=40)
 def test_degradable_above_half_has_positive_capacity(a):
     assert quantum_capacity(_unit(a)).q > 0.0
+
+
+def test_binary_entropy_array_matches_scalar_bit_for_bit():
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([
+        [0.0, 1.0, 0.5, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)],
+        rng.uniform(0.0, 1.0, 5000),
+        10.0 ** rng.uniform(-300.0, 0.0, 2000),
+        1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 2000),
+    ])
+    assert binary_entropy_array(xs).tolist() == [binary_entropy(x) for x in xs.tolist()]
+
+
+def test_grid_oracle_equals_pointwise_scalar_grid():
+    step = 1e-3
+    for a in (0.75, 0.9, 0.5000001):
+        ps = np.arange(1001) * step
+        vals = [binary_entropy(a * p) - binary_entropy((1.0 - a) * p) for p in ps]
+        i = int(np.argmax(vals))
+        assert capacity_grid_oracle(a, step=step) == (vals[i], float(ps[i]))
+
+
+def test_batched_search_equals_scalar_search_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    shares = np.concatenate([
+        [np.nextafter(0.5, 1.0), 0.5 + 1e-9, 1.0 - 1e-12, 0.75, 0.9,
+         np.nextafter(1.0, 0.0)],
+        rng.uniform(0.5, 1.0, 8000),
+        0.5 + 10.0 ** rng.uniform(-15.0, -1.0, 1000),
+        1.0 - 10.0 ** rng.uniform(-15.0, -1.0, 1000),
+    ])
+    assert np.all((shares > 0.5) & (shares < 1.0))
+    p_star, q = golden_section_max_batch(shares)
+    batched = list(zip(p_star.tolist(), q.tolist()))
+    scalar = [
+        golden_section_max(lambda p, a=a: coherent_information_diagonal(a, p), 0.0, 1.0)
+        for a in shares.tolist()
+    ]
+    assert len(scalar) >= 10_000
+    assert batched == scalar
+
+
+def test_batched_search_stops_each_lane_at_its_own_iteration():
+    # interval widths differ between lanes in their last digits, so at this
+    # tol some lanes take one more iteration than others
+    shares = np.random.default_rng(3).uniform(0.5, 1.0, 2000)
+    tol = 6.61069613518e-05
+    scalar, evals = [], set()
+    for a in shares.tolist():
+        points = []
+
+        def f(p, a=a):
+            points.append(p)
+            return coherent_information_diagonal(a, p)
+
+        scalar.append(golden_section_max(f, 0.0, 1.0, tol=tol))
+        evals.add(len(points))
+    assert len(evals) > 1
+    p_star, q = golden_section_max_batch(shares, tol=tol)
+    assert list(zip(p_star.tolist(), q.tolist())) == scalar
+
+
+def test_quantum_capacities_equal_quantum_capacity():
+    chs = [
+        _unit(1.0), _unit(0.5), _unit(0.3), _unit(0.0), _unit(0.75), _unit(0.9),
+        _unit(0.8, ph_keep=1.1, ph_env=2.2), _unit(0.5 + 1e-6),
+        TransferChannel(h_keep=math.sqrt(0.4), h_env=math.sqrt(0.2)),
+        TransferChannel(h_keep=math.sqrt(0.6), h_env=math.sqrt(0.3)),
+    ]
+    assert quantum_capacities(chs) == [quantum_capacity(ch) for ch in chs]
+    assert quantum_capacities([]) == []

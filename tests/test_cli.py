@@ -5,11 +5,13 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from jcchannel.cli import (
     CSV_HEADER,
     EVOLVE_HEADER,
+    SWEEP_CHUNK,
     RunRecord,
     SweepAxis,
     SweepSpec,
@@ -162,6 +164,41 @@ def test_sweep_streams_rows_without_materializing_the_grid():
         tracemalloc.stop()
     assert lines[0] == CSV_HEADER and len(lines) == 3
     assert peak < 2_000_000
+
+
+# each mode's fixed flags; a t axis from 0 to 1.6 of one chunk plus 3 points
+# ends in the degradable region, so both chunks hold searched lanes
+_CHUNK_SWEEPS = {
+    "conversion": ["--g", "1", "--delta", "0.3"],
+    "concat": ["--g", "1", "--g2", "1.2", "--t2", "1.3", "--T", "0.9"],
+    "decayed": ["--g", "1", "--kappa", "0.2", "--gamma", "0.1"],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_CHUNK_SWEEPS))
+def test_batched_sweep_rows_equal_per_point_records(mode, capsys):
+    args = ["sweep", "--mode", mode, *_CHUNK_SWEEPS[mode],
+            "--sweep", f"t:0:1.6:{SWEEP_CHUNK + 3}"]
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    csv_lines = out.splitlines()
+    code, out, _ = run_cli(args + ["--json"], capsys)
+    assert code == 0
+    json_lines = out.splitlines()
+    assert csv_lines[0] == CSV_HEADER
+    assert len(csv_lines) - 1 == len(json_lines) == SWEEP_CHUNK + 3
+    ts, searched = [], []
+    for row, line in zip(csv_lines[1:], json_lines):
+        obj = json.loads(line)
+        vals = {k: obj[k] for k in ("g", "delta", "t", "g2", "delta2", "t2", "T",
+                                    "kappa", "gamma") if obj[k] is not None}
+        rec = compute_record(mode, dict(vals, nu=0.0))
+        assert row == rec.csv_row()
+        assert line == json.dumps(rec.json_obj())
+        ts.append(obj["t"])
+        searched.append(rec.q > 0.0)
+    assert ts == np.linspace(0.0, 1.6, SWEEP_CHUNK + 3).tolist()
+    assert sum(searched[:SWEEP_CHUNK]) > 100 and all(searched[SWEEP_CHUNK:])
 
 
 def test_sweep_repeat_determinism_and_stamp(tmp_path):
