@@ -8,6 +8,8 @@ Subcommands:
   degrade    construct the degrading stage for a channel and verify it
   verify     run the oracle cross-check suites (quick or full)
 
+PARAMS (each model parameter and its domain) and MODES (each mode's
+columns, required flags and channel builder) drive every subcommand.
 All numeric text uses shortest round-trip decimals so identical inputs
 produce byte-identical output (--threads is accepted but changes nothing).
 A flat key=value config file can supply any flag; explicit flags win.
@@ -22,6 +24,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -48,8 +51,26 @@ from .lindblad import DecayParams, closed_form_state, decayed_conversion
 from .qmat import QubitInput, trace_distance
 from .verify import run_verify
 
-CSV_HEADER = "mode,g,delta,t,g2,delta2,t2,T,kappa,gamma,h_keep_sq,h_env_sq,status,Q,p_star"
-_PARAM_COLUMNS = ("g", "delta", "t", "g2", "delta2", "t2", "T", "kappa", "gamma")
+# Every model parameter once, in CSV column order, then nu (not a column):
+# name -> (test a value must pass, the rule it states).  Every value must
+# also be finite.
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+_REAL = (lambda v: True, "")
+PARAMS = {
+    "g": _POSITIVE,
+    "delta": _REAL,
+    "t": _NONNEGATIVE,
+    "g2": _POSITIVE,
+    "delta2": _REAL,
+    "t2": _NONNEGATIVE,
+    "T": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    "kappa": _NONNEGATIVE,
+    "gamma": _NONNEGATIVE,
+    "nu": _REAL,
+}
+_PARAM_COLUMNS = tuple(name for name in PARAMS if name != "nu")
+CSV_HEADER = ",".join(("mode", *_PARAM_COLUMNS, "h_keep_sq", "h_env_sq", "status", "Q", "p_star"))
 
 EVOLVE_HEADER = (
     "t,pop_ground,pop_photon,pop_atom,"
@@ -58,21 +79,41 @@ EVOLVE_HEADER = (
     "re_photon_atom,im_photon_atom"
 )
 
-# parameters each mode needs; remaining model parameters default to zero
-_REQUIRED = {
-    "conversion": ("g", "t"),
-    "concat": ("g", "t", "g2", "t2", "T"),
-    "decayed": ("g", "t"),
-}
-_DEFAULTED = {
-    "conversion": ("delta", "nu"),
-    "concat": ("delta", "delta2", "nu"),
-    "decayed": ("delta", "nu", "kappa", "gamma"),
-}
-_SWEEPABLE = {
-    "conversion": ("g", "delta", "t"),
-    "concat": ("g", "delta", "t", "t2", "T"),
-    "decayed": ("g", "delta", "t", "kappa", "gamma"),
+
+def _stage(vals: dict, suffix: str = "") -> JCParams:
+    """The Jaynes-Cummings stage of a point: (g, delta, t), or (g2, delta2, t2)."""
+    return JCParams.from_detuning(
+        g=vals["g" + suffix], delta=vals["delta" + suffix], t=vals["t" + suffix], nu=vals["nu"]
+    )
+
+
+def _decay(vals: dict) -> DecayParams:
+    return DecayParams(kappa=vals["kappa"], gamma_at=vals["gamma"])
+
+
+@dataclass(frozen=True)
+class Mode:
+    columns: tuple[str, ...]  # parameters its records show; also its sweep axes
+    required: tuple[str, ...]  # other columns, and nu, default to zero
+    build: Callable[[dict], TransferChannel]  # the channel of one point
+
+
+MODES = {
+    "conversion": Mode(
+        ("g", "delta", "t"),
+        ("g", "t"),
+        lambda v: conversion_channel(_stage(v)),
+    ),
+    "concat": Mode(
+        ("g", "delta", "t", "g2", "delta2", "t2", "T"),
+        ("g", "t", "g2", "t2", "T"),
+        lambda v: concatenate(_stage(v), LossChannel(T=v["T"]), _stage(v, "2")),
+    ),
+    "decayed": Mode(
+        ("g", "delta", "t", "kappa", "gamma"),
+        ("g", "t"),
+        lambda v: decayed_conversion(_stage(v), _decay(v), v["t"]).as_transfer(),
+    ),
 }
 
 # grid points a sweep evaluates together: one capacity batch per chunk
@@ -141,24 +182,6 @@ class RunRecord:
         return obj
 
 
-def build_channel(mode: str, vals: dict) -> TransferChannel:
-    """The channel of one parameter point of a mode."""
-    if mode not in _REQUIRED:
-        raise ValueError(f"unknown mode {mode!r}")
-    stage = JCParams.from_detuning(
-        g=vals["g"], delta=vals["delta"], t=vals["t"], nu=vals["nu"]
-    )
-    if mode == "conversion":
-        return conversion_channel(stage)
-    if mode == "concat":
-        e2 = JCParams.from_detuning(
-            g=vals["g2"], delta=vals["delta2"], t=vals["t2"], nu=vals["nu"]
-        )
-        return concatenate(stage, LossChannel(T=vals["T"]), e2)
-    decay = DecayParams(kappa=vals["kappa"], gamma_at=vals["gamma"])
-    return decayed_conversion(stage, decay, vals["t"]).as_transfer()
-
-
 def compute_record(
     mode: str,
     vals: dict,
@@ -172,10 +195,9 @@ def compute_record(
     """
     start = time.perf_counter()
     if ch is None:
-        ch = build_channel(mode, vals)
-    # every model parameter of the mode except nu is a column
-    used = _REQUIRED[mode] + _DEFAULTED[mode]
-    params = {name: vals[name] if name in used else None for name in _PARAM_COLUMNS}
+        ch = MODES[mode].build(vals)
+    columns = MODES[mode].columns
+    params = {name: vals[name] if name in columns else None for name in _PARAM_COLUMNS}
     if res is None:
         res = quantum_capacity(ch)
     return RunRecord(
@@ -201,10 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--mode", choices=("conversion", "concat", "decayed"))
-        for flag in ("--g", "--delta", "--t", "--g2", "--delta2", "--t2",
-                     "--T", "--kappa", "--gamma", "--nu"):
-            p.add_argument(flag, type=float)
+        p.add_argument("--mode", choices=tuple(MODES))
+        for name in PARAMS:
+            p.add_argument(f"--{name}", type=float)
         p.add_argument("--sweep", action="append", metavar="AXIS:START:STOP:COUNT",
                        help="sweep axis, repeatable up to 3 times")
         p.add_argument("--out", help="write output to this file instead of stdout")
@@ -225,16 +246,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLOAT_KEYS = ("g", "delta", "t", "g2", "delta2", "t2", "T", "kappa", "gamma", "nu")
-_BOOL_KEYS = ("json", "stamp")
+def _merge_config(args, parser) -> None:
+    """Fill the flags left unset from the --config file's key=value lines.
 
-
-def _read_config(path: str, parser) -> dict:
-    cfg: dict = {}
+    Each line becomes a --key=value token for the parser to convert, so
+    explicit flags win and config sweeps apply only when no --sweep is given.
+    """
+    if not getattr(args, "config", None):
+        return
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(args.config).read_text(encoding="utf-8")
     except OSError as e:
-        parser.error(f"--config: cannot read {path}: {e}")
+        parser.error(f"--config: cannot read {args.config}: {e}")
+    tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -242,40 +266,17 @@ def _read_config(path: str, parser) -> dict:
         if "=" not in line:
             parser.error(f"--config: line {lineno} is not key=value: {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key == "sweep":
-            cfg.setdefault("sweep", []).append(value)
-        else:
-            cfg[key] = value
-    return cfg
-
-
-def _merge_config(args, parser) -> None:
-    if not getattr(args, "config", None):
-        return
-    cfg = _read_config(args.config, parser)
-    for key, value in cfg.items():
         if not hasattr(args, key):
             parser.error(f"--config: unknown key {key!r}")
         current = getattr(args, key)
-        if key in _BOOL_KEYS:
-            if not current:
-                setattr(args, key, value.lower() in ("1", "true", "yes", "on"))
-        elif key == "sweep":
-            if current is None:
-                setattr(args, key, list(value))
-        elif current is None:
-            if key in _FLOAT_KEYS:
-                try:
-                    setattr(args, key, float(value))
-                except ValueError:
-                    parser.error(f"--config: key {key!r} is not a number: {value!r}")
-            elif key == "threads":
-                try:
-                    setattr(args, key, int(value))
-                except ValueError:
-                    parser.error(f"--config: threads is not an integer: {value!r}")
-            else:
-                setattr(args, key, value)
+        if current is None:
+            tokens.append(f"--{key}={value}")
+        elif current is False and value.lower() in ("1", "true", "yes", "on"):
+            tokens.append(f"--{key}")  # a switch
+    parsed = parser.parse_args([args.command, *tokens])
+    for key, value in vars(parsed).items():
+        if getattr(args, key) is None or getattr(args, key) is False:
+            setattr(args, key, value)
 
 
 def _parse_axis(text: str, parser) -> SweepAxis:
@@ -296,33 +297,29 @@ def _parse_axis(text: str, parser) -> SweepAxis:
     return SweepAxis(name=name, start=start, stop=stop, count=count)
 
 
-def _gather_values(args, mode: str, parser, swept=()) -> dict:
-    """Collect fixed parameter values for a mode, applying zero defaults."""
+def _gather_values(args, mode: str, parser, axes=()) -> dict:
+    """The fixed parameter values of a mode, zero where optional and unset.
+
+    Fixed values and sweep axis endpoints must be finite and pass PARAMS.
+    """
+    swept = {axis.name for axis in axes}
+    entry = MODES[mode]
     vals = {}
-    for name in _REQUIRED[mode] + _DEFAULTED[mode]:
+    for name in (*entry.columns, "nu"):
         if name in swept:
             continue
         v = getattr(args, name)
-        if v is None and name in _REQUIRED[mode]:
+        if v is None and name in entry.required:
             parser.error(f"--{name} is required for mode {mode} (or sweep it)")
         vals[name] = 0.0 if v is None else v
-    _validate_ranges(vals, parser)
+    ends = [(axis.name, end) for axis in axes for end in (axis.start, axis.stop)]
+    for name, v in [*ends, *vals.items()]:
+        test, rule = PARAMS[name]
+        if not math.isfinite(v):
+            parser.error(f"--{name} must be finite, got {v}")
+        if not test(v):
+            parser.error(f"--{name} {rule}, got {v}")
     return vals
-
-
-def _validate_ranges(vals: dict, parser) -> None:
-    checks = (
-        ("g", lambda v: v > 0, "must be positive"),
-        ("g2", lambda v: v > 0, "must be positive"),
-        ("t", lambda v: v >= 0, "must be nonnegative"),
-        ("t2", lambda v: v >= 0, "must be nonnegative"),
-        ("T", lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
-        ("kappa", lambda v: v >= 0, "must be nonnegative"),
-        ("gamma", lambda v: v >= 0, "must be nonnegative"),
-    )
-    for name, ok, msg in checks:
-        if name in vals and vals[name] is not None and not ok(vals[name]):
-            parser.error(f"--{name} {msg}, got {vals[name]}")
 
 
 def _emit(lines, out_path: str | None) -> None:
@@ -388,7 +385,7 @@ def _cmd_capacity(args, parser) -> int:
     return 0
 
 
-def _build_sweep_spec(args, parser) -> SweepSpec:
+def _cmd_sweep(args, parser) -> int:
     mode = args.mode or "conversion"
     if not args.sweep:
         parser.error("--sweep is required for the sweep subcommand")
@@ -398,17 +395,39 @@ def _build_sweep_spec(args, parser) -> SweepSpec:
     names = [a.name for a in axes]
     if len(set(names)) != len(names):
         parser.error("--sweep: duplicate axis names")
+    columns = MODES[mode].columns
     for axis in axes:
-        if axis.name not in _SWEEPABLE[mode]:
+        if axis.name not in columns:
             parser.error(
                 f"--sweep: axis {axis.name!r} not sweepable in mode {mode} "
-                f"(allowed: {', '.join(_SWEEPABLE[mode])})"
+                f"(allowed: {', '.join(columns)})"
             )
-        for end in (axis.start, axis.stop):
-            _validate_ranges({axis.name: end}, parser)
-    fixed = _gather_values(args, mode, parser, swept=set(names))
-    fmt = "json-lines" if args.json else "csv"
-    return SweepSpec(mode=mode, axes=axes, fixed=fixed, fmt=fmt)
+    fixed = _gather_values(args, mode, parser, axes)
+    spec = SweepSpec(mode, axes, fixed, fmt="json-lines" if args.json else "csv")
+    _emit(_sweep_lines(spec, args.stamp), args.out)
+    return 0
+
+
+def _axis_values(axis: SweepAxis):
+    """np.linspace(axis.start, axis.stop, axis.count), bit for bit, made on demand."""
+    div = max(axis.count - 1, 1)  # numpy makes a one-point axis 0 * delta + start
+    delta = axis.stop - axis.start
+    step = delta / div
+    for i in range(axis.count):
+        if i == div:
+            yield axis.stop
+        elif step == 0:  # a subnormal span: numpy divides before it multiplies
+            yield i / div * delta + axis.start
+        else:
+            yield i * step + axis.start
+
+
+def _grid(axes):
+    """The grid's points, first axis slowest; unlike itertools.product, copies no axis."""
+    head, *tail = axes
+    for value in _axis_values(head):
+        for rest in _grid(tail) if tail else ((),):
+            yield (value, *rest)
 
 
 def _sweep_lines(spec: SweepSpec, stamp: bool):
@@ -418,52 +437,38 @@ def _sweep_lines(spec: SweepSpec, stamp: bool):
     searches run in one quantum_capacities batch, which gives the same
     floats as quantum_capacity on each point.
     """
-    grids = [np.linspace(ax.start, ax.stop, ax.count).tolist() for ax in spec.axes]
     names = [ax.name for ax in spec.axes]
     if stamp:
         yield _stamp_line(spec.fmt)
     if spec.fmt == "csv":
         yield CSV_HEADER
-    # product walks the grid lazily in row-major order, first axis slowest
-    points = itertools.product(*grids)
+    points = _grid(spec.axes)
     while vals := [
         {**spec.fixed, **dict(zip(names, point))}
         for point in itertools.islice(points, SWEEP_CHUNK)
     ]:
-        chans = [build_channel(spec.mode, v) for v in vals]
+        chans = [MODES[spec.mode].build(v) for v in vals]
         for v, ch, res in zip(vals, chans, quantum_capacities(chans)):
             rec = compute_record(spec.mode, v, ch, res)
             yield rec.csv_row() if spec.fmt == "csv" else json.dumps(rec.json_obj())
-
-
-def _cmd_sweep(args, parser) -> int:
-    spec = _build_sweep_spec(args, parser)
-    _emit(_sweep_lines(spec, args.stamp), args.out)
-    return 0
 
 
 def _cmd_evolve(args, parser) -> int:
     mode = args.mode or "decayed"
     if mode != "decayed":
         parser.error("evolve supports only --mode decayed")
+    axes = ()
     if args.sweep:
         if len(args.sweep) != 1:
             parser.error("evolve takes exactly one --sweep axis (t)")
         axis = _parse_axis(args.sweep[0], parser)
         if axis.name != "t":
             parser.error("evolve can sweep only the t axis")
-        times = np.linspace(axis.start, axis.stop, axis.count)
-        swept = {"t"}
-    else:
-        if args.t is None:
-            parser.error("--t is required for evolve (or provide --sweep t:...)")
-        times = np.linspace(0.0, args.t, 201)
-        swept = set()
-    vals = _gather_values(args, "decayed", parser, swept=swept)
-    stage = JCParams.from_detuning(
-        g=vals["g"], delta=vals["delta"], t=0.0, nu=vals["nu"]
-    )
-    decay = DecayParams(kappa=vals["kappa"], gamma_at=vals["gamma"])
+        axes = (axis,)
+    vals = _gather_values(args, "decayed", parser, axes)
+    times = axes[0] if axes else SweepAxis("t", 0.0, vals["t"], 201)
+    stage = _stage(dict(vals, t=0.0))  # each row passes its own time
+    decay = _decay(vals)
     inp = QubitInput(p=1.0, r=0.0)  # a single photon arrives
 
     def lines():
@@ -471,18 +476,11 @@ def _cmd_evolve(args, parser) -> int:
             yield _stamp_line("json-lines" if args.json else "csv")
         if not args.json:
             yield EVOLVE_HEADER
-        for t in times:
-            rho = closed_form_state(stage, decay, inp, float(t))
-            cells = tuple(
-                float(c)
-                for c in (
-                    t,
-                    rho[0, 0].real, rho[1, 1].real, rho[2, 2].real,
-                    rho[0, 1].real, rho[0, 1].imag,
-                    rho[0, 2].real, rho[0, 2].imag,
-                    rho[1, 2].real, rho[1, 2].imag,
-                )
-            )
+        for t in _axis_values(times):
+            rho = closed_form_state(stage, decay, inp, t)
+            cells = [t] + [float(rho[i, i].real) for i in range(3)]
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                cells += [float(rho[i, j].real), float(rho[i, j].imag)]
             if args.json:
                 keys = EVOLVE_HEADER.split(",")
                 yield json.dumps(dict(zip(keys, cells)))
@@ -497,7 +495,7 @@ def _cmd_degrade(args, parser) -> int:
     mode = args.mode or "conversion"
     if mode == "decayed":
         parser.error("degrade supports decay-free modes only (conversion, concat)")
-    ch = build_channel(mode, _gather_values(args, mode, parser))
+    ch = MODES[mode].build(_gather_values(args, mode, parser))
     try:
         second = degrading_map(ch)
     except NotDegradable as e:

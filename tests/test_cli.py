@@ -15,8 +15,11 @@ from jcchannel.cli import (
     RunRecord,
     SweepAxis,
     SweepSpec,
+    _axis_values,
     _emit,
+    _merge_config,
     _sweep_lines,
+    build_parser,
     compute_record,
     main,
 )
@@ -96,6 +99,107 @@ def test_missing_flag_exits_2(capsys):
     assert "--t" in capsys.readouterr().err
 
 
+def usage_error(args, capsys) -> str:
+    """Run args, expect a usage error with nothing on stdout; return stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == ""
+    return err
+
+
+# every required flag of each mode, with a valid value
+_REQUIRED_FLAGS = {
+    "conversion": {"g": "1", "t": "1.2"},
+    "concat": {"g": "1", "t": "1.2", "g2": "1.1", "t2": "1.3", "T": "0.8"},
+    "decayed": {"g": "1", "t": "1.2"},
+}
+
+
+@pytest.mark.parametrize("mode, missing", [
+    (mode, name) for mode, flags in _REQUIRED_FLAGS.items() for name in flags
+])
+def test_each_missing_required_flag_exits_2(mode, missing, capsys):
+    args = ["capacity", "--mode", mode]
+    for name, value in _REQUIRED_FLAGS[mode].items():
+        if name != missing:
+            args += [f"--{name}", value]
+    err = usage_error(args, capsys)
+    assert f"--{missing} is required for mode {mode}" in err
+
+
+_PARAM_COLUMNS = ("g", "delta", "t", "g2", "delta2", "t2", "T", "kappa", "gamma")
+
+# every column of every mode, with a range inside its domain
+_COLUMN_RANGES = {
+    "g": "0.5:1.5", "delta": "0.2:1.4", "t": "0.3:1.3", "g2": "0.5:1.5",
+    "delta2": "0.2:1.4", "t2": "0.3:1.3", "T": "0.2:0.9", "kappa": "0.1:0.9",
+    "gamma": "0.1:0.9",
+}
+_MODE_COLUMNS = {
+    "conversion": ("g", "delta", "t"),
+    "concat": ("g", "delta", "t", "g2", "delta2", "t2", "T"),
+    "decayed": ("g", "delta", "t", "kappa", "gamma"),
+}
+
+
+@pytest.mark.parametrize("mode, column", [
+    (mode, column) for mode, columns in _MODE_COLUMNS.items() for column in columns
+])
+def test_every_mode_column_is_a_sweep_axis(mode, column, capsys):
+    args = ["sweep", "--mode", mode]
+    for name, value in _REQUIRED_FLAGS[mode].items():
+        args += [f"--{name}", value]
+    code, out, _ = run_cli(args + ["--sweep", f"{column}:{_COLUMN_RANGES[column]}:3"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    start, stop = (float(x) for x in _COLUMN_RANGES[column].split(":"))
+    assert [float(r[column]) for r in rows] == np.linspace(start, stop, 3).tolist()
+    assert len({r["h_keep_sq"] for r in rows}) == 3
+    # columns the mode does not have stay empty
+    assert all(r[c] == "" for r in rows for c in _PARAM_COLUMNS if c not in _MODE_COLUMNS[mode])
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["capacity", "--g", "1", "--t", "1", "--delta", "nan"], "--delta"),
+    (["capacity", "--g", "inf", "--t", "1"], "--g"),
+    (["capacity", "--g", "1", "--t", "1", "--nu=-inf"], "--nu"),
+    (["capacity", "--mode", "concat", "--g", "1", "--t", "1", "--g2", "1", "--t2", "1",
+      "--T", "nan"], "--T"),
+    (["capacity", "--mode", "decayed", "--g", "1", "--t", "1", "--kappa", "inf"], "--kappa"),
+    (["sweep", "--g", "1", "--sweep", "t:0:inf:3"], "--t"),
+    (["sweep", "--g", "1", "--sweep", "t:nan:1:3"], "--t"),
+    (["sweep", "--g", "1", "--t", "1", "--sweep", "delta:-inf:0:3"], "--delta"),
+    (["evolve", "--g", "1", "--t", "inf"], "--t"),
+    (["evolve", "--g", "1", "--sweep", "t:0:inf:3"], "--t"),
+    (["degrade", "--g", "1", "--t", "nan"], "--t"),
+])
+def test_non_finite_values_are_usage_errors(args, flag, capsys):
+    err = usage_error(args, capsys)
+    assert f"{flag} must be finite" in err
+
+
+def test_non_finite_config_value_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("g = 1\nt = inf\n")
+    err = usage_error(["capacity", "--config", str(cfg)], capsys)
+    assert "--t must be finite" in err
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["evolve", "--g", "1", "--kappa", "0.5", "--sweep", "t:-3:0:2"], "--t"),
+    (["evolve", "--g", "1", "--kappa", "0.5", "--t", "-1"], "--t"),
+    (["evolve", "--g", "-1", "--t", "1"], "--g"),
+    (["evolve", "--g", "1", "--t", "1", "--gamma", "-0.1"], "--gamma"),
+])
+def test_evolve_checks_its_time_axis_and_values(args, flag, capsys):
+    err = usage_error(args, capsys)
+    assert f"{flag} must be" in err
+
+
 def test_bad_mode_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["capacity", "--mode", "nonsense", "--g", "1", "--t", "1"])
@@ -156,6 +260,32 @@ def test_sweep_streams_rows_without_materializing_the_grid():
     axes = (SweepAxis("g", 0.5, 2.0, 50), SweepAxis("delta", -1.0, 1.0, 50),
             SweepAxis("t", 0.0, 3.0, 50))
     spec = SweepSpec(mode="conversion", axes=axes, fixed={"nu": 0.0}, fmt="csv")
+    tracemalloc.start()
+    try:
+        lines = list(itertools.islice(_sweep_lines(spec, False), 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lines[0] == CSV_HEADER and len(lines) == 3
+    assert peak < 2_000_000
+
+
+def test_axis_values_equal_linspace_bit_for_bit():
+    cases = [(0.0, 5e-324, 3), (0.0, 5e-324, 2), (0.0, 1e-320, 7), (1.0, 1.0, 4),
+             (-0.0, -0.0, 3), (-0.0, 1.0, 3), (-0.0, 1.0, 1), (0.1, 0.7, 1),
+             (-2.0, 3.3, 2), (0.0, 3.0, 1027), (-1.7, 2.9, 1027)]
+    for start, stop, count in cases:
+        got = list(_axis_values(SweepAxis("t", start, stop, count)))
+        want = np.linspace(start, stop, count).tolist()
+        # repr tells -0.0 from 0.0
+        assert [repr(v) for v in got] == [repr(v) for v in want], (start, stop, count)
+
+
+def test_long_axis_streams_rows_without_materializing_it():
+    # 2,000,000 points on one axis: memory must not grow with the count
+    axes = (SweepAxis("t", 0.0, 3.0, 2_000_000),)
+    spec = SweepSpec(mode="conversion", axes=axes, fixed={"g": 1.0, "delta": 0.0, "nu": 0.0},
+                     fmt="csv")
     tracemalloc.start()
     try:
         lines = list(itertools.islice(_sweep_lines(spec, False), 3))
@@ -254,6 +384,40 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     )
     assert code == 0
     assert "Degradable" in out.replace("AntiDegradable", "")
+
+
+def test_config_switches_threads_and_sweeps_apply(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("g = 1\njson = true\nthreads = 2\nsweep = t:0:1:3\nsweep = delta:0:1:2\n")
+    parser = build_parser()
+    args = parser.parse_args(["sweep", "--config", str(cfg)])
+    _merge_config(args, parser)
+    assert args.json is True and args.threads == 2 and args.g == 1.0
+    assert args.sweep == ["t:0:1:3", "delta:0:1:2"]
+    code, out, _ = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert code == 0
+    objs = [json.loads(line) for line in out.splitlines()]
+    assert [(o["t"], o["delta"]) for o in objs] == [
+        (t, d) for t in (0.0, 0.5, 1.0) for d in (0.0, 1.0)
+    ]
+
+
+def test_explicit_sweep_beats_config_sweep(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("g = 1\nsweep = t:0:1:3\n")
+    code, out, _ = run_cli(["sweep", "--config", str(cfg), "--sweep", "t:2:3:2"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[3] for r in rows] == ["2.0", "3.0"]
+
+
+@pytest.mark.parametrize("line, flag", [
+    ("delta = abc", "--delta"), ("threads = two", "--threads"), ("mode = nonsense", "--mode"),
+])
+def test_config_bad_value_exits_2(tmp_path, capsys, line, flag):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"g = 1\nt = 1\n{line}\n")
+    assert flag in usage_error(["capacity", "--config", str(cfg)], capsys)
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):
