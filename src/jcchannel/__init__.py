@@ -8,6 +8,8 @@ capacity.  Every closed form is cross-checked against an independent
 brute-force oracle; see the verify module and the test suite.
 """
 
+from types import ModuleType as _ModuleType
+
 from .capacity import (
     CapacityResult,
     DegradabilityStatus,
@@ -74,61 +76,8 @@ from .verify import VerifyReport, expm_taylor, run_verify
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapacityResult",
-    "DegradabilityStatus",
-    "NotDegradable",
-    "capacity_grid_oracle",
-    "classify",
-    "coherent_information",
-    "coherent_information_diagonal",
-    "degrading_channel",
-    "degrading_map",
-    "golden_section_max",
-    "quantum_capacities",
-    "quantum_capacity",
-    "LossChannel",
-    "TransferChannel",
-    "compose",
-    "concatenate",
-    "conversion_channel",
-    "extended_apply",
-    "extended_state",
-    "loss_apply",
-    "reception_channel",
-    "JCParams",
-    "channel_output",
-    "evolve_joint",
-    "hamiltonian",
-    "joint_unitary",
-    "kraus_operators",
-    "reception_residual_amplitude",
-    "residual_amplitude",
-    "residual_output",
-    "transfer_amplitude",
-    "DecayConstants",
-    "DecayedConversion",
-    "DecayParams",
-    "StepFailure",
-    "closed_form_state",
-    "decay_degradability",
-    "decayed_conversion",
-    "degradability_expression",
-    "derive_constants",
-    "integrate_master_equation",
-    "oracle_grid",
-    "DimensionError",
-    "DomainError",
-    "NonHermitianInput",
-    "QubitInput",
-    "binary_entropy",
-    "check_state",
-    "hermitian_eigenvalues",
-    "partial_trace",
-    "trace_distance",
-    "von_neumann_entropy",
-    "VerifyReport",
-    "expm_taylor",
-    "run_verify",
-    "__version__",
+# every name imported above; the submodules they come from are not exports
+__all__ = ["__version__"] + [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

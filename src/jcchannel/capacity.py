@@ -9,10 +9,11 @@ have capacity
 and the maximum is found by golden-section search on [0, 1] (the
 objective is strictly concave in p when |h_keep|^2 > 1/2).
 quantum_capacity runs the scalar search for one channel;
-quantum_capacities settles many channels at once, replaying the same
-search on all of their keep shares together, lane by lane, so each result
-is bit for bit the one quantum_capacity gives.  Both share the rules that
-settle a channel without a search.  Channels that are not degradable are
+capacity_columns (and quantum_capacities, its view over channels) settles
+many channels at once, replaying the same search on all of their keep
+shares together, lane by lane, so each result is bit for bit the one
+quantum_capacity gives.  All share the rules that settle a channel
+without a search.  Channels that are not degradable are
 assigned Q = 0; for channels with decay leakage this follows the same
 amplitude comparison, with the decay environment not modeled as an extra
 output.
@@ -53,14 +54,25 @@ class CapacityResult:
     p_star: float
 
 
+# the status of each code status_codes gives
+STATUSES = (
+    DegradabilityStatus.BOUNDARY,
+    DegradabilityStatus.DEGRADABLE,
+    DegradabilityStatus.ANTI_DEGRADABLE,
+)
+
+
+def status_codes(keep_abs, env_abs):
+    """Index into STATUSES of |h_keep| against |h_env| with a 1e-12 tie band.
+
+    Takes floats or arrays of magnitudes.
+    """
+    return (keep_abs > env_abs + TIE_BAND) + 2 * (keep_abs < env_abs - TIE_BAND)
+
+
 def classify(ch: TransferChannel) -> DegradabilityStatus:
     """Compare |h_keep| against |h_env| with a 1e-12 tie band."""
-    hk, he = abs(complex(ch.h_keep)), abs(complex(ch.h_env))
-    if hk > he + TIE_BAND:
-        return DegradabilityStatus.DEGRADABLE
-    if hk < he - TIE_BAND:
-        return DegradabilityStatus.ANTI_DEGRADABLE
-    return DegradabilityStatus.BOUNDARY
+    return STATUSES[status_codes(abs(complex(ch.h_keep)), abs(complex(ch.h_env)))]
 
 
 def degrading_map(ch: TransferChannel) -> JCParams:
@@ -192,40 +204,45 @@ def capacity_grid_oracle(keep_prob: float, step: float = 1e-5) -> tuple[float, f
     return best_q, best_p
 
 
-def _settled(ch: TransferChannel) -> CapacityResult | None:
-    """The result of a channel that needs no search, or None if it needs one."""
-    status = classify(ch)
-    if status is not DegradabilityStatus.DEGRADABLE:
-        return CapacityResult(status=status, q=0.0, p_star=0.0)
-    a = ch.keep_prob
+def _settled(status: DegradabilityStatus, a: float) -> tuple[float, float] | None:
+    """(Q, p_star) of a channel with keep share a that needs no search, or None."""
+    if status is not DegradabilityStatus.DEGRADABLE or a <= 0.5:
+        # a <= 1/2 is degradable only with decay leakage; the objective is nonpositive
+        return 0.0, 0.0
     if a == 1.0:
-        return CapacityResult(status=status, q=1.0, p_star=0.5)
-    if a <= 0.5:
-        # possible only with decay leakage; the objective is nonpositive
-        return CapacityResult(status=status, q=0.0, p_star=0.0)
+        return 1.0, 0.5
     return None
 
 
-def _searched(p_star: float, q: float) -> CapacityResult:
-    """The result of a degradable channel whose search gave (p_star, q)."""
-    if q <= 0.0:
-        return CapacityResult(status=DegradabilityStatus.DEGRADABLE, q=0.0, p_star=0.0)
-    return CapacityResult(status=DegradabilityStatus.DEGRADABLE, q=q, p_star=p_star)
+def _searched(p_star: float, q: float) -> tuple[float, float]:
+    """(Q, p_star) of a degradable channel whose search gave (p_star, q)."""
+    return (q, p_star) if q > 0.0 else (0.0, 0.0)
 
 
 def quantum_capacity(ch: TransferChannel) -> CapacityResult:
-    settled = _settled(ch)
-    if settled is not None:
-        return settled
-    a = ch.keep_prob
-    return _searched(*golden_section_max(lambda p: coherent_information_diagonal(a, p), 0.0, 1.0))
+    status, a = classify(ch), ch.keep_prob
+    q, p_star = _settled(status, a) or _searched(
+        *golden_section_max(lambda p: coherent_information_diagonal(a, p), 0.0, 1.0)
+    )
+    return CapacityResult(status=status, q=q, p_star=p_star)
+
+
+def capacity_columns(statuses, keep_probs) -> list[tuple[float, float]]:
+    """(Q, p_star) of each channel, given by its status and keep share.
+
+    Every search runs in one golden_section_max_batch, which gives each
+    channel the floats quantum_capacity gives it.
+    """
+    out = [_settled(status, a) for status, a in zip(statuses, keep_probs)]
+    lanes = [i for i, res in enumerate(out) if res is None]
+    p_star, q = golden_section_max_batch([keep_probs[i] for i in lanes])
+    for i, p, v in zip(lanes, p_star.tolist(), q.tolist()):
+        out[i] = _searched(p, v)
+    return out
 
 
 def quantum_capacities(channels: Sequence[TransferChannel]) -> list[CapacityResult]:
     """quantum_capacity of each channel, with every search run in one batch."""
-    results = [_settled(ch) for ch in channels]
-    lanes = [i for i, res in enumerate(results) if res is None]
-    p_star, q = golden_section_max_batch([channels[i].keep_prob for i in lanes])
-    for i, p, v in zip(lanes, p_star.tolist(), q.tolist()):
-        results[i] = _searched(p, v)
-    return results
+    statuses = [classify(ch) for ch in channels]
+    found = capacity_columns(statuses, [ch.keep_prob for ch in channels])
+    return [CapacityResult(status=s, q=q, p_star=p) for s, (q, p) in zip(statuses, found)]

@@ -57,6 +57,15 @@ class TransferChannel:
         )
         return out
 
+    @staticmethod
+    def accepts(keep_abs, env_abs, keep_sq, env_sq) -> np.ndarray:
+        """Where the checks above pass, over arrays of |h_keep|, |h_env| and their squares."""
+        return (
+            (keep_abs <= 1 + _AMP_TOL)
+            & (env_abs <= 1 + _AMP_TOL)
+            & (np.add(keep_sq, env_sq) <= 1 + 1e-9)
+        )
+
     def complement(self) -> "TransferChannel":
         return replace(self, h_keep=self.h_env, h_env=self.h_keep)
 
@@ -76,13 +85,13 @@ class TransferChannel:
 
 def conversion_channel(params: jc.JCParams) -> TransferChannel:
     """Atom-to-field conversion: keep the field, trace the atom."""
-    _, transfer, residual = jc.block_amplitudes(params)
+    _, transfer, residual = jc.block_amplitudes(params, params.t)
     return TransferChannel(h_keep=transfer, h_env=residual)
 
 
 def reception_channel(params: jc.JCParams) -> TransferChannel:
     """Field-to-atom conversion: atom prepared in ground, keep the atom."""
-    residual, transfer, _ = jc.block_amplitudes(params)
+    residual, transfer, _ = jc.block_amplitudes(params, params.t)
     return TransferChannel(h_keep=transfer, h_env=residual)
 
 

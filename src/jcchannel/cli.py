@@ -9,10 +9,13 @@ Subcommands:
   verify     run the oracle cross-check suites (quick or full)
 
 PARAMS (each model parameter and its domain) and MODES (each mode's
-columns, required flags and channel builder) drive every subcommand.
-All numeric text uses shortest round-trip decimals so identical inputs
-produce byte-identical output (--threads is accepted but changes nothing).
-A flat key=value config file can supply any flag; explicit flags win.
+columns, required flags, channel builder and column builder) drive every
+subcommand.  A sweep evaluates its grid a chunk of points at a time, as
+column arrays, and formats each row from the columns, with the bytes the
+one-point path gives.  All numeric text uses shortest round-trip decimals
+so identical inputs produce byte-identical output (--threads is accepted
+but changes nothing).  A flat key=value config file can supply any flag;
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 import time
 from collections.abc import Callable
@@ -32,11 +36,12 @@ from pathlib import Path
 import numpy as np
 
 from .capacity import (
-    CapacityResult,
+    STATUSES,
     NotDegradable,
+    capacity_columns,
     degrading_map,
-    quantum_capacities,
     quantum_capacity,
+    status_codes,
 )
 from .channels import (
     LossChannel,
@@ -46,7 +51,7 @@ from .channels import (
     conversion_channel,
     reception_channel,
 )
-from .jc import JCParams
+from .jc import JCParams, block_amplitude_columns
 from .lindblad import DecayParams, closed_form_state, decayed_conversion
 from .qmat import QubitInput, trace_distance
 from .verify import run_verify
@@ -70,6 +75,8 @@ PARAMS = {
     "nu": _REAL,
 }
 _PARAM_COLUMNS = tuple(name for name in PARAMS if name != "nu")
+_PARAM_FLAGS = {f"--{name}" for name in PARAMS}
+_NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 CSV_HEADER = ",".join(("mode", *_PARAM_COLUMNS, "h_keep_sq", "h_env_sq", "status", "Q", "p_star"))
 
 EVOLVE_HEADER = (
@@ -91,11 +98,32 @@ def _decay(vals: dict) -> DecayParams:
     return DecayParams(kappa=vals["kappa"], gamma_at=vals["gamma"])
 
 
+def _stage_columns(c: dict, suffix: str = "", kappa=0.0, gamma=0.0) -> tuple:
+    """_stage's block amplitudes over a chunk's columns c."""
+    return block_amplitude_columns(
+        c["g" + suffix], c["delta" + suffix], c["nu"], c["t" + suffix], kappa, gamma
+    )
+
+
+def _squares(magnitudes: np.ndarray) -> list:
+    """x ** 2 of each value as a Python float: libm's pow, as TransferChannel takes it."""
+    return [x ** 2 for x in magnitudes.tolist()]
+
+
+def _concat_columns(c: dict) -> tuple:
+    """concatenate's (h_keep, h_env) over a chunk: the same products, in the same order."""
+    keep = _stage_columns(c)[1] * np.sqrt(c["T"]) * _stage_columns(c, "2")[1]
+    return keep, np.sqrt(np.maximum(0.0, 1.0 - np.array(_squares(abs(keep)))))
+
+
 @dataclass(frozen=True)
 class Mode:
     columns: tuple[str, ...]  # parameters its records show; also its sweep axes
     required: tuple[str, ...]  # other columns, and nu, default to zero
     build: Callable[[dict], TransferChannel]  # the channel of one point
+    # (h_keep, h_env) of a chunk of points, from a dict of column arrays;
+    # bit for bit build's, and not finite where build raises
+    build_columns: Callable[[dict], tuple]
 
 
 MODES = {
@@ -103,21 +131,26 @@ MODES = {
         ("g", "delta", "t"),
         ("g", "t"),
         lambda v: conversion_channel(_stage(v)),
+        lambda c: _stage_columns(c)[1:],
     ),
     "concat": Mode(
         ("g", "delta", "t", "g2", "delta2", "t2", "T"),
         ("g", "t", "g2", "t2", "T"),
         lambda v: concatenate(_stage(v), LossChannel(T=v["T"]), _stage(v, "2")),
+        _concat_columns,
     ),
     "decayed": Mode(
         ("g", "delta", "t", "kappa", "gamma"),
         ("g", "t"),
         lambda v: decayed_conversion(_stage(v), _decay(v), v["t"]).as_transfer(),
+        lambda c: _stage_columns(c, "", c["kappa"], c["gamma"])[1::-1],
     ),
 }
 
 # grid points a sweep evaluates together: one capacity batch per chunk
 SWEEP_CHUNK = 1024
+_STATUS_VALUES = [status.value for status in STATUSES]
+_MAX_COUNT = 2**62  # points per sweep axis: grid indices stay within int64
 
 _STATUS_TEXT = {
     "degradable": "Degradable",
@@ -142,6 +175,21 @@ class SweepSpec:
     fmt: str  # "csv" | "json-lines"
 
 
+def _row_format(mode: str, cells: dict, json_lines: bool) -> str:
+    """%-format of a record row whose outputs are %r and %s fields.
+
+    cells maps each parameter column to its text, None where the mode has
+    no such column.
+    """
+    status = '"%s"' if json_lines else "%s"
+    fields = {**cells, "h_keep_sq": "%r", "h_env_sq": "%r", "status": status}
+    fields.update(Q="%r", p_star="%r")
+    if not json_lines:
+        return ",".join([mode, *("" if text is None else text for text in fields.values())])
+    pairs = (f'"{name}": {"null" if text is None else text}' for name, text in fields.items())
+    return "{" + ", ".join([f'"mode": {json.dumps(mode)}', *pairs]) + "}"
+
+
 @dataclass(frozen=True)
 class RunRecord:
     mode: str
@@ -154,18 +202,10 @@ class RunRecord:
     wall_time_s: float
 
     def csv_row(self) -> str:
-        cells = [self.mode]
-        for name in _PARAM_COLUMNS:
-            v = self.params.get(name)
-            cells.append("" if v is None else repr(float(v)))
-        cells += [
-            repr(float(self.h_keep_sq)),
-            repr(float(self.h_env_sq)),
-            self.status,
-            repr(float(self.q)),
-            repr(float(self.p_star)),
-        ]
-        return ",".join(cells)
+        cells = {k: None if v is None else repr(float(v)) for k, v in self.params.items()}
+        row = _row_format(self.mode, cells, False)
+        return row % (float(self.h_keep_sq), float(self.h_env_sq), self.status,
+                      float(self.q), float(self.p_star))
 
     def json_obj(self) -> dict:
         obj = {"mode": self.mode}
@@ -182,27 +222,15 @@ class RunRecord:
         return obj
 
 
-def compute_record(
-    mode: str,
-    vals: dict,
-    ch: TransferChannel | None = None,
-    res: CapacityResult | None = None,
-) -> RunRecord:
-    """The record of one parameter point.
-
-    Builds the point's channel and takes its capacity, unless the caller
-    already has them and passes them in.
-    """
+def compute_record(mode: str, vals: dict) -> RunRecord:
+    """The record of one parameter point: its channel and its capacity."""
     start = time.perf_counter()
-    if ch is None:
-        ch = MODES[mode].build(vals)
+    ch = MODES[mode].build(vals)
+    res = quantum_capacity(ch)
     columns = MODES[mode].columns
-    params = {name: vals[name] if name in columns else None for name in _PARAM_COLUMNS}
-    if res is None:
-        res = quantum_capacity(ch)
     return RunRecord(
         mode=mode,
-        params=params,
+        params={name: vals[name] if name in columns else None for name in _PARAM_COLUMNS},
         h_keep_sq=ch.keep_prob,
         h_env_sq=ch.env_prob,
         status=res.status.value,
@@ -234,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted for compatibility; output is the same for every N >= 1")
         p.add_argument("--config", help="flat key=value file supplying flag defaults")
         p.add_argument("--stamp", action="store_true",
-                       help="prepend a timestamp line to file output")
+                       help="prepend a timestamp line to the output")
 
     add_common(sub.add_parser("capacity", help="capacity of a single channel"))
     add_common(sub.add_parser("sweep", help="capacity over a parameter grid"))
@@ -292,6 +320,8 @@ def _parse_axis(text: str, parser) -> SweepAxis:
         parser.error(f"--sweep: non-numeric bounds in {text!r}")
     if count < 1:
         parser.error(f"--sweep: count must be >= 1 in {text!r}")
+    if count > _MAX_COUNT:
+        parser.error(f"--sweep: count must be at most 2**62 in {text!r}")
     if start > stop:
         parser.error(f"--sweep: start exceeds stop in {text!r}")
     return SweepAxis(name=name, start=start, stop=stop, count=count)
@@ -322,12 +352,15 @@ def _gather_values(args, mode: str, parser, axes=()) -> dict:
     return vals
 
 
-def _emit(lines, out_path: str | None) -> None:
+def _emit(lines, out_path: str | None, stamp: str | None = None) -> None:
     """Print lines, or write them to a file that appears only on success.
 
     Lines go to a temporary file beside the target, which replaces it once
     every line is written; a failure leaves an existing target as it was.
+    A stamp line, if given, comes first.
     """
+    if stamp is not None:
+        lines = itertools.chain([stamp], lines)
     if out_path is None:
         for line in lines:
             print(line)
@@ -345,19 +378,24 @@ def _emit(lines, out_path: str | None) -> None:
         raise
 
 
-def _stamp_line(fmt: str) -> str:
+def _stamp(args) -> str | None:
+    """The timestamp line --stamp asks for, in the output's format, or None."""
+    if not args.stamp:
+        return None
     now = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    if fmt == "json-lines":
-        return json.dumps({"stamp": now})
-    return f"# generated {now}"
+    return json.dumps({"stamp": now}) if args.json else f"# generated {now}"
+
+
+def _no_sweep(args, parser) -> None:
+    if args.sweep:
+        parser.error(f"{args.command} takes no --sweep; use the sweep subcommand")
 
 
 # ------------------------------------------------------------- subcommands
 
 
 def _cmd_capacity(args, parser) -> int:
-    if args.sweep:
-        parser.error("capacity takes no --sweep; use the sweep subcommand")
+    _no_sweep(args, parser)
     mode = args.mode or "conversion"
     vals = _gather_values(args, mode, parser)
     rec = compute_record(mode, vals)
@@ -381,7 +419,7 @@ def _cmd_capacity(args, parser) -> int:
         ]
         width = max(len(k) for k, _ in rows)
         lines = [f"{k:<{width}}  {v}" for k, v in rows]
-    _emit(lines, args.out)
+    _emit(lines, args.out, _stamp(args))
     return 0
 
 
@@ -404,53 +442,95 @@ def _cmd_sweep(args, parser) -> int:
             )
     fixed = _gather_values(args, mode, parser, axes)
     spec = SweepSpec(mode, axes, fixed, fmt="json-lines" if args.json else "csv")
-    _emit(_sweep_lines(spec, args.stamp), args.out)
+    _emit(_sweep_lines(spec), args.out, _stamp(args))
     return 0
 
 
-def _axis_values(axis: SweepAxis):
-    """np.linspace(axis.start, axis.stop, axis.count), bit for bit, made on demand."""
+def _axis_at(axis: SweepAxis, index: np.ndarray) -> np.ndarray:
+    """np.linspace(axis.start, axis.stop, axis.count)[index], bit for bit."""
     div = max(axis.count - 1, 1)  # numpy makes a one-point axis 0 * delta + start
     delta = axis.stop - axis.start
     step = delta / div
-    for i in range(axis.count):
-        if i == div:
-            yield axis.stop
-        elif step == 0:  # a subnormal span: numpy divides before it multiplies
-            yield i / div * delta + axis.start
+    with np.errstate(invalid="ignore"):  # 0 * inf for a span beyond the float range
+        if step == 0:  # a subnormal span: numpy divides before it multiplies
+            values = index / div * delta + axis.start
         else:
-            yield i * step + axis.start
+            values = index * step + axis.start
+    return np.where(index == div, axis.stop, values)
 
 
-def _grid(axes):
-    """The grid's points, first axis slowest; unlike itertools.product, copies no axis."""
-    head, *tail = axes
-    for value in _axis_values(head):
-        for rest in _grid(tail) if tail else ((),):
-            yield (value, *rest)
+def _axis_values(axis: SweepAxis):
+    """np.linspace(axis.start, axis.stop, axis.count), bit for bit, a chunk at a time."""
+    for lo in range(0, axis.count, SWEEP_CHUNK):
+        yield from _axis_at(axis, np.arange(lo, min(lo + SWEEP_CHUNK, axis.count))).tolist()
 
 
-def _sweep_lines(spec: SweepSpec, stamp: bool):
+def _grid_chunk(axes, lo: int, n: int) -> list:
+    """Per axis, the indices of grid points lo .. lo + n - 1, the first axis slowest."""
+    carry, out = np.arange(n), []
+    for axis in reversed(axes):
+        lo, first = divmod(lo, axis.count)
+        carry, index = np.divmod(carry + first, axis.count)
+        out.append(index)
+    return out[::-1]
+
+
+def _axis_texts(cache: dict, index: np.ndarray, values: np.ndarray) -> list:
+    """repr of each value, made once per axis index while the cache holds it.
+
+    The cache keeps the indices of the last chunk, so an axis of up to a
+    chunk of values has each repr made once per sweep.
+    """
+    unique, first, inverse = np.unique(index, return_index=True, return_inverse=True)
+    texts = [cache.get(i) or repr(v) for i, v in zip(unique.tolist(), values[first].tolist())]
+    cache.clear()
+    cache.update(zip(unique.tolist(), texts))
+    return [texts[k] for k in inverse.tolist()]
+
+
+def _sweep_lines(spec: SweepSpec):
     """Yield the output lines of a sweep, SWEEP_CHUNK grid points at a time.
 
-    Each chunk's channels are built point by point and their capacity
-    searches run in one quantum_capacities batch, which gives the same
-    floats as quantum_capacity on each point.
+    Each chunk is evaluated as columns: the mode's build_columns gives
+    (h_keep, h_env), one check rejects the chunk where build would raise
+    (build then raises that point's error), the capacity searches run in
+    one batch, and the rows are formatted from the columns.  Every row has
+    the bytes compute_record gives the point on its own.
     """
-    names = [ax.name for ax in spec.axes]
-    if stamp:
-        yield _stamp_line(spec.fmt)
-    if spec.fmt == "csv":
+    entry = MODES[spec.mode]
+    json_lines = spec.fmt == "json-lines"
+    if not json_lines:
         yield CSV_HEADER
-    points = _grid(spec.axes)
-    while vals := [
-        {**spec.fixed, **dict(zip(names, point))}
-        for point in itertools.islice(points, SWEEP_CHUNK)
-    ]:
-        chans = [MODES[spec.mode].build(v) for v in vals]
-        for v, ch, res in zip(vals, chans, quantum_capacities(chans)):
-            rec = compute_record(spec.mode, v, ch, res)
-            yield rec.csv_row() if spec.fmt == "csv" else json.dumps(rec.json_obj())
+    names = [axis.name for axis in spec.axes]
+    cells = {
+        name: ("%s" if name in names else repr(float(spec.fixed[name])))
+        if name in entry.columns else None
+        for name in _PARAM_COLUMNS
+    }
+    row = _row_format(spec.mode, cells, json_lines)
+    in_columns = sorted(range(len(names)), key=lambda j: _PARAM_COLUMNS.index(names[j]))
+    caches = [{} for _ in names]
+    total = math.prod(axis.count for axis in spec.axes)
+    for lo in range(0, total, SWEEP_CHUNK):
+        n = min(SWEEP_CHUNK, total - lo)
+        indices = _grid_chunk(spec.axes, lo, n)
+        values = [_axis_at(axis, index) for axis, index in zip(spec.axes, indices)]
+        cols = {name: np.full(n, v) for name, v in spec.fixed.items()}
+        cols.update(zip(names, values))
+        keep, env = (abs(h) for h in entry.build_columns(cols))
+        keep_sq, env_sq = _squares(keep), _squares(env)
+        ok = TransferChannel.accepts(keep, env, keep_sq, env_sq)
+        if not ok.all():
+            point = {name: float(col[ok.argmin()]) for name, col in cols.items()}
+            entry.build(point)  # raises the error of the first rejected point
+            raise RuntimeError(f"the chunk check rejects {point}, which build accepts")
+        codes = status_codes(keep, env).tolist()
+        keep_p, env_p = (np.minimum(sq, 1.0).tolist() for sq in (keep_sq, env_sq))
+        q, p_star = zip(*capacity_columns([STATUSES[code] for code in codes], keep_p))
+        texts = [_axis_texts(caches[j], indices[j], values[j]) for j in in_columns]
+        status = [_STATUS_VALUES[code] for code in codes]
+        for fields in zip(*texts, keep_p, env_p, status, q, p_star):
+            yield row % fields
 
 
 def _cmd_evolve(args, parser) -> int:
@@ -472,8 +552,6 @@ def _cmd_evolve(args, parser) -> int:
     inp = QubitInput(p=1.0, r=0.0)  # a single photon arrives
 
     def lines():
-        if args.stamp:
-            yield _stamp_line("json-lines" if args.json else "csv")
         if not args.json:
             yield EVOLVE_HEADER
         for t in _axis_values(times):
@@ -487,11 +565,12 @@ def _cmd_evolve(args, parser) -> int:
             else:
                 yield ",".join(repr(c) for c in cells)
 
-    _emit(lines(), args.out)
+    _emit(lines(), args.out, _stamp(args))
     return 0
 
 
 def _cmd_degrade(args, parser) -> int:
+    _no_sweep(args, parser)
     mode = args.mode or "conversion"
     if mode == "decayed":
         parser.error("degrade supports decay-free modes only (conversion, concat)")
@@ -521,7 +600,7 @@ def _cmd_degrade(args, parser) -> int:
             f"degrading stage: g' = {second.g!r}, t' = {second.t!r}, nu' = {second.nu!r}",
             f"max composition distance over 20 inputs: {dist:.3e}",
         ]
-    _emit(lines, args.out)
+    _emit(lines, args.out, _stamp(args))
     return 0
 
 
@@ -531,9 +610,25 @@ def _cmd_verify(args, parser) -> int:
     return 0 if report.passed else 1
 
 
+def _glue_negative_values(argv) -> list:
+    """Join '--delta -1e-3' into '--delta=-1e-3'.
+
+    argparse takes a token that starts with '-' for an option unless it
+    looks like -1 or -.5, so a value like -1e-3 or -inf would not reach
+    its flag.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in _PARAM_FLAGS and _NEGATIVE_VALUE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     _merge_config(args, parser)
     if getattr(args, "threads", None) is not None and args.threads < 1:
         parser.error("--threads must be >= 1")
@@ -545,10 +640,17 @@ def main(argv=None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args, parser)
+        code = handlers[args.command](args, parser)
+        sys.stdout.flush()
+        return code
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone (say, `| head`): stop quietly, as filters do;
+        # stdout goes to devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -6,17 +6,21 @@ to photon numbers {0, 1}.  The joint basis is ordered
     index 0: |down, 0>   index 1: |down, 1>   index 2: |up, 0>   index 3: |up, 1>
 
 (atom-major).  With total excitation at most one the |up, 1> slot is never
-populated, so all dynamics lives on indices 0..2.  block_propagator, the
-2x2 propagator of the pair (|down, 1>, |up, 0>) with optional decay, is the
-only place the Rabi dynamics is written: every closed form here and in the
-lindblad module reads its entries.
+populated, so all dynamics lives on indices 0..2.  _block, the 2x2
+propagator of the pair (|down, 1>, |up, 0>) with optional decay, is the
+only place the Rabi dynamics is written.  It runs unchanged on Python
+complex scalars (block_propagator, which every closed form here and in the
+lindblad module reads) and on CArray columns (block_amplitude_columns, for
+sweeps), with the same bits on each point.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -62,49 +66,178 @@ class JCParams:
         return cls(g=g, nu=nu, omega=nu, t=t)
 
 
-def block_propagator(
-    params: JCParams, t: float, kappa: float = 0.0, gamma: float = 0.0
-) -> tuple[complex, complex, complex]:
-    """Entries (G00, G01 = G10, G11) of the one-excitation propagator at time t.
+class CArray:
+    """Complex arrays as (real, imag) float arrays, with CPython's complex arithmetic.
 
-    G carries the amplitudes of (|down,1>, |up,0>), entry [i, j] from slot j
-    to slot i.  Decay enters as -i kappa/2 and -i gamma/2 diagonal shifts:
+    Each element of + - * / gets the bits CPython's complex gives: products
+    and quotients are written on the real parts, quotients in _Py_c_quot's
+    branch order, a real operand x enters as x + 0j as CPython promotes it,
+    and abs is hypot.  Sums and products commute bit for bit, so they serve
+    reflected too.
+    """
+
+    __array_ufunc__ = None  # numpy operands defer to the reflected methods
+
+    def __init__(self, real, imag):
+        self.real, self.imag = real, imag
+
+    @staticmethod
+    def parts(z) -> tuple:
+        return (z.real, z.imag) if isinstance(z, (CArray, complex)) else (z, 0.0)
+
+    def __add__(self, other):
+        br, bi = CArray.parts(other)
+        return CArray(self.real + br, self.imag + bi)
+
+    def __sub__(self, other):
+        br, bi = CArray.parts(other)
+        return CArray(self.real - br, self.imag - bi)
+
+    def __rsub__(self, other):
+        return CArray(*CArray.parts(other)) - self
+
+    def __mul__(self, other):
+        br, bi = CArray.parts(other)
+        return CArray(self.real * br - self.imag * bi, self.real * bi + self.imag * br)
+
+    def __truediv__(self, other):
+        """CPython's _Py_c_quot, branch by branch; NaN where it raises."""
+        parts = (*CArray.parts(self), *CArray.parts(other))
+        ar, ai, br, bi = (np.asarray(x, dtype=float) for x in parts)
+        by_real = (np.abs(br) >= np.abs(bi)) & (br != 0.0)
+        ratio = np.where(by_real, bi / br, br / bi)
+        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+        re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+        im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+        fails = ~by_real & ~(np.abs(bi) >= np.abs(br))  # a NaN part, or a zero divisor
+        return CArray(np.where(fails, np.nan, re), np.where(fails, np.nan, im))
+
+    def __abs__(self):
+        return np.hypot(self.real, self.imag)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def conjugate(self) -> "CArray":
+        return CArray(self.real, -self.imag)
+
+
+def _sqrt(z: CArray) -> CArray:
+    """cmath.sqrt's algorithm (numpy's complex sqrt rounds differently)."""
+    ax, ay = np.abs(z.real), np.abs(z.imag)
+    up = np.ldexp(ax, 53)  # both parts subnormal: scaled so hypot keeps its precision
+    s = np.where(
+        (ax < sys.float_info.min) & (ay < sys.float_info.min),
+        np.ldexp(np.sqrt(up + np.hypot(up, np.ldexp(ay, 53))), -27),
+        2.0 * np.sqrt(ax / 8.0 + np.hypot(ax / 8.0, ay / 8.0)),
+    )
+    d, right, zero = ay / (2.0 * s), z.real >= 0.0, (z.real == 0.0) & (z.imag == 0.0)
+    im = np.where(zero, z.imag, np.copysign(np.where(right, d, s), z.imag))
+    return CArray(np.where(zero, 0.0, np.where(right, s, d)), im)
+
+
+def _numpy(fn):
+    """numpy's complex fn on a CArray; where _block uses it, it equals cmath's."""
+
+    def apply(z: CArray) -> CArray:
+        w = np.empty(np.shape(z.real), dtype=complex)
+        w.real, w.imag = z.real, z.imag
+        out = fn(w)
+        return CArray(out.real, out.imag)
+
+    return apply
+
+
+# what _block computes with: Python complex scalars, or CArray columns
+_SCALARS = SimpleNamespace(
+    complex=complex, sqrt=cmath.sqrt, sin=cmath.sin, cos=cmath.cos, exp=cmath.exp,
+    where=lambda cond, a, b: a if cond else b,
+)
+_COLUMNS = SimpleNamespace(
+    complex=CArray, sqrt=_sqrt, sin=_numpy(np.sin), cos=_numpy(np.cos), exp=_numpy(np.exp),
+    where=lambda cond, a, b: CArray(
+        *(np.where(cond, x, y) for x, y in zip(CArray.parts(a), CArray.parts(b)))
+    ),
+)
+
+# beyond this |Im(mu t)|, e^{-k1 t/2} <= e^{-|Im(mu t)|} falls below the
+# normal floats, and cmath's sin and cos rescale by e where numpy's do not
+_LARGE_EXPONENT = math.log(sys.float_info.max / 4.0)
+
+
+def _block(m, g, delta, nu, t, kappa, gamma) -> tuple:
+    """(in range; e^{i delta t/2}; G00, G01 = G10, G11) in m's arithmetic.
+
+    This is the Rabi dynamics.  The phase is what |down, 0> picks up during
+    t.  G, the propagator of the one-excitation pair (|down,1>, |up,0>),
+    carries entry [i, j] from slot j to slot i; decay enters as -i kappa/2
+    and -i gamma/2 diagonal shifts:
 
         G = e^{-i nu t - k1 t/2} [cos(mu t) - i sin(mu t)/mu W],
         W = [[-w, g], [g, w]],  w = (delta + i k2)/2,  mu^2 = g^2 + w^2,
 
     k1, k2 the half sum and difference of the rates.  cos(mu t) and
-    sin(mu t)/mu are even in mu, so either root serves.
+    sin(mu t)/mu are even in mu, so either root serves.  The values are in
+    range where |Im(mu t)| <= log(DBL_MAX / 4).
     """
     k1 = 0.5 * (kappa + gamma)
-    w = complex(0.5 * params.delta, 0.25 * (kappa - gamma))
-    mu = cmath.sqrt(params.g * params.g + w * w)
+    w = m.complex(0.5 * delta, 0.25 * (kappa - gamma))
+    mu = m.sqrt(g * g + w * w)
     mut = mu * t
-    sin_term = t * (1.0 - mut * mut / 6.0) if abs(mut) < 1e-8 else cmath.sin(mut) / mu
-    cos_term = cmath.cos(mut)
-    common = cmath.exp(complex(-0.5 * k1 * t, -params.nu * t))
+    small = abs(mut) < 1e-8
+    # arrays evaluate both branches, so the quotient's divisor is 1 where unused
+    sin_term = m.where(small, t * (1.0 - mut * mut / 6.0), m.sin(mut) / m.where(small, 1.0, mu))
+    cos_term = m.cos(mut)
+    common = m.exp(m.complex(-0.5 * k1 * t, -nu * t))
     return (
+        abs(mut.imag) <= _LARGE_EXPONENT,
+        # delta enters as a complex, so columns take CArray's product, not numpy's
+        m.exp(0.5j * m.complex(delta, 0.0) * t),
         common * (cos_term + 1j * sin_term * w),
-        common * (-1j * sin_term * params.g),
+        common * (-1j * sin_term * g),
         common * (cos_term - 1j * sin_term * w),
     )
 
 
-def ground_phase(params: JCParams, t: float) -> complex:
-    """Phase e^{i delta t/2} that |down, 0> picks up during t."""
-    return cmath.exp(0.5j * params.delta * t)
+def block_propagator(
+    params: JCParams, t: float, kappa: float = 0.0, gamma: float = 0.0
+) -> tuple[complex, complex, complex, complex]:
+    """(e^{i delta t/2}; G00, G01 = G10, G11) at time t: see _block.
+
+    Raises ValueError where they are out of range or not finite.
+    """
+    try:
+        in_range, *out = _block(_SCALARS, params.g, params.delta, params.nu, t, kappa, gamma)
+    except (OverflowError, ValueError):  # where cmath raises, numpy gives inf or NaN
+        in_range = False
+    if not (in_range and all(map(cmath.isfinite, out))):
+        raise ValueError(f"the propagator leaves the float range at t = {t!r}")
+    return tuple(out)
 
 
-def block_amplitudes(params: JCParams) -> tuple[complex, complex, complex]:
-    """Amplitudes e^{i delta t/2} conj(G) of the entries G00, G01, G11 at params.t.
+def block_amplitudes(
+    params: JCParams, t: float, kappa: float = 0.0, gamma: float = 0.0
+) -> tuple[complex, complex, complex]:
+    """Amplitudes e^{i delta t/2} conj(G) of the entries G00, G01, G11 at time t.
 
     Each is the ground-state coherence left per unit input on one side of
     the exchange: (reception residual, transfer, residual), all read off
     one block_propagator call.
     """
-    phase = ground_phase(params, params.t)
-    g00, g01, g11 = block_propagator(params, params.t)
-    return phase * g00.conjugate(), phase * g01.conjugate(), phase * g11.conjugate()
+    phase, *entries = block_propagator(params, t, kappa, gamma)
+    return tuple(phase * entry.conjugate() for entry in entries)
+
+
+def block_amplitude_columns(g, delta, nu, t, kappa=0.0, gamma=0.0) -> tuple[CArray, ...]:
+    """block_amplitudes of JCParams.from_detuning(g, delta, t, nu) over arrays, bit for bit.
+
+    All three amplitudes are NaN at the points where the scalar call raises.
+    """
+    with np.errstate(all="ignore"):
+        delta = (nu + delta) - nu  # omega - nu, as JCParams.delta takes it
+        ok, phase, *entries = _block(_COLUMNS, *np.broadcast_arrays(g, delta, nu, t, kappa, gamma))
+        amps = [phase * entry.conjugate() for entry in entries]
+        ok &= np.logical_and.reduce([np.isfinite(x) for a in amps for x in CArray.parts(a)])
+        return tuple(CArray(*(np.where(ok, x, np.nan) for x in CArray.parts(a))) for a in amps)
 
 
 def transfer_amplitude(params: JCParams) -> complex:
@@ -115,7 +248,7 @@ def transfer_amplitude(params: JCParams) -> complex:
     multiplies the input coherence.  By symmetry of the excitation-1 block
     it applies to both transfer directions.
     """
-    return block_amplitudes(params)[1]
+    return block_amplitudes(params, params.t)[1]
 
 
 def residual_amplitude(params: JCParams) -> complex:
@@ -124,7 +257,7 @@ def residual_amplitude(params: JCParams) -> complex:
     e^{i(delta/2 + nu) t} [cos(rabi t) + i sin(rabi t) delta / (2 rabi)].
     Together with the transfer amplitude it satisfies |h_t|^2 + |h_r|^2 = 1.
     """
-    return block_amplitudes(params)[2]
+    return block_amplitudes(params, params.t)[2]
 
 
 def reception_residual_amplitude(params: JCParams) -> complex:
@@ -134,7 +267,7 @@ def reception_residual_amplitude(params: JCParams) -> complex:
     conjugated, because the remaining excitation then sits on the
     |down, 1> side of the excitation-1 block, which carries -delta/2.
     """
-    return block_amplitudes(params)[0]
+    return block_amplitudes(params, params.t)[0]
 
 
 def kraus_operators(params: JCParams) -> tuple[np.ndarray, np.ndarray]:
@@ -145,8 +278,8 @@ def kraus_operators(params: JCParams) -> tuple[np.ndarray, np.ndarray]:
     carries the population that transfers, A2 = [[0, G11], [0, 0]] the
     branch where the excitation stays on the atom and the field stays empty.
     """
-    _, g10, g11 = block_propagator(params, params.t)
-    a1 = np.diag([ground_phase(params, params.t), g10])
+    phase, _, g10, g11 = block_propagator(params, params.t)
+    a1 = np.diag([phase, g10])
     a2 = np.array([[0.0, g11], [0.0, 0.0]], dtype=complex)
     return a1, a2
 
@@ -176,9 +309,8 @@ def joint_unitary(params: JCParams) -> np.ndarray:
     (|down,1>, |up,0>) evolves under the decay-free block_propagator, and
     the unreachable |up,1> slot keeps its diagonal phase.
     """
-    g00, g01, g11 = block_propagator(params, params.t)
     u = np.zeros((4, 4), dtype=complex)
-    u[0, 0] = ground_phase(params, params.t)
+    u[0, 0], g00, g01, g11 = block_propagator(params, params.t)
     u[1:3, 1:3] = [[g00, g01], [g01, g11]]
     u[3, 3] = cmath.exp(-1j * (1.5 * params.nu + 0.5 * params.omega) * params.t)
     return u

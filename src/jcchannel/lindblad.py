@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import TransferChannel
-from .jc import JCParams, block_propagator, ground_phase
+from .jc import JCParams, block_amplitudes, block_propagator
 from .qmat import QubitInput
 
 ORACLE_ATOL = 1e-10
@@ -107,14 +107,13 @@ def closed_form_state(jc: JCParams, d: DecayParams, init: QubitInput, t: float) 
     Returns the 4x4 matrix over |down,0>, |down,1>, |up,0>, |up,1>; the
     last row/column is identically zero.
     """
-    keep_photon, to_atom, _ = block_propagator(jc, t, d.kappa, d.gamma_at)
+    phase, keep_photon, to_atom, _ = block_propagator(jc, t, d.kappa, d.gamma_at)
     p, r = init.p, complex(init.r)
     rho = np.zeros((4, 4), dtype=complex)
     rho[1, 1] = p * abs(keep_photon) ** 2
     rho[2, 2] = p * abs(to_atom) ** 2
     rho[1, 2] = p * keep_photon * to_atom.conjugate()
     rho[2, 1] = np.conj(rho[1, 2])
-    phase = ground_phase(jc, t)
     rho[0, 1] = r * phase * keep_photon.conjugate()
     rho[1, 0] = np.conj(rho[0, 1])
     rho[0, 2] = r * phase * to_atom.conjugate()
@@ -200,16 +199,23 @@ class DecayedConversion:
 
     h_keep is the photon-to-atom transfer amplitude, h_env the amplitude
     remaining on the field; |h_keep|^2 + |h_env|^2 < 1 when decay leaks
-    probability out of the one-excitation sector.  Carries the derived
-    constants so the degradability inequality can be evaluated in both
-    forms.
+    probability out of the one-excitation sector.  Carries its parameters
+    so the degradability inequality can be evaluated in both forms.
     """
 
     h_keep: complex
     h_env: complex
-    constants: DecayConstants
-    delta: float
+    params: JCParams
+    decay: DecayParams
     t: float
+
+    @property
+    def constants(self) -> DecayConstants:
+        return derive_constants(self.params, self.decay)
+
+    @property
+    def delta(self) -> float:
+        return self.params.delta
 
     def as_transfer(self) -> TransferChannel:
         return TransferChannel(h_keep=self.h_keep, h_env=self.h_env)
@@ -220,17 +226,11 @@ def decayed_conversion(jc: JCParams, d: DecayParams, t: float) -> DecayedConvers
 
     Both are read straight off the decayed propagator as the ground-state
     coherences per unit input coherence: h_keep = e^{i delta t/2} conj(G10),
-    h_env = e^{i delta t/2} conj(G00).
+    h_env = e^{i delta t/2} conj(G00).  The decay constants are derived
+    only when asked for.
     """
-    keep_photon, to_atom, _ = block_propagator(jc, t, d.kappa, d.gamma_at)
-    phase = ground_phase(jc, t)
-    return DecayedConversion(
-        h_keep=phase * to_atom.conjugate(),
-        h_env=phase * keep_photon.conjugate(),
-        constants=derive_constants(jc, d),
-        delta=jc.delta,
-        t=t,
-    )
+    env, keep, _ = block_amplitudes(jc, t, d.kappa, d.gamma_at)
+    return DecayedConversion(h_keep=keep, h_env=env, params=jc, decay=d, t=t)
 
 
 def degradability_expression(conv: DecayedConversion) -> float:

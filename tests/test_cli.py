@@ -3,7 +3,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from jcchannel.cli import (
     _axis_values,
     _emit,
     _merge_config,
+    _parse_axis,
     _sweep_lines,
     build_parser,
     compute_record,
@@ -176,6 +181,7 @@ def test_every_mode_column_is_a_sweep_axis(mode, column, capsys):
     (["evolve", "--g", "1", "--t", "inf"], "--t"),
     (["evolve", "--g", "1", "--sweep", "t:0:inf:3"], "--t"),
     (["degrade", "--g", "1", "--t", "nan"], "--t"),
+    (["capacity", "--g", "1", "--t", "1", "--nu", "-inf"], "--nu"),
 ])
 def test_non_finite_values_are_usage_errors(args, flag, capsys):
     err = usage_error(args, capsys)
@@ -200,6 +206,32 @@ def test_evolve_checks_its_time_axis_and_values(args, flag, capsys):
     assert f"{flag} must be" in err
 
 
+def test_negative_exponent_value_is_read_as_a_value(capsys):
+    code, out, _ = run_cli(["capacity", "--g", "1", "--t", "1", "--delta", "-1e-3"], capsys)
+    assert code == 0
+    assert run_cli(["capacity", "--g", "1", "--t", "1", "--delta=-1e-3"], capsys)[1] == out
+    assert "-0.001" in out
+
+
+def test_degrade_rejects_sweep(capsys):
+    err = usage_error(["degrade", "--g", "1", "--t", "1.2", "--sweep", "t:0:1:3"], capsys)
+    assert "degrade takes no --sweep" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["capacity", "--g", "1", "--t", "1.2"],
+    ["degrade", "--g", "1", "--t", "1.2"],
+    ["evolve", "--g", "1", "--t", "1.2", "--kappa", "0.1"],
+    ["sweep", "--g", "1", "--sweep", "t:0:1:3"],
+])
+def test_stamp_heads_file_output_of_every_subcommand(command, tmp_path):
+    out = tmp_path / "out.txt"
+    assert main(command + ["--stamp", "--out", str(out)]) == 0
+    assert out.read_text().startswith("# generated ")
+    assert main(command + ["--stamp", "--json", "--out", str(out)]) == 0
+    assert "stamp" in json.loads(out.read_text().splitlines()[0])
+
+
 def test_bad_mode_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["capacity", "--mode", "nonsense", "--g", "1", "--t", "1"])
@@ -216,6 +248,8 @@ def test_sweep_requires_axis(capsys):
 def test_sweep_axis_validation(capsys):
     with pytest.raises(SystemExit):
         main(["sweep", "--mode", "conversion", "--g", "1", "--sweep", "t:3:1:5"])
+    with pytest.raises(SystemExit):  # grid indices must fit in int64
+        _parse_axis(f"t:0:1:{2**62 + 1}", build_parser())
     with pytest.raises(SystemExit):
         main(["sweep", "--mode", "conversion", "--g", "1", "--sweep", "T:0:1:3"])
     capsys.readouterr()
@@ -262,7 +296,7 @@ def test_sweep_streams_rows_without_materializing_the_grid():
     spec = SweepSpec(mode="conversion", axes=axes, fixed={"nu": 0.0}, fmt="csv")
     tracemalloc.start()
     try:
-        lines = list(itertools.islice(_sweep_lines(spec, False), 3))
+        lines = list(itertools.islice(_sweep_lines(spec), 3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -288,7 +322,7 @@ def test_long_axis_streams_rows_without_materializing_it():
                      fmt="csv")
     tracemalloc.start()
     try:
-        lines = list(itertools.islice(_sweep_lines(spec, False), 3))
+        lines = list(itertools.islice(_sweep_lines(spec), 3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -296,39 +330,88 @@ def test_long_axis_streams_rows_without_materializing_it():
     assert peak < 2_000_000
 
 
-# each mode's fixed flags; a t axis from 0 to 1.6 of one chunk plus 3 points
-# ends in the degradable region, so both chunks hold searched lanes
+# (mode, fixed flags, sweep axes); every grid spans a chunk boundary
+_N = SWEEP_CHUNK + 3
 _CHUNK_SWEEPS = {
-    "conversion": ["--g", "1", "--delta", "0.3"],
-    "concat": ["--g", "1", "--g2", "1.2", "--t2", "1.3", "--T", "0.9"],
-    "decayed": ["--g", "1", "--kappa", "0.2", "--gamma", "0.1"],
+    # a t axis from 0 to 1.6 ends in the degradable region, so both chunks
+    # hold searched lanes
+    "conversion": ("conversion", ["--g", "1", "--delta", "0.3"], [f"t:0:1.6:{_N}"]),
+    "concat": ("concat", ["--g", "1", "--g2", "1.2", "--t2", "1.3", "--T", "0.9"],
+               [f"t:0:1.6:{_N}"]),
+    "decayed": ("decayed", ["--g", "1", "--kappa", "0.2", "--gamma", "0.1"], [f"t:0:1.6:{_N}"]),
+    # t = 0, then the |mu t| < 1e-8 series, then sin(mu t) / mu
+    "series-branch": ("conversion", ["--g", "1", "--delta", "0.3"], [f"t:0:2e-8:{_N}"]),
+    # delta = 0 and kappa - gamma = 4 g: mu = 0 at every t
+    "exceptional-point": ("decayed", ["--g", "1", "--kappa", "4"], [f"t:0:3:{_N}"]),
+    # kappa crosses 4 exactly at index 512, where mu = 0 again
+    "kappa-axis": ("decayed", ["--g", "1", "--t", "1.1"], ["kappa:2:6:1025"]),
+    # kappa = gamma on the diagonal of a 33 x 33 grid
+    "kappa-equals-gamma": ("decayed", ["--g", "1", "--t", "1.1", "--delta", "0.2"],
+                           ["kappa:0:1:33", "gamma:0:1:33"]),
+    # mu^2 = 7.5i, purely imaginary: g^2 + delta^2/4 = (kappa - gamma)^2/16
+    "imaginary-mu-squared": ("decayed", ["--g", "2", "--delta", "3", "--kappa", "10"],
+                             [f"t:0:4:{_N}"]),
+    "large-detuning-nu": ("conversion", ["--g", "1", "--t", "1.3", "--nu", "0.7"],
+                          [f"delta:-1e3:1e3:{_N}"]),
+    "transmittance-ends": ("concat", ["--g", "1", "--t", "1.5", "--delta", "0.4", "--g2", "1.2",
+                                      "--t2", "1.3", "--nu", "-0.3"], [f"T:0:1:{_N}"]),
+    # nu + delta overflows in the second chunk: JCParams.omega is not finite
+    "omega-overflow": ("conversion", ["--g", "1", "--nu", "1e308"],
+                       ["delta:0:1e308:2", "t:0:1:1100"]),
+    # the propagator leaves the float range in the second chunk
+    "decay-out-of-range": ("decayed", ["--g", "1", "--t", "1"], ["kappa:0:3000:1100"]),
 }
 
 
-@pytest.mark.parametrize("mode", sorted(_CHUNK_SWEEPS))
-def test_batched_sweep_rows_equal_per_point_records(mode, capsys):
-    args = ["sweep", "--mode", mode, *_CHUNK_SWEEPS[mode],
-            "--sweep", f"t:0:1.6:{SWEEP_CHUNK + 3}"]
-    code, out, _ = run_cli(args, capsys)
-    assert code == 0
-    csv_lines = out.splitlines()
-    code, out, _ = run_cli(args + ["--json"], capsys)
-    assert code == 0
-    json_lines = out.splitlines()
-    assert csv_lines[0] == CSV_HEADER
-    assert len(csv_lines) - 1 == len(json_lines) == SWEEP_CHUNK + 3
-    ts, searched = [], []
-    for row, line in zip(csv_lines[1:], json_lines):
-        obj = json.loads(line)
-        vals = {k: obj[k] for k in ("g", "delta", "t", "g2", "delta2", "t2", "T",
-                                    "kappa", "gamma") if obj[k] is not None}
-        rec = compute_record(mode, dict(vals, nu=0.0))
-        assert row == rec.csv_row()
-        assert line == json.dumps(rec.json_obj())
-        ts.append(obj["t"])
-        searched.append(rec.q > 0.0)
-    assert ts == np.linspace(0.0, 1.6, SWEEP_CHUNK + 3).tolist()
-    assert sum(searched[:SWEEP_CHUNK]) > 100 and all(searched[SWEEP_CHUNK:])
+def _expected_sweep(mode, flags, sweeps):
+    """Records of the grid's points, one compute_record each, up to the first
+    point that raises; a sweep prints no row of that point's chunk."""
+    fixed = dict.fromkeys((*_MODE_COLUMNS[mode], "nu"), 0.0)
+    fixed.update((k[2:], float(v)) for k, v in zip(flags[::2], flags[1::2]))
+    axes = [s.split(":") for s in sweeps]
+    records = []
+    for values in itertools.product(
+        *(np.linspace(float(a), float(b), int(n)).tolist() for _, a, b, n in axes)
+    ):
+        try:
+            point = dict(zip([axis[0] for axis in axes], values))
+            records.append(compute_record(mode, dict(fixed, **point)))
+        except ValueError as e:
+            return records[: len(records) - len(records) % SWEEP_CHUNK], f"error: {e}\n"
+    return records, ""
+
+
+@pytest.mark.parametrize("case", sorted(_CHUNK_SWEEPS))
+def test_batched_sweep_rows_equal_per_point_records(case, capsys):
+    mode, flags, sweeps = _CHUNK_SWEEPS[case]
+    args = ["sweep", "--mode", mode, *flags, *(a for s in sweeps for a in ("--sweep", s))]
+    records, error = _expected_sweep(mode, flags, sweeps)
+    code, out, err = run_cli(args, capsys)
+    assert (code, err) == ((2, error) if error else (0, ""))
+    assert out.splitlines() == [CSV_HEADER] + [rec.csv_row() for rec in records]
+    code, out, err = run_cli(args + ["--json"], capsys)
+    assert (code, err) == ((2, error) if error else (0, ""))
+    assert out.splitlines() == [json.dumps(rec.json_obj()) for rec in records]
+    if case in ("conversion", "concat", "decayed"):
+        searched = [rec.q > 0.0 for rec in records]
+        assert sum(searched[:SWEEP_CHUNK]) > 100 and all(searched[SWEEP_CHUNK:])
+    else:
+        assert len(records) >= SWEEP_CHUNK
+
+
+@pytest.mark.parametrize("args", [
+    ["capacity", "--mode", "decayed", "--g", "1", "--t", "1", "--kappa", "1e150"],
+    ["capacity", "--mode", "decayed", "--g", "1", "--t", "1", "--kappa", "1e160"],
+    ["capacity", "--mode", "decayed", "--g", "1", "--t", "1", "--gamma", "1e200"],
+    ["capacity", "--mode", "decayed", "--g", "1", "--t", "1", "--delta", "1e200"],
+    ["capacity", "--mode", "decayed", "--g", "1e160", "--t", "1"],
+    ["capacity", "--g", "1", "--t", "1e10", "--nu", "1e300"],
+    ["sweep", "--mode", "decayed", "--g", "1", "--t", "1", "--sweep", "kappa:0:1e300:3"],
+])
+def test_values_beyond_float_range_exit_2_with_one_error_line(args, capsys):
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sweep_repeat_determinism_and_stamp(tmp_path):
@@ -513,3 +596,18 @@ def test_run_record_empty_fields_for_absent_params():
     assert row[header.index("T")] == ""
     assert row[header.index("kappa")] == ""
     assert row[header.index("g")] == "1.0"
+
+
+def test_closed_pipe_ends_quietly():
+    # `jcchannel sweep ... | head -1`: the reader leaves after one line
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jcchannel", "sweep", "--g", "1", "--sweep", "t:0:3:20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().decode() == CSV_HEADER + "\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert err == ""

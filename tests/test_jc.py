@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 
 from jcchannel.jc import (
     JCParams,
+    block_amplitude_columns,
+    block_amplitudes,
     channel_output,
     evolve_joint,
     hamiltonian,
@@ -163,3 +165,37 @@ def test_residual_coherence_uses_residual_amplitude():
     inp = QubitInput(p=0.4, r=0.3)
     left = residual_output(inp, p)
     assert complex(left[0, 1]) == pytest.approx(inp.r * residual_amplitude(p), abs=1e-12)
+
+
+def test_block_amplitude_columns_equal_scalar_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    n = 4000
+    g = np.exp(rng.uniform(-5.0, 3.0, n))
+    delta = rng.standard_normal(n) * np.exp(rng.uniform(-10.0, 7.0, n))
+    nu = np.where(rng.uniform(size=n) < 0.5, 0.0, rng.standard_normal(n) * 3.0)
+    t = np.exp(rng.uniform(-25.0, 4.0, n))
+    kappa = np.where(rng.uniform(size=n) < 0.3, 0.0, np.exp(rng.uniform(-5.0, 7.0, n)))
+    gamma = np.where(rng.uniform(size=n) < 0.3, 0.0, np.exp(rng.uniform(-5.0, 5.0, n)))
+    t[::10] = 0.0
+    gamma[1::17] = kappa[1::17]
+    # exceptional points: delta = 0, kappa - gamma = 4 g, so mu = 0
+    delta[::13], gamma[::13], kappa[::13] = 0.0, 0.0, 4.0 * g[::13]
+    # g^2 + delta^2/4 = (kappa - gamma)^2/16 exactly: mu^2 is purely imaginary
+    for i, (gg, dd, kk) in enumerate([(2.0, 3.0, 10.0), (3.0, -2.5, 13.0), (1.25, 6.0, 13.0)]):
+        g[5 + i::41], delta[5 + i::41], kappa[5 + i::41], gamma[5 + i::41] = gg, dd, kk, 0.0
+    # |Im(mu t)| on both sides of log(DBL_MAX / 4), where the range ends
+    kappa[7::29], gamma[7::29], t[7::29] = rng.uniform(2820.0, 2850.0, len(t[7::29])), 0.0, 1.0
+    columns = block_amplitude_columns(g, delta, nu, t, kappa, gamma)
+    rejected = 0
+    points = zip(*(x.tolist() for x in (g, delta, nu, t, kappa, gamma)))
+    for i, (gi, di, nui, ti, ki, ci) in enumerate(points):
+        params = JCParams.from_detuning(g=gi, delta=di, t=ti, nu=nui)
+        got = tuple(complex(a.real[i], a.imag[i]) for a in columns)
+        try:
+            want = block_amplitudes(params, ti, ki, ci)
+        except ValueError:
+            rejected += 1
+            assert all(math.isnan(z.real) and math.isnan(z.imag) for z in got), i
+            continue
+        assert repr(got) == repr(want), i  # repr tells -0.0 from 0.0
+    assert 0 < rejected < n // 5
