@@ -6,17 +6,15 @@ have capacity
 
     Q = max_p  H2(|h_keep|^2 p) - H2((1 - |h_keep|^2) p)
 
-and the maximum is found by golden-section search on [0, 1] (the
-objective is strictly concave in p when |h_keep|^2 > 1/2).
-quantum_capacity runs the scalar search for one channel;
-capacity_columns (and quantum_capacities, its view over channels) settles
-many channels at once, replaying the same search on all of their keep
-shares together, lane by lane, so each result is bit for bit the one
-quantum_capacity gives.  All share the rules that settle a channel
-without a search.  Channels that are not degradable are
-assigned Q = 0; for channels with decay leakage this follows the same
-amplitude comparison, with the decay environment not modeled as an extra
-output.
+(the amplitude-damping capacity).  The objective is strictly concave in p
+when |h_keep|^2 > 1/2, and capacity_root finds its maximum as the root of
+its derivative by a fixed number of Newton steps, with the same
+operations on one keep share (quantum_capacity) and on a column of them
+(capacity_columns, and quantum_capacities, its view over channels).
+golden_section_max stays as an independent maximizer for the checks.
+Channels that are not degradable are assigned Q = 0; for channels with
+decay leakage this follows the same amplitude comparison, with the decay
+environment not modeled as an extra output.
 """
 
 from __future__ import annotations
@@ -35,6 +33,9 @@ from .qmat import QubitInput, binary_entropy, binary_entropy_array, von_neumann_
 TIE_BAND = 1e-12
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _ORACLE_BLOCK = 4096  # grid points per array expression in capacity_grid_oracle
+NEWTON_STEPS = 6  # capacity_root's steps: 4 reach every root to rounding
+P_FLOOR = 0.43  # below every optimum p*, which is 0.4356 at least
+_LN2 = math.log(2.0)
 
 
 class NotDegradable(ValueError):
@@ -92,9 +93,11 @@ def degrading_map(ch: TransferChannel) -> JCParams:
         )
     hk, he = complex(ch.h_keep), complex(ch.h_env)
     ratio = min(1.0, abs(he) / abs(hk))
-    tp = math.asin(ratio)  # g' t' with g' = 1
-    if tp == 0.0:
+    if ratio <= TIE_BAND:
+        # nothing reaches the environment: a stage that transfers nothing;
+        # nu' = phase / t' would blow up as t' -> 0
         return JCParams.resonant(g=1.0, t=0.0, nu=0.0)
+    tp = math.asin(ratio)  # g' t' with g' = 1
     # want i e^{i nu' t'} sin(g' t') = h_env / h_keep
     want = he / hk
     phase = math.atan2(want.imag, want.real) - 0.5 * math.pi
@@ -139,56 +142,10 @@ def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[flo
     return xm, f(xm)
 
 
-def golden_section_max_batch(keep_probs, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
-    """golden_section_max of the diagonal coherent information, many lanes at once.
-
-    Each lane holds one keep share a, 1/2 < a < 1, and replays the scalar
-    search on [0, 1] for H2(a p) - H2((1-a) p): the same operations in the
-    same order, each lane stopping at the same b - a > tol test.  Returns
-    the arrays (argmax, max), equal bit for bit to the scalar results.
-    """
-    k = np.asarray(keep_probs, dtype=float)
-    env = 1.0 - k
-
-    def f(p):
-        return binary_entropy_array(k * p) - binary_entropy_array(env * p)
-
-    a, b = np.zeros_like(k), np.ones_like(k)
-    x1 = b - GOLDEN * (b - a)
-    x2 = a + GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    active = b - a > tol
-    while active.any():
-        # both scalar branches on every lane, then keep the taken one
-        up = f1 < f2
-        a_next, b_next = np.where(up, x1, a), np.where(up, b, x2)
-        x_new = np.where(
-            up,
-            a_next + GOLDEN * (b_next - a_next),
-            b_next - GOLDEN * (b_next - a_next),
-        )
-        f_new = f(x_new)
-        stepped = (
-            a_next,
-            b_next,
-            np.where(up, x2, x_new),
-            np.where(up, f2, f_new),
-            np.where(up, x_new, x1),
-            np.where(up, f_new, f1),
-        )
-        # lanes whose interval is already within tol keep their state
-        a, b, x1, f1, x2, f2 = (
-            np.where(active, new, old) for new, old in zip(stepped, (a, b, x1, f1, x2, f2))
-        )
-        active = b - a > tol
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
-
-
 def capacity_grid_oracle(keep_prob: float, step: float = 1e-5) -> tuple[float, float]:
     """Exhaustive p-grid maximization of the diagonal coherent information.
 
-    Brute-force reference for the golden-section optimizer; returns
+    Brute-force reference for capacity_root; returns
     (Q, p_star) at the stated grid resolution.
     """
     n = int(round(1.0 / step))
@@ -204,45 +161,66 @@ def capacity_grid_oracle(keep_prob: float, step: float = 1e-5) -> tuple[float, f
     return best_q, best_p
 
 
-def _settled(status: DegradabilityStatus, a: float) -> tuple[float, float] | None:
-    """(Q, p_star) of a channel with keep share a that needs no search, or None."""
-    if status is not DegradabilityStatus.DEGRADABLE or a <= 0.5:
-        # a <= 1/2 is degradable only with decay leakage; the objective is nonpositive
-        return 0.0, 0.0
-    if a == 1.0:
-        return 1.0, 0.5
-    return None
+def capacity_root(a):
+    """(p_star, Q) of H2(a p) - H2((1 - a) p) for keep shares 1/2 < a < 1.
 
+    Takes a float or an array of shares, with the same operations on
+    either, so a share gives the same floats alone or in a column.  The
+    objective is strictly concave, and its maximum is the root of
 
-def _searched(p_star: float, q: float) -> tuple[float, float]:
-    """(Q, p_star) of a degradable channel whose search gave (p_star, q)."""
-    return (q, p_star) if q > 0.0 else (0.0, 0.0)
+        f'(p) ln 2 = a ln((1 - ap) / (ap)) - (1 - a) ln((1 - (1 - a) p) / ((1 - a) p))
+
+    whose derivative f''(p) ln 2 = (1 - 2a) / (p (1 - ap) (1 - (1 - a) p))
+    is negative: (1 - a) - a is 1 - 2a exactly, never 0.  Newton's method runs
+    NEWTON_STEPS steps from p = 1/2, each clamped to [P_FLOOR, 1/2], which
+    holds every root: p* rises from 0.4356 as a -> 1/2 to 1/2 as a -> 1.
+    """
+    b = 1.0 - a
+    p = 0.5
+    for _ in range(NEWTON_STEPS):
+        ap, bp = a * p, b * p
+        slope = a * np.log((1.0 - ap) / ap) - b * np.log((1.0 - bp) / bp)
+        curvature = (b - a) / (p * (1.0 - ap) * (1.0 - bp))
+        p = np.minimum(np.maximum(p - slope / curvature, P_FLOOR), 0.5)
+    ap, bp = a * p, b * p
+    q = bp * np.log(bp) + (1.0 - bp) * np.log(1.0 - bp) - ap * np.log(ap) - (1.0 - ap) * np.log(1.0 - ap)
+    return p, q / _LN2
 
 
 def quantum_capacity(ch: TransferChannel) -> CapacityResult:
     status, a = classify(ch), ch.keep_prob
-    q, p_star = _settled(status, a) or _searched(
-        *golden_section_max(lambda p: coherent_information_diagonal(a, p), 0.0, 1.0)
-    )
+    q, p_star = 0.0, 0.0  # not degradable, or a <= 1/2, or a root with Q <= 0
+    if status is DegradabilityStatus.DEGRADABLE and a == 1.0:
+        q, p_star = 1.0, 0.5
+    elif status is DegradabilityStatus.DEGRADABLE and a > 0.5:
+        p, v = capacity_root(a)
+        if v > 0.0:
+            q, p_star = float(v), float(p)
     return CapacityResult(status=status, q=q, p_star=p_star)
 
 
-def capacity_columns(statuses, keep_probs) -> list[tuple[float, float]]:
-    """(Q, p_star) of each channel, given by its status and keep share.
+def capacity_columns(codes: np.ndarray, keep_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (Q, p_star) of channels given by status code and keep share.
 
-    Every search runs in one golden_section_max_batch, which gives each
-    channel the floats quantum_capacity gives it.
+    quantum_capacity's rules as array expressions, with one capacity_root
+    over every share that needs it: each channel gets the floats
+    quantum_capacity gives it.
     """
-    out = [_settled(status, a) for status, a in zip(statuses, keep_probs)]
-    lanes = [i for i, res in enumerate(out) if res is None]
-    p_star, q = golden_section_max_batch([keep_probs[i] for i in lanes])
-    for i, p, v in zip(lanes, p_star.tolist(), q.tolist()):
-        out[i] = _searched(p, v)
-    return out
+    degradable = codes == STATUSES.index(DegradabilityStatus.DEGRADABLE)
+    perfect = degradable & (keep_probs == 1.0)
+    searched = degradable & (keep_probs > 0.5) & ~perfect
+    p, v = capacity_root(keep_probs[searched])
+    q, p_star = np.where(perfect, 1.0, 0.0), np.where(perfect, 0.5, 0.0)
+    q[searched] = np.where(v > 0.0, v, 0.0)
+    p_star[searched] = np.where(v > 0.0, p, 0.0)
+    return q, p_star
 
 
 def quantum_capacities(channels: Sequence[TransferChannel]) -> list[CapacityResult]:
-    """quantum_capacity of each channel, with every search run in one batch."""
-    statuses = [classify(ch) for ch in channels]
-    found = capacity_columns(statuses, [ch.keep_prob for ch in channels])
-    return [CapacityResult(status=s, q=q, p_star=p) for s, (q, p) in zip(statuses, found)]
+    """quantum_capacity of each channel, with one capacity_root for all of them."""
+    codes = np.array([STATUSES.index(classify(ch)) for ch in channels], dtype=int)
+    q, p_star = capacity_columns(codes, np.array([ch.keep_prob for ch in channels], dtype=float))
+    return [
+        CapacityResult(status=STATUSES[code], q=v, p_star=p)
+        for code, v, p in zip(codes.tolist(), q.tolist(), p_star.tolist())
+    ]

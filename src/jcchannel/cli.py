@@ -147,7 +147,7 @@ MODES = {
     ),
 }
 
-# grid points a sweep evaluates together: one capacity batch per chunk
+# grid points a sweep evaluates together as columns
 SWEEP_CHUNK = 1024
 _STATUS_VALUES = [status.value for status in STATUSES]
 _MAX_COUNT = 2**62  # points per sweep axis: grid indices stay within int64
@@ -493,9 +493,9 @@ def _sweep_lines(spec: SweepSpec):
 
     Each chunk is evaluated as columns: the mode's build_columns gives
     (h_keep, h_env), one check rejects the chunk where build would raise
-    (build then raises that point's error), the capacity searches run in
-    one batch, and the rows are formatted from the columns.  Every row has
-    the bytes compute_record gives the point on its own.
+    (build then raises that point's error), one capacity_columns call
+    settles every capacity, and the rows are formatted from the columns.
+    Every row has the bytes compute_record gives the point on its own.
     """
     entry = MODES[spec.mode]
     json_lines = spec.fmt == "json-lines"
@@ -524,12 +524,13 @@ def _sweep_lines(spec: SweepSpec):
             point = {name: float(col[ok.argmin()]) for name, col in cols.items()}
             entry.build(point)  # raises the error of the first rejected point
             raise RuntimeError(f"the chunk check rejects {point}, which build accepts")
-        codes = status_codes(keep, env).tolist()
-        keep_p, env_p = (np.minimum(sq, 1.0).tolist() for sq in (keep_sq, env_sq))
-        q, p_star = zip(*capacity_columns([STATUSES[code] for code in codes], keep_p))
+        codes = status_codes(keep, env)
+        keep_p, env_p = np.minimum(keep_sq, 1.0), np.minimum(env_sq, 1.0)
+        q, p_star = capacity_columns(codes, keep_p)
         texts = [_axis_texts(caches[j], indices[j], values[j]) for j in in_columns]
-        status = [_STATUS_VALUES[code] for code in codes]
-        for fields in zip(*texts, keep_p, env_p, status, q, p_star):
+        status = [_STATUS_VALUES[code] for code in codes.tolist()]
+        outputs = (keep_p.tolist(), env_p.tolist(), status, q.tolist(), p_star.tolist())
+        for fields in zip(*texts, *outputs):
             yield row % fields
 
 

@@ -216,7 +216,9 @@ def _capacity_goldens(level: str):
             detail = what
 
     goldens = ((0.75, GRID_ORACLE_Q_075), (0.9, GRID_ORACLE_Q_090))
-    shares = (0.5, 0.3, 0.1) + tuple(a for a, _ in goldens)
+    rng = np.random.default_rng(_SEED + 4)
+    seeded = rng.uniform(0.5, 1.0, 200 if level == "full" else 20).tolist()
+    shares = (0.5, 0.3, 0.1) + tuple(a for a, _ in goldens) + tuple(seeded)
     chs = [channels.TransferChannel(h_keep=1.0, h_env=0.0)] + [
         channels.TransferChannel(h_keep=math.sqrt(a), h_env=math.sqrt(1.0 - a))
         for a in shares
@@ -224,12 +226,12 @@ def _capacity_goldens(level: str):
     scalar = [cap.quantum_capacity(ch) for ch in chs]
     batched = cap.quantum_capacities(chs)
 
-    # the batched search that sweeps use must give the scalar results exactly
+    # sweeps settle capacities as columns: they must give the one-point floats exactly
     for ch, one, many in zip(chs, scalar, batched):
         dev = max(abs(one.q - many.q), abs(one.p_star - many.p_star))
         if one.status is not many.status:
             dev = math.inf
-        check(dev, 0.0, f"batched capacity differs from the scalar one at {ch}")
+        check(dev, 0.0, f"column capacity differs from the one-point one at {ch}")
 
     perfect = scalar[0]
     check(abs(perfect.q - 1.0), 0.0, "Q at unit transfer is not exactly 1")
@@ -238,13 +240,21 @@ def _capacity_goldens(level: str):
     for a, res in zip(shares[:3], scalar[1:4]):
         check(res.q, 0.0, f"Q not exactly 0 at keep share {a}")
 
-    for (a, stored), one, many in zip(goldens, scalar[4:], batched[4:]):
+    # at a = 3/4, ap = 1/3 and (1 - a)p = 1/9 make both log terms 0.75 ln 2
+    check(abs(scalar[4].p_star - 4.0 / 9.0), 1e-15, "p_star at keep share 3/4 is not 4/9")
+
+    for (a, stored), one in zip(goldens, scalar[4:]):
         check(abs(one.q - stored), 1e-6, f"optimizer disagrees with stored grid value at {a}")
-        check(abs(many.q - stored), 1e-6, f"batched optimizer disagrees with stored grid value at {a}")
         if level == "full":
             fresh, _ = cap.capacity_grid_oracle(a, step=1e-5)
             check(abs(one.q - fresh), 1e-6, f"optimizer disagrees with fresh grid oracle at {a}")
             check(abs(fresh - stored), 1e-12, f"stored grid value stale at {a}")
+
+    # golden-section search is a second, independent maximizer: no Q below its maximum
+    for ch, one in zip(chs[4:], scalar[4:]):
+        a = ch.keep_prob
+        _, best = cap.golden_section_max(lambda p: cap.coherent_information_diagonal(a, p), 0.0, 1.0)
+        check(best - one.q, 1e-15, f"Q below the golden-section maximum at keep share {a}")
     return worst, detail
 
 

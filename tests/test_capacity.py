@@ -15,8 +15,8 @@ from jcchannel.capacity import (
     coherent_information_diagonal,
     degrading_channel,
     degrading_map,
+    capacity_root,
     golden_section_max,
-    golden_section_max_batch,
     quantum_capacities,
     quantum_capacity,
 )
@@ -27,11 +27,14 @@ from jcchannel.qmat import QubitInput, binary_entropy, binary_entropy_array, tra
 GRID_Q_075 = 0.41503749925179323
 GRID_Q_090 = 0.7094182634666657
 
-# Optimizer outputs at the same points, frozen for regression tracking.
+# Golden-section maxima at the same points, frozen for regression tracking.
 OPT_Q_075 = 0.41503749927884337
-OPT_P_075 = 0.4444444463049009
 OPT_Q_090 = 0.7094182634736717
-OPT_P_090 = 0.4630582278373412
+# Optima p*: at a = 3/4, ap = 1/3 and (1 - a)p = 1/9 make both log terms of
+# the derivative 0.75 ln 2; at a = 0.9, the root of the derivative found by
+# 60-digit decimal bisection on [0.43, 0.5].
+OPT_P_075 = 4.0 / 9.0
+OPT_P_090 = 0.46305823160590015
 
 
 def _unit(a, ph_keep=0.0, ph_env=0.0):
@@ -139,9 +142,9 @@ def test_capacity_optimizer_regression_values():
     r75 = quantum_capacity(_unit(0.75))
     r90 = quantum_capacity(_unit(0.9))
     assert r75.q == pytest.approx(OPT_Q_075, abs=1e-12)
-    assert r75.p_star == pytest.approx(OPT_P_075, abs=1e-9)
+    assert r75.p_star == pytest.approx(OPT_P_075, abs=1e-15)
     assert r90.q == pytest.approx(OPT_Q_090, abs=1e-12)
-    assert r90.p_star == pytest.approx(OPT_P_090, abs=1e-9)
+    assert r90.p_star == pytest.approx(OPT_P_090, abs=1e-15)
 
 
 def test_capacity_phase_invariance():
@@ -202,44 +205,35 @@ def test_grid_oracle_equals_pointwise_scalar_grid():
         assert capacity_grid_oracle(a, step=step) == (vals[i], float(ps[i]))
 
 
-def test_batched_search_equals_scalar_search_bit_for_bit():
+def test_newton_root_gives_the_same_floats_alone_and_in_a_column():
     rng = np.random.default_rng(20261018)
     shares = np.concatenate([
-        [np.nextafter(0.5, 1.0), 0.5 + 1e-9, 1.0 - 1e-12, 0.75, 0.9,
-         np.nextafter(1.0, 0.0)],
+        [np.nextafter(0.5, 1.0), 0.5 + 1e-15, 0.5 + 1e-9, 0.75, 0.9, 1.0 - 1e-12,
+         1.0 - 1e-15, np.nextafter(1.0, 0.0)],
         rng.uniform(0.5, 1.0, 8000),
         0.5 + 10.0 ** rng.uniform(-15.0, -1.0, 1000),
         1.0 - 10.0 ** rng.uniform(-15.0, -1.0, 1000),
     ])
-    assert np.all((shares > 0.5) & (shares < 1.0))
-    p_star, q = golden_section_max_batch(shares)
-    batched = list(zip(p_star.tolist(), q.tolist()))
-    scalar = [
-        golden_section_max(lambda p, a=a: coherent_information_diagonal(a, p), 0.0, 1.0)
-        for a in shares.tolist()
-    ]
-    assert len(scalar) >= 10_000
-    assert batched == scalar
+    assert np.all((shares > 0.5) & (shares < 1.0)) and len(shares) >= 10_000
+    p_star, q = capacity_root(shares)
+    alone = [capacity_root(a) for a in shares.tolist()]
+    assert [(float(p), float(v)) for p, v in alone] == list(zip(p_star.tolist(), q.tolist()))
 
 
-def test_batched_search_stops_each_lane_at_its_own_iteration():
-    # interval widths differ between lanes in their last digits, so at this
-    # tol some lanes take one more iteration than others
-    shares = np.random.default_rng(3).uniform(0.5, 1.0, 2000)
-    tol = 6.61069613518e-05
-    scalar, evals = [], set()
-    for a in shares.tolist():
-        points = []
+def _slope(a, p):
+    """ln 2 times the derivative of H2(a p) - H2((1 - a) p)."""
+    b = 1.0 - a
+    return a * math.log((1.0 - a * p) / (a * p)) - b * math.log((1.0 - b * p) / (b * p))
 
-        def f(p, a=a):
-            points.append(p)
-            return coherent_information_diagonal(a, p)
 
-        scalar.append(golden_section_max(f, 0.0, 1.0, tol=tol))
-        evals.add(len(points))
-    assert len(evals) > 1
-    p_star, q = golden_section_max_batch(shares, tol=tol)
-    assert list(zip(p_star.tolist(), q.tolist())) == scalar
+def test_newton_root_lies_in_its_bracket_and_reaches_the_grid_maximum():
+    rng = np.random.default_rng(7)
+    shares = [0.5 + 1e-6, 0.75, 0.9, 1.0 - 1e-9, *rng.uniform(0.5, 1.0, 300).tolist()]
+    for a in shares:
+        assert _slope(a, 0.43) > 0.0 > _slope(a, 0.5), a
+        p_star, q = capacity_root(a)
+        assert 0.43 <= p_star <= 0.5
+        assert q >= capacity_grid_oracle(a, step=1e-3)[0] - 1e-15, a
 
 
 def test_quantum_capacities_equal_quantum_capacity():

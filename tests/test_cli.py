@@ -545,6 +545,16 @@ def test_degrade_prints_stage_and_distance(capsys):
     assert dist < 1e-9
 
 
+def test_degrade_of_perfect_transfer_is_an_empty_stage(capsys):
+    # at g t = pi/2 |h_env| is ~6e-17: the stage transfers nothing, with a
+    # finite nu' (phase / t' would give nu' ~ -5e16)
+    code, out, _ = run_cli(["degrade", "--g", "1", "--t", "1.5707963267948966", "--json"], capsys)
+    assert code == 0
+    stage = json.loads(out)
+    assert (stage["g2"], stage["t2"], stage["nu2"]) == (1.0, 0.0, 0.0)
+    assert stage["max_composition_distance"] < 1e-9
+
+
 def test_degrade_antidegradable_exits_1(capsys):
     code, out, err = run_cli(
         ["degrade", "--mode", "conversion", "--g", "1", "--t", "0.3926991"], capsys
