@@ -10,12 +10,12 @@ from jcchannel.capacity import (
     DegradabilityStatus,
     NotDegradable,
     capacity_grid_oracle,
+    capacity_root,
     classify,
     coherent_information,
     coherent_information_diagonal,
     degrading_channel,
     degrading_map,
-    capacity_root,
     golden_section_max,
     quantum_capacities,
     quantum_capacity,
