@@ -153,20 +153,10 @@ def extended_state(ch: TransferChannel, inp: QubitInput) -> np.ndarray:
         lam, v = np.linalg.eigh(inp.matrix)
         lams = np.clip(lam, 0.0, None)
         vecs = v.T  # rows are eigenvectors
-    a1, a2 = ch.kraus()
-    out = np.zeros((4, 4), dtype=complex)
-    for k in (a1, a2):
-        # (K (x) I) |psi> with |psi> = sum_i sqrt(lam_i) |u_i>|i>;
-        # output index major, reference index minor.
-        joint = np.zeros(4, dtype=complex)
-        for i, (lv, vec) in enumerate(zip(lams, vecs)):
-            if lv <= 0.0:
-                continue
-            w = np.sqrt(lv) * (k @ vec)
-            joint[i] += w[0]       # |0_out, i_ref>
-            joint[2 + i] += w[1]   # |1_out, i_ref>
-        out += np.outer(joint, joint.conj())
-    return out
+    # row k is (K_k (x) I) |psi> with |psi> = sum_i sqrt(lam_i) |u_i>|i>,
+    # output index major, reference index minor
+    j = (np.stack(ch.kraus()) @ (vecs.T * np.sqrt(lams))).reshape(2, 4)
+    return j.T @ j.conj()
 
 
 def extended_apply(ch: TransferChannel, p: float) -> np.ndarray:

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jcchannel import lindblad
 from jcchannel.jc import JCParams, joint_unitary, transfer_amplitude
 from jcchannel.lindblad import (
+    ORACLE_ATOL,
     DecayParams,
+    StepFailure,
     closed_form_state,
     decay_degradability,
     decayed_conversion,
@@ -131,6 +134,77 @@ def test_integrator_preserves_trace_and_positivity():
     d = DecayParams(kappa=0.5, gamma_at=0.05)
     out = integrate_master_equation(jc, d, _joint_init(_REF_INPUT), 3.0)
     check_state(out)
+
+
+def _recorded_ladders(monkeypatch):
+    """Patch lindblad._rk4_run to record the step count of every run."""
+    ladder = []
+    real = lindblad._rk4_run
+
+    def recording(sup, init, t, steps):
+        ladder.append(steps)
+        return real(sup, init, t, steps)
+
+    monkeypatch.setattr(lindblad, "_rk4_run", recording)
+    return ladder
+
+
+def _sequential_rk4(jc, d, init, t):
+    """Reference: one RK4 step at a time, halving until two runs agree.
+
+    Returns the state and the ladder of step counts it ran.
+    """
+    sup = lindblad._liouvillian(jc, d)
+    scale = max(1.0, jc.rabi, abs(jc.nu), abs(jc.delta), d.kappa, d.gamma_at)
+    steps = max(16, math.ceil(4.0 * t * scale))
+    ladder, prev = [], None
+    while True:
+        hl = (t / steps) * sup
+        step = np.eye(16) + hl @ (np.eye(16) + hl @ (np.eye(16) / 2 + hl @ (np.eye(16) / 6 + hl / 24)))
+        y = init.reshape(16).astype(complex)
+        for _ in range(steps):
+            y = step @ y
+        ladder.append(steps)
+        if prev is not None and np.max(np.abs(y - prev)) < ORACLE_ATOL:
+            return y.reshape(4, 4), ladder
+        prev, steps = y, steps * 2
+
+
+def test_integrator_power_matches_sequential_steps(monkeypatch):
+    rng = np.random.default_rng(808)
+    wide = []
+    for _ in range(4):
+        t = float(rng.uniform(5.0, 30.0))
+        jc = JCParams.from_detuning(
+            g=float(rng.uniform(0.2, 2.0)), delta=float(rng.uniform(-3.0, 3.0)), t=t, nu=0.3
+        )
+        wide.append((jc, DecayParams(float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 1.0))), t))
+    init = _joint_init(_REF_INPUT)
+    ladder = _recorded_ladders(monkeypatch)
+    for jc, d, t in oracle_grid()[::11] + wide:
+        ladder.clear()
+        powered = integrate_master_equation(jc, d, init, t)
+        reference, ref_ladder = _sequential_rk4(jc, d, init, t)
+        if t == 0.0:
+            assert ladder == [] and np.array_equal(powered, init)
+            continue
+        assert ladder == ref_ladder
+        assert np.max(np.abs(powered - reference)) < 1e-12
+
+
+def test_integrator_step_cap_raises_before_running_past_it(monkeypatch):
+    ladder = _recorded_ladders(monkeypatch)
+    jc = JCParams.resonant(g=1.0, t=1.0)
+    init = _joint_init(_REF_INPUT)
+    # the first run alone would pass the cap: no run at all
+    with pytest.raises(StepFailure):
+        integrate_master_equation(jc, DecayParams(0.1, 0.0), init, 6e5)
+    assert ladder == []
+    # the first run fits, its doubling would not: one run, then the error
+    t = 0.75 * lindblad._MAX_STEPS / 4.0
+    with pytest.raises(StepFailure):
+        integrate_master_equation(jc, DecayParams(0.1, 0.0), init, t)
+    assert len(ladder) == 1 and ladder[0] <= lindblad._MAX_STEPS < 2 * ladder[0]
 
 
 def test_integrator_rejects_bad_shape():
