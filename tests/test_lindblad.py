@@ -184,10 +184,10 @@ def test_integrator_power_matches_sequential_steps(monkeypatch):
     for jc, d, t in oracle_grid()[::11] + wide:
         ladder.clear()
         powered = integrate_master_equation(jc, d, init, t)
-        reference, ref_ladder = _sequential_rk4(jc, d, init, t)
         if t == 0.0:
             assert ladder == [] and np.array_equal(powered, init)
             continue
+        reference, ref_ladder = _sequential_rk4(jc, d, init, t)
         assert ladder == ref_ladder
         assert np.max(np.abs(powered - reference)) < 1e-12
 
