@@ -8,7 +8,9 @@ passed in; the closed-form state and the decayed channel amplitudes are
 read off its entries.  An independent fixed-step RK4 integrator over the
 full Liouvillian serves as the oracle for those closed forms; it applies
 its n steps as the n-th power of the one-step map, by repeated squaring,
-and raises StepFailure before running a step count past its cap.
+and raises StepFailure before running a step count past its cap.  It, the
+closed-form state and the decayed conversion raise ValueError unless their
+time t is finite and nonnegative.
 
 derive_constants supplies the constants of the paper's separate sign
 expression for degradability.  Their conventions are fixed against the
@@ -42,6 +44,11 @@ from .qmat import QubitInput
 
 ORACLE_ATOL = 1e-10
 _MAX_STEPS = 1 << 21
+
+
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"time t must be finite and nonnegative, got {t!r}")
 
 
 class StepFailure(RuntimeError):
@@ -109,6 +116,7 @@ def closed_form_state(jc: JCParams, d: DecayParams, init: QubitInput, t: float) 
     Returns the 4x4 matrix over |down,0>, |down,1>, |up,0>, |up,1>; the
     last row/column is identically zero.
     """
+    _check_time(t)
     phase, keep_photon, to_atom, _ = block_propagator(jc, t, d.kappa, d.gamma_at)
     p, r = init.p, complex(init.r)
     rho = np.zeros((4, 4), dtype=complex)
@@ -161,6 +169,7 @@ def integrate_master_equation(jc: JCParams, d: DecayParams, init: np.ndarray, t:
     would pass _MAX_STEPS.  This routine is the oracle for
     closed_form_state and deliberately shares none of its derivation.
     """
+    _check_time(t)
     init = np.asarray(init, dtype=complex)
     if init.shape != (4, 4):
         raise ValueError("initial state must be 4x4 over the joint basis")
@@ -221,6 +230,7 @@ def decayed_conversion(jc: JCParams, d: DecayParams, t: float) -> DecayedConvers
     h_env = e^{i delta t/2} conj(G00).  The decay constants are derived
     only when asked for.
     """
+    _check_time(t)
     env, keep, _ = block_amplitudes(jc, t, d.kappa, d.gamma_at)
     return DecayedConversion(h_keep=keep, h_env=env, params=jc, decay=d, t=t)
 

@@ -621,3 +621,30 @@ def test_closed_pipe_ends_quietly():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
     assert err == ""
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_calls_sharing_the_parser_leak_nothing(tmp_path, capsys):
+    query = ["capacity", "--g", "1", "--delta", "0.5", "--t", "1.2"]
+    sweep = ["sweep", "--g", "1", "--sweep", "t:0:1:3", "--sweep", "delta:0:1:2"]
+    code, first, _ = run_cli(query, capsys)
+    assert code == 0
+    code, swept, _ = run_cli(sweep, capsys)
+    assert code == 0 and len(swept.splitlines()) == 1 + 3 * 2
+    with pytest.raises(SystemExit) as exc:
+        main(["capacity", "--g", "1", "--t", "nan"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("delta = 2\nnu = 0.3\njson = true\nthreads = 2\n")
+    code, out, _ = run_cli(["capacity", "--config", str(cfg), "--g", "1", "--t", "1.2"], capsys)
+    assert code == 0 and json.loads(out)["delta"] == 2.0
+    code, out, _ = run_cli([*sweep[:3], "--sweep", "t:0:1:2", "--stamp", "--json"], capsys)
+    assert code == 0 and "stamp" in json.loads(out.splitlines()[0])
+    assert run_cli(query, capsys) == (0, first, "")
+    assert run_cli(sweep, capsys)[1] == swept
+    args = build_parser().parse_args(["sweep"])
+    assert (args.sweep, args.config, args.threads, args.nu) == (None, None, None, None)
+    assert not args.json and not args.stamp

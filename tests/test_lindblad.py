@@ -273,3 +273,15 @@ def test_oracle_grid_shape():
     assert len(grid) >= 200
     gs = {params.g for params, _, _ in grid}
     assert gs == {1.0}
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, -3.0])
+@pytest.mark.parametrize("call", [
+    lambda jc, d, t: integrate_master_equation(jc, d, _joint_init(_REF_INPUT), t),
+    lambda jc, d, t: closed_form_state(jc, d, _REF_INPUT, t),
+    lambda jc, d, t: decayed_conversion(jc, d, t),
+], ids=["integrate_master_equation", "closed_form_state", "decayed_conversion"])
+def test_edge_times_raise_a_clear_error(call, t):
+    jc = JCParams.resonant(g=1e-8, t=1.0)
+    with pytest.raises(ValueError, match=r"time t must be finite and nonnegative, got"):
+        call(jc, DecayParams(kappa=0.1, gamma_at=0.0), t)
