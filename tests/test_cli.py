@@ -641,7 +641,7 @@ def test_calls_sharing_the_parser_leak_nothing(tmp_path, capsys):
     cfg.write_text("delta = 2\nnu = 0.3\njson = true\nthreads = 2\n")
     code, out, _ = run_cli(["capacity", "--config", str(cfg), "--g", "1", "--t", "1.2"], capsys)
     assert code == 0 and json.loads(out)["delta"] == 2.0
-    code, out, _ = run_cli([*sweep[:3], "--sweep", "t:0:1:2", "--stamp", "--json"], capsys)
+    code, out, _ = run_cli(["sweep", "--g", "1", "--sweep", "t:0:1:2", "--stamp", "--json"], capsys)
     assert code == 0 and "stamp" in json.loads(out.splitlines()[0])
     assert run_cli(query, capsys) == (0, first, "")
     assert run_cli(sweep, capsys)[1] == swept
