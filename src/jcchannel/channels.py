@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import jc
-from .qmat import QubitInput
+from .qmat import STATE_TOL, QubitInput
 
 _AMP_TOL = 1e-9
 
@@ -46,16 +46,18 @@ class TransferChannel:
         return min(abs(complex(self.h_env)) ** 2, 1.0)
 
     def apply(self, inp: QubitInput) -> np.ndarray:
+        return self.outputs(inp.p, inp.r)
+
+    def outputs(self, p, r) -> np.ndarray:
+        """Output of the input (p, r), stacked on the last two axes for arrays p and r."""
         h = complex(self.h_keep)
         a = abs(h) ** 2
-        out = np.array(
-            [
-                [1.0 - inp.p * a, inp.r * h],
-                [np.conj(inp.r * h), inp.p * a],
-            ],
-            dtype=complex,
-        )
-        return out
+        # r h from real products, as Python multiplies complex numbers: a stack member is apply's
+        rh = np.empty(np.broadcast(p, r).shape, dtype=complex)
+        rh.real = np.real(r) * h.real - np.imag(r) * h.imag
+        rh.imag = np.real(r) * h.imag + np.imag(r) * h.real
+        cells = np.broadcast_arrays(1.0 - np.multiply(p, a), rh, np.conj(rh), np.multiply(p, a))
+        return np.stack(cells, axis=-1).reshape(rh.shape + (2, 2))
 
     @staticmethod
     def accepts(keep_abs, env_abs, keep_sq, env_sq) -> np.ndarray:
@@ -147,18 +149,20 @@ def extended_state(ch: TransferChannel, inp: QubitInput) -> np.ndarray:
     basis choice cannot affect any entropy).
     """
     if abs(inp.r) == 0.0:
-        vecs = np.eye(2, dtype=complex)
-        lams = np.array([1.0 - inp.p, inp.p])
-    else:
-        lam, v = np.linalg.eigh(inp.matrix)
-        lams = np.clip(lam, 0.0, None)
-        vecs = v.T  # rows are eigenvectors
-    # row k is (K_k (x) I) |psi> with |psi> = sum_i sqrt(lam_i) |u_i>|i>,
-    # output index major, reference index minor
-    j = (np.stack(ch.kraus()) @ (vecs.T * np.sqrt(lams))).reshape(2, 4)
-    return j.T @ j.conj()
+        return extended_apply(ch, inp.p)
+    lam, v = np.linalg.eigh(inp.matrix)  # columns of v are eigenvectors
+    return _extended(ch, v * np.sqrt(np.clip(lam, 0.0, None)))
 
 
-def extended_apply(ch: TransferChannel, p: float) -> np.ndarray:
-    """Extended channel on the canonical purification of diag(1-p, p)."""
-    return extended_state(ch, QubitInput(p=p, r=0.0))
+def extended_apply(ch: TransferChannel, p) -> np.ndarray:
+    """Extended channel on the canonical purification of diag(1-p, p), stacked for an array p."""
+    if not np.all((-STATE_TOL <= np.asarray(p)) & (np.asarray(p) <= 1.0 + STATE_TOL)):
+        raise ValueError(f"population {p} outside [0, 1]")
+    return _extended(ch, np.eye(2) * np.sqrt(np.stack([1.0 - p, p], axis=-1))[..., None, :])
+
+
+def _extended(ch: TransferChannel, psi: np.ndarray) -> np.ndarray:
+    # psi[..., i, k] = sqrt(lam_k) <i|u_k>; row k of j is (K_k (x) I) |psi> with
+    # |psi> = sum_k sqrt(lam_k) |u_k>|k>, output index major, reference index minor
+    j = (np.stack(ch.kraus()) @ psi[..., None, :, :]).reshape(psi.shape[:-2] + (2, 4))
+    return j.swapaxes(-1, -2) @ j.conj()

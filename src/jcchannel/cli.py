@@ -56,7 +56,7 @@ from .channels import (
 from .jc import JCParams, block_amplitude_columns
 from .lindblad import DecayParams, closed_form_state, decayed_conversion
 from .qmat import QubitInput, trace_distance
-from .verify import run_verify
+from .verify import random_inputs, run_verify
 
 # Every model parameter once, in CSV column order, then nu (not a column):
 # name -> (test a value must pass, the rule it states).  Every value must
@@ -591,14 +591,8 @@ def _cmd_degrade(args, parser) -> int:
         return 1
     composed = compose(ch, reception_channel(second))
     target = ch.complement()
-    rng = np.random.default_rng(7)
-    dist = 0.0
-    for _ in range(20):
-        p = float(rng.uniform(0, 1))
-        mag = math.sqrt(p * (1 - p)) * float(rng.uniform(0, 1))
-        ph = float(rng.uniform(0, 2 * math.pi))
-        probe = QubitInput(p=p, r=mag * complex(math.cos(ph), math.sin(ph)))
-        dist = max(dist, trace_distance(composed.apply(probe), target.apply(probe)))
+    p, r = random_inputs(np.random.default_rng(7), 20)
+    dist = float(np.max(trace_distance(composed.outputs(p, r), target.outputs(p, r))))
     if args.json:
         lines = [json.dumps({
             "g2": second.g, "t2": second.t, "nu2": second.nu,

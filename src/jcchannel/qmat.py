@@ -4,6 +4,10 @@ Everything in this package works with plain complex numpy arrays as density
 matrices.  The helpers here validate them, take eigenvalues and partial
 traces, and compute entropies in bits.  Only the two sizes that occur in
 the physics (a qubit and a pair of qubits) are supported.
+
+The matrix helpers also take a stack (..., n, n) and answer per matrix in
+one numpy call: a matrix gives the same floats alone or in a stack, and a
+stack raises the error its first bad member raises alone.
 """
 
 from __future__ import annotations
@@ -31,30 +35,31 @@ class DomainError(ValueError):
 
 def _as_square(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] not in (2, 4):
-        raise DimensionError(f"only 2x2 and 4x4 supported, got {a.shape[0]}x{a.shape[0]}")
+    if a.shape[-1] not in (2, 4):
+        raise DimensionError(f"only 2x2 and 4x4 supported, got {a.shape[-1]}x{a.shape[-1]}")
     if not np.all(np.isfinite(a.view(float))):
         raise ValueError("matrix contains NaN or Inf entries")
     return a
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of a Hermitian 2x2 or 4x4 matrix, descending.
+    """Eigenvalues of a Hermitian 2x2 or 4x4 matrix, descending, on the last axis.
 
-    The 2x2 case uses the closed quadratic form.  The 4x4 case delegates
-    to numpy's Hermitian solver.  Raises NonHermitianInput if the matrix
-    deviates from its conjugate transpose by more than 1e-9.
+    The 2x2 case uses the closed quadratic form (|m01| by libm's hypot), the
+    4x4 case numpy's Hermitian solver.  Raises NonHermitianInput if the
+    matrix deviates from its conjugate transpose by more than 1e-9.
     """
     a = _as_square(m)
-    if np.max(np.abs(a - a.conj().T)) > HERMITICITY_TOL:
+    if np.max(np.abs(a - a.conj().swapaxes(-1, -2))) > HERMITICITY_TOL:
         raise NonHermitianInput("matrix is not Hermitian within 1e-9")
-    if a.shape[0] == 2:
-        mean = 0.5 * (a[0, 0].real + a[1, 1].real)
-        disc = np.hypot(0.5 * (a[0, 0].real - a[1, 1].real), abs(a[0, 1]))
-        return np.array([mean + disc, mean - disc])
-    return np.linalg.eigvalsh(a)[::-1]
+    if a.shape[-1] == 2:
+        d0, d1, off = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 0, 1]
+        mean = 0.5 * (d0 + d1)
+        disc = np.hypot(0.5 * (d0 - d1), np.hypot(off.real, off.imag))
+        return np.stack([mean + disc, mean - disc], axis=-1)
+    return np.linalg.eigvalsh(a)[..., ::-1]
 
 
 def von_neumann_entropy(m) -> float:
@@ -65,11 +70,12 @@ def von_neumann_entropy(m) -> float:
     that is not positive semidefinite, which is a bug, so raise.
     """
     lam = hermitian_eigenvalues(m)
-    if lam[-1] < EIG_FLOOR:
-        raise ValueError(f"eigenvalue {lam[-1]} below the -1e-10 noise floor")
-    lam = np.clip(lam, 0.0, None)
-    lam = lam[lam > 1e-12]
-    return float(-np.sum(lam * np.log2(lam)))
+    low = lam[..., -1][lam[..., -1] < EIG_FLOOR]
+    if low.size:
+        raise ValueError(f"eigenvalue {low[0]} below the -1e-10 noise floor")
+    lam = np.where(lam > 1e-12, lam, 1.0)  # 1 log2 1 = 0: the rest drop out
+    s = -np.sum(lam * np.log2(lam), axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def binary_entropy(x: float) -> float:
@@ -98,32 +104,34 @@ def partial_trace(m, keep: str) -> np.ndarray:
     keep='first' returns the sys1 state, keep='second' the sys2 state.
     """
     a = _as_square(m)
-    if a.shape[0] != 4:
+    if a.shape[-1] != 4:
         raise DimensionError("partial_trace needs a 4x4 matrix")
-    t = a.reshape(2, 2, 2, 2)
+    t = a.reshape(a.shape[:-2] + (2, 2, 2, 2))
     if keep == "first":
-        return np.einsum("ikjk->ij", t)
+        return np.einsum("...ikjk->...ij", t)
     if keep == "second":
-        return np.einsum("kikj->ij", t)
+        return np.einsum("...kikj->...ij", t)
     raise ValueError("keep must be 'first' or 'second'")
 
 
 def check_state(m) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, eigenvalues >= -1e-10."""
     a = _as_square(m)
-    if np.max(np.abs(a - a.conj().T)) > STATE_TOL:
+    if np.max(np.abs(a - a.conj().swapaxes(-1, -2))) > STATE_TOL:
         raise NonHermitianInput("state deviates from Hermiticity beyond 1e-12")
-    if abs(np.trace(a).real - 1.0) > STATE_TOL or abs(np.trace(a).imag) > STATE_TOL:
-        raise ValueError(f"state trace {np.trace(a)} is not 1 within 1e-12")
-    if hermitian_eigenvalues(a)[-1] < EIG_FLOOR:
+    tr = np.trace(a, axis1=-2, axis2=-1)
+    if np.max(np.abs(tr.real - 1.0)) > STATE_TOL or np.max(np.abs(tr.imag)) > STATE_TOL:
+        raise ValueError(f"state trace {tr} is not 1 within 1e-12")
+    if np.min(hermitian_eigenvalues(a)[..., -1]) < EIG_FLOOR:
         raise ValueError("state has an eigenvalue below -1e-10")
     return a
 
 
 def trace_distance(a, b) -> float:
-    """Half the trace norm of (a - b) for Hermitian matrices."""
+    """Half the trace norm of (a - b) for Hermitian matrices or stacks of them."""
     lam = hermitian_eigenvalues(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))
-    return float(0.5 * np.sum(np.abs(lam)))
+    d = 0.5 * np.sum(np.abs(lam), axis=-1)
+    return float(d) if d.ndim == 0 else d
 
 
 @dataclass(frozen=True)
@@ -154,6 +162,6 @@ class QubitInput:
     @classmethod
     def from_matrix(cls, m) -> "QubitInput":
         a = check_state(m)
-        if a.shape[0] != 2:
+        if a.shape != (2, 2):
             raise DimensionError("QubitInput.from_matrix needs a 2x2 state")
         return cls(p=float(a[1, 1].real), r=complex(a[0, 1]))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import capacity as cap
 from . import channels, jc, lindblad
-from .qmat import QubitInput, binary_entropy, hermitian_eigenvalues, trace_distance
+from .qmat import QubitInput, hermitian_eigenvalues, trace_distance, von_neumann_entropy
 
 # Exhaustive p-grid maxima of H2(a p) - H2((1-a) p) at step 1e-5,
 # computed once with capacity_grid_oracle and frozen.
@@ -32,6 +32,20 @@ GRID_ORACLE_Q_090 = 0.7094182634666657
 _DECAY_INPUT = QubitInput(p=0.6, r=0.25 + 0.31j)
 
 _SEED = 20260817
+
+# every check's tolerance, by suite: a check fails where its deviation exceeds it
+TOLERANCES = {
+    "kraus-completeness": {"completeness": 1e-12},
+    "unitary-oracle": {"unitary": 1e-9},
+    "amplitude-completeness": {"norm": 1e-12},
+    "degrading-composition": {"composition": 1e-9},
+    "capacity-goldens": {"exact": 0.0, "p_star": 1e-15, "grid": 1e-6, "stored_grid": 1e-12, "golden": 1e-15},
+    "coherent-info-two-route": {"rank": 1e-10, "route": 1e-9},
+    "concatenation-law": {"product": 1e-12, "phase": 1e-10},
+    "lindblad-closed-form": {"closed_form": 1e-6, "decay_free": 1e-9},
+    "degradability-equivalence": {"tie_band": 1e-10},
+    "capacity-monotonicity": {"drop": 1e-12, "edge": 1e-4},
+}
 
 
 @dataclass(frozen=True)
@@ -71,26 +85,32 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
     The argument is scaled by 2^-k until its max-column-sum norm is at
     most 1/4, the series is summed until the next term falls below 1e-13
     relative to the running sum, and the result is squared k times.
-    Deliberately independent of any spectral decomposition.
+    Deliberately independent of any spectral decomposition.  In a stack
+    (..., n, n) each matrix has its own k, terms and squarings: the floats
+    it gives alone.
     """
     a = np.asarray(m, dtype=complex)
-    norm = float(np.max(np.sum(np.abs(a), axis=0)))
-    k = 0
-    while norm > 0.25:
-        norm *= 0.5
-        k += 1
-    a = a / (2.0**k)
-    n = a.shape[0]
-    total = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
+    stack = a.reshape((-1,) + a.shape[-2:])
+    norm = np.max(np.sum(np.abs(stack), axis=1), axis=1)
+    k = np.zeros(len(stack), dtype=int)
+    while np.any(norm > 0.25):
+        big = norm > 0.25
+        norm, k = np.where(big, norm * 0.5, norm), k + big
+    stack = stack / (2.0**k)[:, None, None]
+    total = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), stack.shape).copy()
+    term = total.copy()
+    live = np.arange(len(stack))  # matrices still adding terms
     for j in range(1, 40):
-        term = term @ a / j
-        total = total + term
-        if np.max(np.abs(term)) < 1e-13 * max(1.0, np.max(np.abs(total))):
+        term[live] = term[live] @ stack[live] / j
+        total[live] = total[live] + term[live]
+        big = np.max(np.abs(total[live]), axis=(1, 2))
+        live = live[np.max(np.abs(term[live]), axis=(1, 2)) >= 1e-13 * np.maximum(1.0, big)]
+        if not live.size:
             break
-    for _ in range(k):
-        total = total @ total
-    return total
+    for s in range(int(np.max(k, initial=0))):
+        sq = np.flatnonzero(k > s)
+        total[sq] = total[sq] @ total[sq]
+    return total.reshape(a.shape)
 
 
 def _random_params(rng: np.random.Generator) -> jc.JCParams:
@@ -102,11 +122,11 @@ def _random_params(rng: np.random.Generator) -> jc.JCParams:
     )
 
 
-def _random_input(rng: np.random.Generator) -> QubitInput:
-    p = float(rng.uniform(0.0, 1.0))
-    mag = math.sqrt(p * (1.0 - p)) * float(rng.uniform(0.0, 1.0))
-    phase = float(rng.uniform(0.0, 2.0 * math.pi))
-    return QubitInput(p=p, r=mag * complex(math.cos(phase), math.sin(phase)))
+def random_inputs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (p, r) of n qubit inputs, drawing p, the share of the largest |r| and its phase in turn."""
+    p, share, phase = rng.uniform(0.0, (1.0, 1.0, 2.0 * math.pi), size=(n, 3)).T
+    mag = np.sqrt(p * (1.0 - p)) * share
+    return p, mag * np.cos(phase) + 1j * (mag * np.sin(phase))
 
 
 def _random_unit_channel(rng: np.random.Generator, lo: float, hi: float) -> channels.TransferChannel:
@@ -119,9 +139,15 @@ def _random_unit_channel(rng: np.random.Generator, lo: float, hi: float) -> chan
     )
 
 
+def _first(failing: np.ndarray, describe) -> str:
+    """describe(*index) of the first True of failing in C order, the loop order of the checks; else ""."""
+    hits = np.flatnonzero(failing)
+    return describe(*np.unravel_index(hits[0], failing.shape)) if hits.size else ""
+
+
 def _suite(name, fn, level):
     start = time.perf_counter()
-    max_dev, detail = fn(level)
+    max_dev, detail = fn(level, TOLERANCES[name])
     elapsed = time.perf_counter() - start
     return SuiteResult(
         name=name,
@@ -132,7 +158,7 @@ def _suite(name, fn, level):
     )
 
 
-def _kraus_completeness(level: str):
+def _kraus_completeness(level: str, tol: dict):
     rng = np.random.default_rng(_SEED)
     n = 1000 if level == "full" else 150
     worst, detail = 0.0, ""
@@ -143,29 +169,27 @@ def _kraus_completeness(level: str):
         dev = float(np.max(np.abs(a1.conj().T @ a1 + a2.conj().T @ a2 - eye)))
         if dev > worst:
             worst = dev
-            if dev > 1e-12 and not detail:
+            if dev > tol["completeness"] and not detail:
                 detail = f"completeness broken at {params}"
     return worst, detail
 
 
-def _unitary_oracle(level: str):
+def _unitary_oracle(level: str, tol: dict):
     npts = 10 if level == "full" else 5
-    worst, detail = 0.0, ""
-    for t in np.linspace(0.0, 2.0 * math.pi, npts):
-        for delta in np.linspace(-3.0, 3.0, npts):
-            for nu in np.linspace(-2.0, 2.0, npts):
-                params = jc.JCParams.from_detuning(g=1.0, delta=float(delta), t=float(t), nu=float(nu))
-                closed = jc.joint_unitary(params)
-                numeric = expm_taylor(-1j * params.t * jc.hamiltonian(params))
-                dev = float(np.max(np.abs(closed - numeric)))
-                if dev > worst:
-                    worst = dev
-                    if dev > 1e-9 and not detail:
-                        detail = f"unitary mismatch at {params}"
-    return worst, detail
+    grid = [
+        jc.JCParams.from_detuning(g=1.0, delta=float(delta), t=float(t), nu=float(nu))
+        for t in np.linspace(0.0, 2.0 * math.pi, npts)
+        for delta in np.linspace(-3.0, 3.0, npts)
+        for nu in np.linspace(-2.0, 2.0, npts)
+    ]
+    closed = np.array([jc.joint_unitary(params) for params in grid])
+    numeric = expm_taylor(np.array([-1j * params.t * jc.hamiltonian(params) for params in grid]))
+    devs = np.max(np.abs(closed - numeric), axis=(1, 2))
+    detail = _first(devs > tol["unitary"], lambda i: f"unitary mismatch at {grid[i]}")
+    return float(np.max(devs)), detail
 
 
-def _amplitude_completeness(level: str):
+def _amplitude_completeness(level: str, tol: dict):
     rng = np.random.default_rng(_SEED + 1)
     n = 1000 if level == "full" else 150
     worst, detail = 0.0, ""
@@ -176,36 +200,30 @@ def _amplitude_completeness(level: str):
         dev = max(abs(send - 1.0), abs(recv - 1.0))
         if dev > worst:
             worst = dev
-            if dev > 1e-12 and not detail:
+            if dev > tol["norm"] and not detail:
                 detail = f"amplitude norm broken at {params}"
     return worst, detail
 
 
-def _degrading_composition(level: str):
+def _degrading_composition(level: str, tol: dict):
     rng = np.random.default_rng(_SEED + 2)
     n_ch = 100 if level == "full" else 10
     n_in = 20 if level == "full" else 5
-    worst, detail = 0.0, ""
-    for side in ("degradable", "anti-degradable"):
+    sampled, mapped, target = [], [], []
+    for side, lo, hi in (("degradable", 0.5, 1.0), ("anti-degradable", 0.0, 0.5)):
         for _ in range(n_ch):
-            if side == "degradable":
-                ch = _random_unit_channel(rng, 0.5, 1.0)
-                better, target = ch, ch.complement()
-            else:
-                ch = _random_unit_channel(rng, 0.0, 0.5)
-                better, target = ch.complement(), ch
-            mapped = channels.compose(better, cap.degrading_channel(better))
-            for _ in range(n_in):
-                inp = _random_input(rng)
-                dev = trace_distance(mapped.apply(inp), target.apply(inp))
-                if dev > worst:
-                    worst = dev
-                    if dev > 1e-9 and not detail:
-                        detail = f"{side} composition off at {ch}"
-    return worst, detail
+            ch = _random_unit_channel(rng, lo, hi)
+            better, worse = (ch, ch.complement()) if side == "degradable" else (ch.complement(), ch)
+            p, r = random_inputs(rng, n_in)
+            sampled.append((side, ch))
+            mapped.append(channels.compose(better, cap.degrading_channel(better)).outputs(p, r))
+            target.append(worse.outputs(p, r))
+    devs = trace_distance(np.array(mapped), np.array(target))
+    detail = _first(devs > tol["composition"], lambda c, _: "{} composition off at {}".format(*sampled[c]))
+    return float(np.max(devs)), detail
 
 
-def _capacity_goldens(level: str):
+def _capacity_goldens(level: str, tol: dict):
     worst, detail = 0.0, ""
 
     def check(dev, tol, what):
@@ -231,57 +249,53 @@ def _capacity_goldens(level: str):
         dev = max(abs(one.q - many.q), abs(one.p_star - many.p_star))
         if one.status is not many.status:
             dev = math.inf
-        check(dev, 0.0, f"column capacity differs from the one-point one at {ch}")
+        check(dev, tol["exact"], f"column capacity differs from the one-point one at {ch}")
 
     perfect = scalar[0]
-    check(abs(perfect.q - 1.0), 0.0, "Q at unit transfer is not exactly 1")
-    check(abs(perfect.p_star - 0.5), 0.0, "p_star at unit transfer is not exactly 1/2")
+    check(abs(perfect.q - 1.0), tol["exact"], "Q at unit transfer is not exactly 1")
+    check(abs(perfect.p_star - 0.5), tol["exact"], "p_star at unit transfer is not exactly 1/2")
 
     for a, res in zip(shares[:3], scalar[1:4]):
-        check(res.q, 0.0, f"Q not exactly 0 at keep share {a}")
+        check(res.q, tol["exact"], f"Q not exactly 0 at keep share {a}")
 
     # at a = 3/4, ap = 1/3 and (1 - a)p = 1/9 make both log terms 0.75 ln 2
-    check(abs(scalar[4].p_star - 4.0 / 9.0), 1e-15, "p_star at keep share 3/4 is not 4/9")
+    check(abs(scalar[4].p_star - 4.0 / 9.0), tol["p_star"], "p_star at keep share 3/4 is not 4/9")
 
     for (a, stored), one in zip(goldens, scalar[4:]):
-        check(abs(one.q - stored), 1e-6, f"optimizer disagrees with stored grid value at {a}")
+        check(abs(one.q - stored), tol["grid"], f"optimizer disagrees with stored grid value at {a}")
         if level == "full":
             fresh, _ = cap.capacity_grid_oracle(a, step=1e-5)
-            check(abs(one.q - fresh), 1e-6, f"optimizer disagrees with fresh grid oracle at {a}")
-            check(abs(fresh - stored), 1e-12, f"stored grid value stale at {a}")
+            check(abs(one.q - fresh), tol["grid"], f"optimizer disagrees with fresh grid oracle at {a}")
+            check(abs(fresh - stored), tol["stored_grid"], f"stored grid value stale at {a}")
 
     # golden-section search is a second, independent maximizer: no Q below its maximum
     for ch, one in zip(chs[4:], scalar[4:]):
         a = ch.keep_prob
         _, best = cap.golden_section_max(lambda p: cap.coherent_information_diagonal(a, p), 0.0, 1.0)
-        check(best - one.q, 1e-15, f"Q below the golden-section maximum at keep share {a}")
+        check(best - one.q, tol["golden"], f"Q below the golden-section maximum at keep share {a}")
     return worst, detail
 
 
-def _coherent_info_two_route(level: str):
-    npts = 51 if level == "full" else 11
-    worst, detail = 0.0, ""
-    for a in np.linspace(0.0, 1.0, npts):
+def _coherent_info_two_route(level: str, tol: dict):
+    grid = np.linspace(0.0, 1.0, 51 if level == "full" else 11)
+    closed, outputs, extended = [], [], []
+    for a in grid:
         ph = complex(math.cos(0.3 * math.pi * a), math.sin(0.3 * math.pi * a))
-        ch = channels.TransferChannel(
-            h_keep=math.sqrt(float(a)) * ph, h_env=math.sqrt(1.0 - float(a))
-        )
-        for p in np.linspace(0.0, 1.0, npts):
-            closed = cap.coherent_information_diagonal(float(a), float(p))
-            eigen = cap.coherent_information(ch, float(p))
-            dev = abs(closed - eigen)
-            lam = hermitian_eigenvalues(channels.extended_apply(ch, float(p)))
-            rank_dev = float(max(abs(lam[2]), abs(lam[3])))
-            if rank_dev > 1e-10 and not detail:
-                detail = f"extended state exceeds rank 2 at a={a} p={p}"
-            if dev > worst:
-                worst = dev
-                if dev > 1e-9 and not detail:
-                    detail = f"route mismatch at a={a} p={p}"
-    return worst, detail
+        ch = channels.TransferChannel(h_keep=math.sqrt(float(a)) * ph, h_env=math.sqrt(1.0 - float(a)))
+        closed.append([cap.coherent_information_diagonal(float(a), float(p)) for p in grid])
+        outputs.append(ch.outputs(grid, 0.0))
+        extended.append(channels.extended_apply(ch, grid))
+    # the eigenvalue route of capacity.coherent_information, over the whole (a, p) grid
+    extended = np.array(extended)
+    devs = np.abs(np.array(closed) - (von_neumann_entropy(np.array(outputs)) - von_neumann_entropy(extended)))
+    rank_devs = np.max(np.abs(hermitian_eigenvalues(extended)[..., 2:]), axis=-1)
+    failing = np.stack([rank_devs > tol["rank"], devs > tol["route"]], axis=-1)
+    what = ("extended state exceeds rank 2", "route mismatch")
+    detail = _first(failing, lambda i, j, k: f"{what[k]} at a={grid[i]} p={grid[j]}")
+    return float(np.max(devs)), detail
 
 
-def _concatenation_law(level: str):
+def _concatenation_law(level: str, tol: dict):
     rng = np.random.default_rng(_SEED + 3)
     n = 1000 if level == "full" else 100
     worst, detail = 0.0, ""
@@ -298,7 +312,7 @@ def _concatenation_law(level: str):
         dev = abs(chained.keep_prob - product)
         if dev > worst:
             worst = dev
-            if dev > 1e-12 and not detail:
+            if dev > tol["product"] and not detail:
                 detail = f"product law broken at {e1}, T={tr}, {e2}"
         plain = channels.TransferChannel(
             h_keep=math.sqrt(chained.keep_prob),
@@ -307,7 +321,7 @@ def _concatenation_law(level: str):
         qdev = abs(cap.quantum_capacity(chained).q - cap.quantum_capacity(plain).q)
         if qdev > worst:
             worst = qdev
-            if qdev > 1e-10 and not detail:
+            if qdev > tol["phase"] and not detail:
                 detail = f"capacity not phase-invariant at {e1}, T={tr}, {e2}"
     return worst, detail
 
@@ -328,7 +342,7 @@ def _lindblad_points(level: str):
     return grid[::11]  # 20-point subset
 
 
-def _lindblad_closed_form(level: str):
+def _lindblad_closed_form(level: str, tol: dict):
     worst, detail = 0.0, ""
     init = _joint_init(_DECAY_INPUT)
     for params, decay, t in _lindblad_points(level):
@@ -337,7 +351,7 @@ def _lindblad_closed_form(level: str):
         dev = float(np.max(np.abs(closed - numeric)))
         if dev > worst:
             worst = dev
-            if dev > 1e-6 and not detail:
+            if dev > tol["closed_form"] and not detail:
                 detail = f"closed form off at {params} {decay} t={t}"
     # decay-free limit must reduce to the pure oscillation
     no_decay = lindblad.DecayParams(kappa=0.0, gamma_at=0.0)
@@ -350,14 +364,14 @@ def _lindblad_closed_form(level: str):
         )
         if dev > worst:
             worst = dev
-            if dev > 1e-9 and not detail:
+            if dev > tol["decay_free"] and not detail:
                 detail = f"decay-free limit broken at g t={gt}"
     return worst, detail
 
 
-def _degradability_equivalence(level: str):
+def _degradability_equivalence(level: str, tol: dict):
     worst, detail = 0.0, ""
-    band = 1e-10
+    band = tol["tie_band"]
     for params, decay, t in _lindblad_points(level):
         conv = lindblad.decayed_conversion(params, decay, t)
         gap = abs(conv.h_keep) ** 2 - abs(conv.h_env) ** 2
@@ -375,7 +389,7 @@ def _degradability_equivalence(level: str):
     return worst, detail
 
 
-def _capacity_monotonicity(level: str):
+def _capacity_monotonicity(level: str, tol: dict):
     worst, detail = 0.0, ""
     qs = []
     for a in np.linspace(0.5, 1.0, 101):
@@ -385,13 +399,13 @@ def _capacity_monotonicity(level: str):
         drop = qs[i] - qs[i + 1]
         if drop > worst:
             worst = drop
-        if drop > 1e-12 and not detail:
+        if drop > tol["drop"] and not detail:
             detail = f"Q decreases between grid points {i} and {i + 1}"
     edge = channels.TransferChannel(
         h_keep=math.sqrt(0.5 + 1e-6), h_env=math.sqrt(0.5 - 1e-6)
     )
     q_edge = cap.quantum_capacity(edge).q
-    if q_edge >= 1e-4 and not detail:
+    if q_edge >= tol["edge"] and not detail:
         detail = f"Q jumps at the boundary: Q(0.5 + 1e-6) = {q_edge}"
     worst = max(worst, q_edge)
     return worst, detail

@@ -160,3 +160,58 @@ def test_qubit_input_matrix_is_a_state(q):
 def test_entropy_bounds(q):
     s = von_neumann_entropy(q.matrix)
     assert -1e-12 <= s <= 1.0 + 1e-12
+
+
+def _seeded_states(rng, n, count):
+    a = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    rho = a @ a.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_stacked_helpers_equal_single_calls(n):
+    rng = np.random.default_rng(20261018 + n)
+    herm = rng.normal(size=(3, 5, n, n)) + 1j * rng.normal(size=(3, 5, n, n))
+    herm = herm + herm.conj().swapaxes(-1, -2)
+    first, second = _seeded_states(rng, n, 40), _seeded_states(rng, n, 40)
+    first[3] = np.diag(np.eye(n)[0])  # a pure state: eigenvalues below 1e-12 drop out
+    lam = hermitian_eigenvalues(herm)
+    assert lam.shape == (3, 5, n)
+    for i, j in np.ndindex(3, 5):
+        assert np.array_equal(lam[i, j], hermitian_eigenvalues(herm[i, j]))
+    entropies = von_neumann_entropy(first)
+    distances = trace_distance(first, second)
+    assert entropies.shape == distances.shape == (40,)
+    for k in range(40):
+        assert entropies[k] == von_neumann_entropy(first[k])
+        assert distances[k] == trace_distance(first[k], second[k])
+
+
+def _bad_members():
+    nan = np.eye(2, dtype=complex)
+    nan[0, 1] = np.nan
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    negative = np.diag([1.5, -0.5])
+    return [
+        (hermitian_eigenvalues, nan, ValueError),
+        (hermitian_eigenvalues, skew, NonHermitianInput),
+        (von_neumann_entropy, negative, ValueError),
+    ]
+
+
+@pytest.mark.parametrize("fn, bad, error", _bad_members())
+def test_one_bad_member_fails_a_stack_as_it_fails_alone(fn, bad, error):
+    stack = np.array([np.eye(2) / 2, np.diag([0.25, 0.75]), bad, np.eye(2) / 2])
+    with pytest.raises(error) as alone:
+        fn(bad)
+    with pytest.raises(error) as stacked:
+        fn(stack)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_a_stack_of_3x3_fails_as_one_3x3_does():
+    with pytest.raises(DimensionError) as alone:
+        hermitian_eigenvalues(np.eye(3))
+    with pytest.raises(DimensionError) as stacked:
+        von_neumann_entropy(np.array([np.eye(3)] * 4))
+    assert str(stacked.value) == str(alone.value)
