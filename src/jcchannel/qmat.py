@@ -44,6 +44,12 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
+def _skew(a) -> float:
+    """max |a_ij - conj(a_ji)| over a matrix or stack, one entry pair at a time: small temporaries."""
+    n = a.shape[-1]
+    return max(np.max(np.abs(a[..., i, j] - np.conj(a[..., j, i]))) for i in range(n) for j in range(i, n))
+
+
 def hermitian_eigenvalues(m) -> np.ndarray:
     """Eigenvalues of a Hermitian 2x2 or 4x4 matrix, descending, on the last axis.
 
@@ -52,7 +58,7 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     matrix deviates from its conjugate transpose by more than 1e-9.
     """
     a = _as_square(m)
-    if np.max(np.abs(a - a.conj().swapaxes(-1, -2))) > HERMITICITY_TOL:
+    if _skew(a) > HERMITICITY_TOL:
         raise NonHermitianInput("matrix is not Hermitian within 1e-9")
     if a.shape[-1] == 2:
         d0, d1, off = a[..., 0, 0].real, a[..., 1, 1].real, a[..., 0, 1]
@@ -117,7 +123,7 @@ def partial_trace(m, keep: str) -> np.ndarray:
 def check_state(m) -> np.ndarray:
     """Validate a density matrix: Hermitian, unit trace, eigenvalues >= -1e-10."""
     a = _as_square(m)
-    if np.max(np.abs(a - a.conj().swapaxes(-1, -2))) > STATE_TOL:
+    if _skew(a) > STATE_TOL:
         raise NonHermitianInput("state deviates from Hermiticity beyond 1e-12")
     tr = np.trace(a, axis1=-2, axis2=-1)
     if np.max(np.abs(tr.real - 1.0)) > STATE_TOL or np.max(np.abs(tr.imag)) > STATE_TOL:

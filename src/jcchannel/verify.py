@@ -99,17 +99,19 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
     stack = stack / (2.0**k)[:, None, None]
     total = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), stack.shape).copy()
     term = total.copy()
-    live = np.arange(len(stack))  # matrices still adding terms
     for j in range(1, 40):
-        term[live] = term[live] @ stack[live] / j
-        total[live] = total[live] + term[live]
-        big = np.max(np.abs(total[live]), axis=(1, 2))
-        live = live[np.max(np.abs(term[live]), axis=(1, 2)) >= 1e-13 * np.maximum(1.0, big)]
-        if not live.size:
+        term = term @ stack
+        term /= j
+        total += term
+        # a matrix whose term fell below 1e-13 of its sum adds only zeros from here on
+        big = np.max(np.abs(total), axis=(1, 2))
+        term[np.max(np.abs(term), axis=(1, 2)) < 1e-13 * np.maximum(1.0, big)] = 0.0
+        if not term.any():
             break
     for s in range(int(np.max(k, initial=0))):
         sq = np.flatnonzero(k > s)
-        total[sq] = total[sq] @ total[sq]
+        part = total[sq]
+        total[sq] = part @ part
     return total.reshape(a.shape)
 
 
@@ -139,10 +141,10 @@ def _random_unit_channel(rng: np.random.Generator, lo: float, hi: float) -> chan
     )
 
 
-def _first(failing: np.ndarray, describe) -> str:
-    """describe(*index) of the first True of failing in C order, the loop order of the checks; else ""."""
+def _verdict(devs: np.ndarray, failing: np.ndarray, describe) -> tuple[float, str]:
+    """(max of devs, and describe(*index) of the first True of failing in the checks' loop order, or "")."""
     hits = np.flatnonzero(failing)
-    return describe(*np.unravel_index(hits[0], failing.shape)) if hits.size else ""
+    return float(np.max(devs)), describe(*np.unravel_index(hits[0], failing.shape)) if hits.size else ""
 
 
 def _suite(name, fn, level):
@@ -160,18 +162,12 @@ def _suite(name, fn, level):
 
 def _kraus_completeness(level: str, tol: dict):
     rng = np.random.default_rng(_SEED)
-    n = 1000 if level == "full" else 150
-    worst, detail = 0.0, ""
-    eye = np.eye(2)
-    for _ in range(n):
-        params = _random_params(rng)
-        a1, a2 = jc.kraus_operators(params)
-        dev = float(np.max(np.abs(a1.conj().T @ a1 + a2.conj().T @ a2 - eye)))
-        if dev > worst:
-            worst = dev
-            if dev > tol["completeness"] and not detail:
-                detail = f"completeness broken at {params}"
-    return worst, detail
+    samples = [_random_params(rng) for _ in range(1000 if level == "full" else 150)]
+    devs = np.array([
+        np.max(np.abs(a1.conj().T @ a1 + a2.conj().T @ a2 - np.eye(2)))
+        for a1, a2 in map(jc.kraus_operators, samples)
+    ])
+    return _verdict(devs, devs > tol["completeness"], lambda i: f"completeness broken at {samples[i]}")
 
 
 def _unitary_oracle(level: str, tol: dict):
@@ -182,45 +178,43 @@ def _unitary_oracle(level: str, tol: dict):
         for delta in np.linspace(-3.0, 3.0, npts)
         for nu in np.linspace(-2.0, 2.0, npts)
     ]
-    closed = np.array([jc.joint_unitary(params) for params in grid])
-    numeric = expm_taylor(np.array([-1j * params.t * jc.hamiltonian(params) for params in grid]))
-    devs = np.max(np.abs(closed - numeric), axis=(1, 2))
-    detail = _first(devs > tol["unitary"], lambda i: f"unitary mismatch at {grid[i]}")
-    return float(np.max(devs)), detail
+    numeric = np.empty((len(grid), 4, 4), dtype=complex)
+    for i, params in enumerate(grid):
+        numeric[i] = -1j * params.t * jc.hamiltonian(params)
+    numeric = expm_taylor(numeric)
+    devs = np.array([np.max(np.abs(jc.joint_unitary(params) - u)) for params, u in zip(grid, numeric)])
+    return _verdict(devs, devs > tol["unitary"], lambda i: f"unitary mismatch at {grid[i]}")
 
 
 def _amplitude_completeness(level: str, tol: dict):
     rng = np.random.default_rng(_SEED + 1)
-    n = 1000 if level == "full" else 150
-    worst, detail = 0.0, ""
-    for _ in range(n):
-        params = _random_params(rng)
+    samples = [_random_params(rng) for _ in range(1000 if level == "full" else 150)]
+    devs = []
+    for params in samples:
         send = abs(jc.transfer_amplitude(params)) ** 2 + abs(jc.residual_amplitude(params)) ** 2
         recv = abs(jc.transfer_amplitude(params)) ** 2 + abs(jc.reception_residual_amplitude(params)) ** 2
-        dev = max(abs(send - 1.0), abs(recv - 1.0))
-        if dev > worst:
-            worst = dev
-            if dev > tol["norm"] and not detail:
-                detail = f"amplitude norm broken at {params}"
-    return worst, detail
+        devs.append(max(abs(send - 1.0), abs(recv - 1.0)))
+    devs = np.array(devs)
+    return _verdict(devs, devs > tol["norm"], lambda i: f"amplitude norm broken at {samples[i]}")
 
 
 def _degrading_composition(level: str, tol: dict):
     rng = np.random.default_rng(_SEED + 2)
     n_ch = 100 if level == "full" else 10
     n_in = 20 if level == "full" else 5
-    sampled, mapped, target = [], [], []
+    sampled, (mapped, target) = [], np.empty((2, 2 * n_ch, n_in, 2, 2), dtype=complex)
     for side, lo, hi in (("degradable", 0.5, 1.0), ("anti-degradable", 0.0, 0.5)):
         for _ in range(n_ch):
             ch = _random_unit_channel(rng, lo, hi)
             better, worse = (ch, ch.complement()) if side == "degradable" else (ch.complement(), ch)
             p, r = random_inputs(rng, n_in)
+            mapped[len(sampled)] = channels.compose(better, cap.degrading_channel(better)).outputs(p, r)
+            target[len(sampled)] = worse.outputs(p, r)
             sampled.append((side, ch))
-            mapped.append(channels.compose(better, cap.degrading_channel(better)).outputs(p, r))
-            target.append(worse.outputs(p, r))
-    devs = trace_distance(np.array(mapped), np.array(target))
-    detail = _first(devs > tol["composition"], lambda c, _: "{} composition off at {}".format(*sampled[c]))
-    return float(np.max(devs)), detail
+    devs = trace_distance(mapped, target)
+    return _verdict(
+        devs, devs > tol["composition"], lambda c, _: "{} composition off at {}".format(*sampled[c])
+    )
 
 
 def _capacity_goldens(level: str, tol: dict):
@@ -278,21 +272,19 @@ def _capacity_goldens(level: str, tol: dict):
 
 def _coherent_info_two_route(level: str, tol: dict):
     grid = np.linspace(0.0, 1.0, 51 if level == "full" else 11)
-    closed, outputs, extended = [], [], []
-    for a in grid:
+    closed, outputs = [], np.empty((len(grid), len(grid), 2, 2), dtype=complex)
+    extended = np.empty((len(grid), len(grid), 4, 4), dtype=complex)
+    for i, a in enumerate(grid):
         ph = complex(math.cos(0.3 * math.pi * a), math.sin(0.3 * math.pi * a))
         ch = channels.TransferChannel(h_keep=math.sqrt(float(a)) * ph, h_env=math.sqrt(1.0 - float(a)))
         closed.append([cap.coherent_information_diagonal(float(a), float(p)) for p in grid])
-        outputs.append(ch.outputs(grid, 0.0))
-        extended.append(channels.extended_apply(ch, grid))
+        outputs[i], extended[i] = ch.outputs(grid, 0.0), channels.extended_apply(ch, grid)
     # the eigenvalue route of capacity.coherent_information, over the whole (a, p) grid
-    extended = np.array(extended)
-    devs = np.abs(np.array(closed) - (von_neumann_entropy(np.array(outputs)) - von_neumann_entropy(extended)))
+    devs = np.abs(np.array(closed) - (von_neumann_entropy(outputs) - von_neumann_entropy(extended)))
     rank_devs = np.max(np.abs(hermitian_eigenvalues(extended)[..., 2:]), axis=-1)
     failing = np.stack([rank_devs > tol["rank"], devs > tol["route"]], axis=-1)
     what = ("extended state exceeds rank 2", "route mismatch")
-    detail = _first(failing, lambda i, j, k: f"{what[k]} at a={grid[i]} p={grid[j]}")
-    return float(np.max(devs)), detail
+    return _verdict(devs, failing, lambda i, j, k: f"{what[k]} at a={grid[i]} p={grid[j]}")
 
 
 def _concatenation_law(level: str, tol: dict):
