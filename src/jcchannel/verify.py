@@ -104,8 +104,8 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
         term /= j
         total += term
         # a matrix whose term fell below 1e-13 of its sum adds only zeros from here on
-        big = np.max(np.abs(total), axis=(1, 2))
-        term[np.max(np.abs(term), axis=(1, 2)) < 1e-13 * np.maximum(1.0, big)] = 0.0
+        top = np.max(np.abs(total), axis=(1, 2))
+        term[np.max(np.abs(term), axis=(1, 2)) < 1e-13 * np.maximum(1.0, top)] = 0.0
         if not term.any():
             break
     for s in range(int(np.max(k, initial=0))):
@@ -178,10 +178,10 @@ def _unitary_oracle(level: str, tol: dict):
         for delta in np.linspace(-3.0, 3.0, npts)
         for nu in np.linspace(-2.0, 2.0, npts)
     ]
-    numeric = np.empty((len(grid), 4, 4), dtype=complex)
+    generators = np.empty((len(grid), 4, 4), dtype=complex)
     for i, params in enumerate(grid):
-        numeric[i] = -1j * params.t * jc.hamiltonian(params)
-    numeric = expm_taylor(numeric)
+        generators[i] = -1j * params.t * jc.hamiltonian(params)
+    numeric = expm_taylor(generators)
     devs = np.array([np.max(np.abs(jc.joint_unitary(params) - u)) for params, u in zip(grid, numeric)])
     return _verdict(devs, devs > tol["unitary"], lambda i: f"unitary mismatch at {grid[i]}")
 
@@ -220,11 +220,11 @@ def _degrading_composition(level: str, tol: dict):
 def _capacity_goldens(level: str, tol: dict):
     worst, detail = 0.0, ""
 
-    def check(dev, tol, what):
+    def check(dev, bound, what):
         nonlocal worst, detail
         if dev > worst:
             worst = dev
-        if dev > tol and not detail:
+        if dev > bound and not detail:
             detail = what
 
     goldens = ((0.75, GRID_ORACLE_Q_075), (0.9, GRID_ORACLE_Q_090))
