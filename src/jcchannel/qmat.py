@@ -46,8 +46,8 @@ def _as_square(m) -> np.ndarray:
 
 def _skew(a) -> float:
     """max |a_ij - conj(a_ji)| over a matrix or stack, one entry pair at a time: small temporaries."""
-    n = a.shape[-1]
-    return max(np.max(np.abs(a[..., i, j] - np.conj(a[..., j, i]))) for i in range(n) for j in range(i, n))
+    pairs = [(i, j) for i in range(a.shape[-1]) for j in range(i, a.shape[-1])]
+    return max(np.max(np.abs(a[..., i, j] - np.conj(a[..., j, i])), initial=0.0) for i, j in pairs)
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:

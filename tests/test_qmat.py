@@ -185,6 +185,9 @@ def test_stacked_helpers_equal_single_calls(n):
     for k in range(40):
         assert entropies[k] == von_neumann_entropy(first[k])
         assert distances[k] == trace_distance(first[k], second[k])
+    empty = np.zeros((0, n, n))
+    assert hermitian_eigenvalues(empty).shape == (0, n)
+    assert von_neumann_entropy(empty).shape == trace_distance(empty, empty).shape == (0,)
 
 
 def _bad_members():

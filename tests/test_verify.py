@@ -1,4 +1,4 @@
-"""The verify oracles: stacked matrix exponentials and the first failing point of a batched suite."""
+"""The verify oracles: stacked matrix exponentials, the first failing point of a batched suite, the tolerance table."""
 
 import math
 
@@ -11,13 +11,14 @@ from jcchannel.verify import TOLERANCES, expm_taylor, run_verify
 
 def test_stacked_expm_equals_single_calls():
     rng = np.random.default_rng(20261018)
+    norms = (0.0, 0.1, 0.25, 0.4, 0.9, 1.7, 3.5, 7.0, 30.0, 200.0)
+    # halvings until the max-column-sum norm is at most 1/4: k = 0 (the zero matrix too) up to 10
+    assert [max(0, math.ceil(math.log2(n / 0.25))) if n else 0 for n in norms] == [0, 0, 0, 1, 2, 3, 4, 5, 7, 10]
     mats = []
-    for norm in (0.0, 0.1, 0.25, 0.4, 0.9, 1.7, 3.5, 7.0, 30.0, 200.0):
+    for norm in norms:
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         mats.append(m * norm / np.max(np.sum(np.abs(m), axis=0)))
     stack = np.array(mats * 3).reshape(3, 10, 4, 4)
-    # scaling steps k from 0 (norms up to 1/4, and the zero matrix) to 10
-    assert math.ceil(math.log2(200.0 / 0.25)) == 10
     out = expm_taylor(stack)
     assert out.shape == stack.shape
     assert np.array_equal(out[0, 0], np.eye(4))
