@@ -4,8 +4,14 @@ Each suite pits a closed-form implementation against a brute-force or
 dual-route computation that shares no derivation with it: matrix
 exponential vs the closed unitary, RK4 integration vs the decay solutions,
 entropy formula vs eigenvalue route, constructed degrading map vs direct
-composition.  Suites report their worst observed deviation and the first
-failing parameter tuple, if any.
+composition.
+
+A suite only computes: it yields its checks, each as (tolerance name,
+deviations over the check's points, describe(*index) naming a point), and
+`_suite` alone judges them.  A point passes only if its deviation is at
+most the named tolerance in `TOLERANCES`, so a NaN fails.  A suite reports
+its largest deviation over all its checks and names the first failing
+point of the first failing check, in the order it yields them.
 
 Levels: "quick" runs reduced point counts for a fast smoke check,
 "full" runs the counts the acceptance gate requires.
@@ -33,7 +39,7 @@ _DECAY_INPUT = QubitInput(p=0.6, r=0.25 + 0.31j)
 
 _SEED = 20260817
 
-# every check's tolerance, by suite: a check fails where its deviation exceeds it
+# every check's tolerance, by suite: a point passes only where its deviation is at most it
 TOLERANCES = {
     "kraus-completeness": {"completeness": 1e-12},
     "unitary-oracle": {"unitary": 1e-9},
@@ -43,7 +49,7 @@ TOLERANCES = {
     "coherent-info-two-route": {"rank": 1e-10, "route": 1e-9},
     "concatenation-law": {"product": 1e-12, "phase": 1e-10},
     "lindblad-closed-form": {"closed_form": 1e-6, "decay_free": 1e-9},
-    "degradability-equivalence": {"tie_band": 1e-10},
+    "degradability-equivalence": {"tie_band": 1e-10, "identity": 1e-12, "boolean": 0.0},
     "capacity-monotonicity": {"drop": 1e-12, "edge": 1e-4},
 }
 
@@ -87,9 +93,11 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
     relative to the running sum, and the result is squared k times.
     Deliberately independent of any spectral decomposition.  In a stack
     (..., n, n) each matrix has its own k, terms and squarings: the floats
-    it gives alone.
+    it gives alone.  A non-finite entry raises ValueError.
     """
     a = np.asarray(m, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValueError("expm_taylor needs finite entries")
     stack = a.reshape((-1,) + a.shape[-2:])
     norm = np.max(np.sum(np.abs(stack), axis=1), axis=1)
     k = np.zeros(len(stack), dtype=int)
@@ -141,36 +149,31 @@ def _random_unit_channel(rng: np.random.Generator, lo: float, hi: float) -> chan
     )
 
 
-def _verdict(devs: np.ndarray, failing: np.ndarray, describe) -> tuple[float, str]:
-    """(max of devs, and describe(*index) of the first True of failing in the checks' loop order, or "")."""
-    hits = np.flatnonzero(failing)
-    return float(np.max(devs)), describe(*np.unravel_index(hits[0], failing.shape)) if hits.size else ""
-
-
 def _suite(name, fn, level):
     start = time.perf_counter()
-    max_dev, detail = fn(level, TOLERANCES[name])
-    elapsed = time.perf_counter() - start
-    return SuiteResult(
-        name=name,
-        passed=detail == "",
-        max_dev=max_dev,
-        detail=detail,
-        seconds=elapsed,
-    )
+    tol, max_dev, detail = TOLERANCES[name], 0.0, ""
+    # each check is judged as it is yielded, while describe can still read the suite's state
+    for what, devs, describe in fn(level):
+        devs = np.asarray(devs, dtype=float)
+        max_dev = float(np.max(devs, initial=max_dev))  # a NaN anywhere stays the maximum
+        hits = np.flatnonzero(~(devs <= tol[what]))
+        if hits.size and not detail:
+            detail = describe(*np.unravel_index(hits[0], devs.shape))
+    seconds = time.perf_counter() - start
+    return SuiteResult(name=name, passed=detail == "", max_dev=max_dev, detail=detail, seconds=seconds)
 
 
-def _kraus_completeness(level: str, tol: dict):
+def _kraus_completeness(level: str):
     rng = np.random.default_rng(_SEED)
     samples = [_random_params(rng) for _ in range(1000 if level == "full" else 150)]
-    devs = np.array([
+    devs = [
         np.max(np.abs(a1.conj().T @ a1 + a2.conj().T @ a2 - np.eye(2)))
         for a1, a2 in map(jc.kraus_operators, samples)
-    ])
-    return _verdict(devs, devs > tol["completeness"], lambda i: f"completeness broken at {samples[i]}")
+    ]
+    yield "completeness", devs, lambda i: f"completeness broken at {samples[i]}"
 
 
-def _unitary_oracle(level: str, tol: dict):
+def _unitary_oracle(level: str):
     npts = 10 if level == "full" else 5
     grid = [
         jc.JCParams.from_detuning(g=1.0, delta=float(delta), t=float(t), nu=float(nu))
@@ -182,11 +185,11 @@ def _unitary_oracle(level: str, tol: dict):
     for i, params in enumerate(grid):
         generators[i] = -1j * params.t * jc.hamiltonian(params)
     numeric = expm_taylor(generators)
-    devs = np.array([np.max(np.abs(jc.joint_unitary(params) - u)) for params, u in zip(grid, numeric)])
-    return _verdict(devs, devs > tol["unitary"], lambda i: f"unitary mismatch at {grid[i]}")
+    devs = [np.max(np.abs(jc.joint_unitary(params) - u)) for params, u in zip(grid, numeric)]
+    yield "unitary", devs, lambda i: f"unitary mismatch at {grid[i]}"
 
 
-def _amplitude_completeness(level: str, tol: dict):
+def _amplitude_completeness(level: str):
     rng = np.random.default_rng(_SEED + 1)
     samples = [_random_params(rng) for _ in range(1000 if level == "full" else 150)]
     devs = []
@@ -194,11 +197,10 @@ def _amplitude_completeness(level: str, tol: dict):
         send = abs(jc.transfer_amplitude(params)) ** 2 + abs(jc.residual_amplitude(params)) ** 2
         recv = abs(jc.transfer_amplitude(params)) ** 2 + abs(jc.reception_residual_amplitude(params)) ** 2
         devs.append(max(abs(send - 1.0), abs(recv - 1.0)))
-    devs = np.array(devs)
-    return _verdict(devs, devs > tol["norm"], lambda i: f"amplitude norm broken at {samples[i]}")
+    yield "norm", devs, lambda i: f"amplitude norm broken at {samples[i]}"
 
 
-def _degrading_composition(level: str, tol: dict):
+def _degrading_composition(level: str):
     rng = np.random.default_rng(_SEED + 2)
     n_ch = 100 if level == "full" else 10
     n_in = 20 if level == "full" else 5
@@ -211,22 +213,10 @@ def _degrading_composition(level: str, tol: dict):
             mapped[len(sampled)] = channels.compose(better, cap.degrading_channel(better)).outputs(p, r)
             target[len(sampled)] = worse.outputs(p, r)
             sampled.append((side, ch))
-    devs = trace_distance(mapped, target)
-    return _verdict(
-        devs, devs > tol["composition"], lambda c, _: "{} composition off at {}".format(*sampled[c])
-    )
+    yield "composition", trace_distance(mapped, target), lambda c, _: "{} composition off at {}".format(*sampled[c])
 
 
-def _capacity_goldens(level: str, tol: dict):
-    worst, detail = 0.0, ""
-
-    def check(dev, bound, what):
-        nonlocal worst, detail
-        if dev > worst:
-            worst = dev
-        if dev > bound and not detail:
-            detail = what
-
+def _capacity_goldens(level: str):
     goldens = ((0.75, GRID_ORACLE_Q_075), (0.9, GRID_ORACLE_Q_090))
     rng = np.random.default_rng(_SEED + 4)
     seeded = rng.uniform(0.5, 1.0, 200 if level == "full" else 20).tolist()
@@ -239,38 +229,36 @@ def _capacity_goldens(level: str, tol: dict):
     batched = cap.quantum_capacities(chs)
 
     # sweeps settle capacities as columns: they must give the one-point floats exactly
-    for ch, one, many in zip(chs, scalar, batched):
-        dev = max(abs(one.q - many.q), abs(one.p_star - many.p_star))
-        if one.status is not many.status:
-            dev = math.inf
-        check(dev, tol["exact"], f"column capacity differs from the one-point one at {ch}")
+    devs = [
+        max(abs(one.q - many.q), abs(one.p_star - many.p_star)) if one.status is many.status else math.inf
+        for one, many in zip(scalar, batched)
+    ]
+    yield "exact", devs, lambda i: f"column capacity differs from the one-point one at {chs[i]}"
 
-    perfect = scalar[0]
-    check(abs(perfect.q - 1.0), tol["exact"], "Q at unit transfer is not exactly 1")
-    check(abs(perfect.p_star - 0.5), tol["exact"], "p_star at unit transfer is not exactly 1/2")
-
-    for a, res in zip(shares[:3], scalar[1:4]):
-        check(res.q, tol["exact"], f"Q not exactly 0 at keep share {a}")
+    yield "exact", [abs(scalar[0].q - 1.0)], lambda _: "Q at unit transfer is not exactly 1"
+    yield "exact", [abs(scalar[0].p_star - 0.5)], lambda _: "p_star at unit transfer is not exactly 1/2"
+    yield "exact", [res.q for res in scalar[1:4]], lambda i: f"Q not exactly 0 at keep share {shares[i]}"
 
     # at a = 3/4, ap = 1/3 and (1 - a)p = 1/9 make both log terms 0.75 ln 2
-    check(abs(scalar[4].p_star - 4.0 / 9.0), tol["p_star"], "p_star at keep share 3/4 is not 4/9")
+    yield "p_star", [abs(scalar[4].p_star - 4.0 / 9.0)], lambda _: "p_star at keep share 3/4 is not 4/9"
 
     for (a, stored), one in zip(goldens, scalar[4:]):
-        check(abs(one.q - stored), tol["grid"], f"optimizer disagrees with stored grid value at {a}")
+        yield "grid", [abs(one.q - stored)], lambda _: f"optimizer disagrees with stored grid value at {a}"
         if level == "full":
             fresh, _ = cap.capacity_grid_oracle(a, step=1e-5)
-            check(abs(one.q - fresh), tol["grid"], f"optimizer disagrees with fresh grid oracle at {a}")
-            check(abs(fresh - stored), tol["stored_grid"], f"stored grid value stale at {a}")
+            yield "grid", [abs(one.q - fresh)], lambda _: f"optimizer disagrees with fresh grid oracle at {a}"
+            yield "stored_grid", [abs(fresh - stored)], lambda _: f"stored grid value stale at {a}"
 
     # golden-section search is a second, independent maximizer: no Q below its maximum
-    for ch, one in zip(chs[4:], scalar[4:]):
-        a = ch.keep_prob
-        _, best = cap.golden_section_max(lambda p: cap.coherent_information_diagonal(a, p), 0.0, 1.0)
-        check(best - one.q, tol["golden"], f"Q below the golden-section maximum at keep share {a}")
-    return worst, detail
+    keep = [ch.keep_prob for ch in chs[4:]]
+    below = [
+        cap.golden_section_max(lambda p: cap.coherent_information_diagonal(a, p), 0.0, 1.0)[1] - one.q
+        for a, one in zip(keep, scalar[4:])
+    ]
+    yield "golden", below, lambda i: f"Q below the golden-section maximum at keep share {keep[i]}"
 
 
-def _coherent_info_two_route(level: str, tol: dict):
+def _coherent_info_two_route(level: str):
     grid = np.linspace(0.0, 1.0, 51 if level == "full" else 11)
     closed, outputs = [], np.empty((len(grid), len(grid), 2, 2), dtype=complex)
     extended = np.empty((len(grid), len(grid), 4, 4), dtype=complex)
@@ -281,17 +269,15 @@ def _coherent_info_two_route(level: str, tol: dict):
         outputs[i], extended[i] = ch.outputs(grid, 0.0), channels.extended_apply(ch, grid)
     # the eigenvalue route of capacity.coherent_information, over the whole (a, p) grid
     devs = np.abs(np.array(closed) - (von_neumann_entropy(outputs) - von_neumann_entropy(extended)))
+    yield "route", devs, lambda i, j: f"route mismatch at a={grid[i]} p={grid[j]}"
     rank_devs = np.max(np.abs(hermitian_eigenvalues(extended)[..., 2:]), axis=-1)
-    failing = np.stack([rank_devs > tol["rank"], devs > tol["route"]], axis=-1)
-    what = ("extended state exceeds rank 2", "route mismatch")
-    return _verdict(devs, failing, lambda i, j, k: f"{what[k]} at a={grid[i]} p={grid[j]}")
+    yield "rank", rank_devs, lambda i, j: f"extended state exceeds rank 2 at a={grid[i]} p={grid[j]}"
 
 
-def _concatenation_law(level: str, tol: dict):
+def _concatenation_law(level: str):
     rng = np.random.default_rng(_SEED + 3)
-    n = 1000 if level == "full" else 100
-    worst, detail = 0.0, ""
-    for _ in range(n):
+    points, product_devs, phase_devs = [], [], []
+    for _ in range(1000 if level == "full" else 100):
         e1 = _random_params(rng)
         e2 = _random_params(rng)
         tr = float(rng.uniform(0.0, 1.0))
@@ -301,21 +287,13 @@ def _concatenation_law(level: str, tol: dict):
             * abs(jc.transfer_amplitude(e1)) ** 2
             * (math.sin(e2.rabi * e2.t) * e2.g / e2.rabi) ** 2
         )
-        dev = abs(chained.keep_prob - product)
-        if dev > worst:
-            worst = dev
-            if dev > tol["product"] and not detail:
-                detail = f"product law broken at {e1}, T={tr}, {e2}"
-        plain = channels.TransferChannel(
-            h_keep=math.sqrt(chained.keep_prob),
-            h_env=math.sqrt(max(0.0, 1.0 - chained.keep_prob)),
-        )
-        qdev = abs(cap.quantum_capacity(chained).q - cap.quantum_capacity(plain).q)
-        if qdev > worst:
-            worst = qdev
-            if qdev > tol["phase"] and not detail:
-                detail = f"capacity not phase-invariant at {e1}, T={tr}, {e2}"
-    return worst, detail
+        keep = chained.keep_prob
+        plain = channels.TransferChannel(h_keep=math.sqrt(keep), h_env=math.sqrt(max(0.0, 1.0 - keep)))
+        points.append((e1, tr, e2))
+        product_devs.append(abs(keep - product))
+        phase_devs.append(abs(cap.quantum_capacity(chained).q - cap.quantum_capacity(plain).q))
+    yield "product", product_devs, lambda i: "product law broken at {}, T={}, {}".format(*points[i])
+    yield "phase", phase_devs, lambda i: "capacity not phase-invariant at {}, T={}, {}".format(*points[i])
 
 
 def _joint_init(inp: QubitInput) -> np.ndarray:
@@ -334,73 +312,53 @@ def _lindblad_points(level: str):
     return grid[::11]  # 20-point subset
 
 
-def _lindblad_closed_form(level: str, tol: dict):
-    worst, detail = 0.0, ""
-    init = _joint_init(_DECAY_INPUT)
-    for params, decay, t in _lindblad_points(level):
-        closed = lindblad.closed_form_state(params, decay, _DECAY_INPUT, t)
-        numeric = lindblad.integrate_master_equation(params, decay, init, t)
-        dev = float(np.max(np.abs(closed - numeric)))
-        if dev > worst:
-            worst = dev
-            if dev > tol["closed_form"] and not detail:
-                detail = f"closed form off at {params} {decay} t={t}"
+def _lindblad_closed_form(level: str):
+    points, init = _lindblad_points(level), _joint_init(_DECAY_INPUT)
+    devs = [
+        np.max(np.abs(
+            lindblad.closed_form_state(params, decay, _DECAY_INPUT, t)
+            - lindblad.integrate_master_equation(params, decay, init, t)
+        ))
+        for params, decay, t in points
+    ]
+    yield "closed_form", devs, lambda i: "closed form off at {} {} t={}".format(*points[i])
     # decay-free limit must reduce to the pure oscillation
     no_decay = lindblad.DecayParams(kappa=0.0, gamma_at=0.0)
-    for gt in np.linspace(0.0, 2.0 * math.pi, 25):
+    gts, devs = np.linspace(0.0, 2.0 * math.pi, 25), []
+    for gt in gts:
         params = jc.JCParams.resonant(g=1.0, t=float(gt), nu=0.25)
         state = lindblad.closed_form_state(params, no_decay, QubitInput(p=1.0, r=0.0), float(gt))
-        dev = max(
+        devs.append(max(
             abs(state[2, 2].real - math.sin(gt) ** 2),
             abs(state[1, 1].real - math.cos(gt) ** 2),
-        )
-        if dev > worst:
-            worst = dev
-            if dev > tol["decay_free"] and not detail:
-                detail = f"decay-free limit broken at g t={gt}"
-    return worst, detail
+        ))
+    yield "decay_free", devs, lambda i: f"decay-free limit broken at g t={gts[i]}"
 
 
-def _degradability_equivalence(level: str, tol: dict):
-    worst, detail = 0.0, ""
-    band = tol["tie_band"]
+def _degradability_equivalence(level: str):
+    band = TOLERANCES["degradability-equivalence"]["tie_band"]
+    checked, mismatch, identity = [], [], []
     for params, decay, t in _lindblad_points(level):
         conv = lindblad.decayed_conversion(params, decay, t)
         gap = abs(conv.h_keep) ** 2 - abs(conv.h_env) ** 2
         if abs(gap) <= band:
             continue
-        by_inequality = lindblad.decay_degradability(conv)
-        by_amplitude = gap > 0.0
+        checked.append((params, decay, t))
+        mismatch.append(math.inf if lindblad.decay_degradability(conv) != (gap > 0.0) else 0.0)
         # eta-scaled expression must equal |h_env|^2 - |h_keep|^2 exactly
-        expr = lindblad.degradability_expression(conv)
-        ident = abs(conv.constants.eta(t) * expr + gap)
-        if ident > worst:
-            worst = ident
-        if by_inequality != by_amplitude and not detail:
-            detail = f"boolean mismatch at {params} {decay} t={t}"
-    return worst, detail
+        identity.append(abs(conv.constants.eta(t) * lindblad.degradability_expression(conv) + gap))
+    yield "boolean", mismatch, lambda i: "boolean mismatch at {} {} t={}".format(*checked[i])
+    yield "identity", identity, lambda i: "degradability identity off at {} {} t={}".format(*checked[i])
 
 
-def _capacity_monotonicity(level: str, tol: dict):
-    worst, detail = 0.0, ""
-    qs = []
-    for a in np.linspace(0.5, 1.0, 101):
-        ch = channels.TransferChannel(h_keep=math.sqrt(float(a)), h_env=math.sqrt(1.0 - float(a)))
-        qs.append(cap.quantum_capacity(ch).q)
-    for i in range(len(qs) - 1):
-        drop = qs[i] - qs[i + 1]
-        if drop > worst:
-            worst = drop
-        if drop > tol["drop"] and not detail:
-            detail = f"Q decreases between grid points {i} and {i + 1}"
-    edge = channels.TransferChannel(
-        h_keep=math.sqrt(0.5 + 1e-6), h_env=math.sqrt(0.5 - 1e-6)
-    )
-    q_edge = cap.quantum_capacity(edge).q
-    if q_edge >= tol["edge"] and not detail:
-        detail = f"Q jumps at the boundary: Q(0.5 + 1e-6) = {q_edge}"
-    worst = max(worst, q_edge)
-    return worst, detail
+def _capacity_monotonicity(level: str):
+    qs = [
+        cap.quantum_capacity(channels.TransferChannel(h_keep=math.sqrt(float(a)), h_env=math.sqrt(1.0 - float(a)))).q
+        for a in np.linspace(0.5, 1.0, 101)
+    ]
+    yield "drop", np.subtract(qs[:-1], qs[1:]), lambda i: f"Q decreases between grid points {i} and {i + 1}"
+    q_edge = cap.quantum_capacity(channels.TransferChannel(h_keep=math.sqrt(0.5 + 1e-6), h_env=math.sqrt(0.5 - 1e-6))).q
+    yield "edge", [q_edge], lambda _: f"Q jumps at the boundary: Q(0.5 + 1e-6) = {q_edge}"
 
 
 _SUITES = (

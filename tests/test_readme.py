@@ -1,5 +1,6 @@
-"""The README's `capacity` and `sweep` examples, run through the CLI."""
+"""The README's `capacity`, `sweep` and `verify full` examples, run through the CLI."""
 
+import re
 import shlex
 from pathlib import Path
 
@@ -10,16 +11,20 @@ from jcchannel.cli import main
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _examples() -> list:
-    """(argv, shown output lines) of each README block running capacity or sweep."""
+def _blocks() -> list:
+    """Lines of each README code block, without the fence's info string."""
     # fences alternate: every second part is the body of a code block
     parts = README.read_text(encoding="utf-8").split("```")
-    out = []
-    for block in parts[1::2]:
-        _, first, *shown = block.splitlines()  # the fence's info string comes first
-        if first.startswith(("$ jcchannel capacity ", "$ jcchannel sweep ")):
-            out.append((shlex.split(first)[2:], shown))
-    return out
+    return [block.splitlines()[1:] for block in parts[1::2]]
+
+
+def _examples() -> list:
+    """(argv, shown output lines) of each README block running capacity or sweep."""
+    return [
+        (shlex.split(first)[2:], shown)
+        for first, *shown in _blocks()
+        if first.startswith(("$ jcchannel capacity ", "$ jcchannel sweep "))
+    ]
 
 
 EXAMPLES = _examples()
@@ -40,3 +45,14 @@ def test_readme_example_output(argv, shown, capsys):
             assert any(out.startswith(line[:-3]) for out in lines), line
         else:
             assert line in lines, line
+
+
+def _mask_seconds(lines) -> list:
+    return [re.sub(r"\(\d+\.\d\ds\)", "(N.NNs)", line) for line in lines]
+
+
+def test_readme_verify_full_block(capsys):
+    shown = next(shown for first, *shown in _blocks() if first == "$ jcchannel verify full")
+    assert main(["verify", "full"]) == 0
+    # the block shows one run: only the seconds may differ
+    assert _mask_seconds(capsys.readouterr().out.splitlines()) == _mask_seconds(shown)

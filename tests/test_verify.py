@@ -1,11 +1,15 @@
-"""The verify oracles: stacked matrix exponentials, the first failing point of a batched suite, the tolerance table."""
+"""The verify oracles: stacked matrix exponentials, the one verdict every suite's checks get, the tolerance table."""
 
+import dataclasses
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jcchannel import capacity, jc, verify
+from jcchannel import capacity, channels, jc, lindblad, verify
 from jcchannel.verify import TOLERANCES, expm_taylor, run_verify
 
 
@@ -64,7 +68,7 @@ def test_coherent_info_suite_names_its_first_failing_point(monkeypatch):
     assert result.max_dev == pytest.approx(1e-3, rel=1e-6)
 
 
-@pytest.mark.parametrize("name", [n for n in TOLERANCES if n != "degradability-equivalence"])
+@pytest.mark.parametrize("name", list(TOLERANCES))
 def test_each_suite_fails_when_its_tolerances_in_the_table_are_negative(name, monkeypatch):
     monkeypatch.setitem(TOLERANCES, name, dict.fromkeys(TOLERANCES[name], -1.0))
     assert not verify._suite(name, dict(verify._SUITES)[name], "quick").passed
@@ -72,7 +76,117 @@ def test_each_suite_fails_when_its_tolerances_in_the_table_are_negative(name, mo
 
 def test_degradability_equivalence_reads_its_tie_band_from_the_table(monkeypatch):
     name = "degradability-equivalence"
-    monkeypatch.setitem(TOLERANCES, name, {"tie_band": 1.0})  # every point is a tie: none checked
+    monkeypatch.setitem(TOLERANCES, name, {**TOLERANCES[name], "tie_band": 1.0})  # every point is a tie: none checked
     result = verify._suite(name, dict(verify._SUITES)[name], "quick")
     assert result.passed and result.max_dev == 0.0
     assert list(TOLERANCES) == [n for n, _ in verify._SUITES]
+
+
+@pytest.mark.parametrize("entry", ["np.nan", "np.inf"])
+def test_expm_rejects_a_non_finite_entry_without_hanging(entry):
+    # an infinite norm never halves below 1/4: a scaling loop run on it would never end
+    code = (
+        "import numpy as np\n"
+        "from jcchannel.verify import expm_taylor\n"
+        "try:\n"
+        f"    expm_taylor(np.array([[0.0, {entry}], [0.0, 0.0]]))\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(verify.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=30, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def _run(name):
+    return verify._suite(name, dict(verify._SUITES)[name], "quick")
+
+
+def test_unitary_oracle_fails_on_nan_and_names_its_point(monkeypatch):
+    closed = jc.joint_unitary
+    monkeypatch.setattr(jc, "joint_unitary", lambda params: closed(params) * (np.nan if params.t > 3 else 1.0))
+    result = _run("unitary-oracle")
+    first = next(
+        jc.JCParams.from_detuning(g=1.0, delta=float(delta), t=float(t), nu=float(nu))
+        for t in np.linspace(0.0, 2.0 * math.pi, 5)
+        for delta in np.linspace(-3.0, 3.0, 5)
+        for nu in np.linspace(-2.0, 2.0, 5)
+        if t > 3
+    )
+    assert result.passed is False
+    assert result.detail == f"unitary mismatch at {first}"
+    assert math.isnan(result.max_dev)
+    report = verify.VerifyReport(level="quick", results=(result,))
+    assert report.render().startswith("FAIL unitary-oracle: max deviation nan (")
+
+
+def test_lindblad_closed_form_fails_on_nan_at_one_grid_point(monkeypatch):
+    params, decay, t = verify._lindblad_points("quick")[7]
+    closed = lindblad.closed_form_state
+
+    def patched(p, d, inp, time):
+        state = closed(p, d, inp, time)
+        return state * np.nan if (p, d, time) == (params, decay, t) else state
+
+    monkeypatch.setattr(lindblad, "closed_form_state", patched)
+    result = _run("lindblad-closed-form")
+    assert result.passed is False
+    assert result.detail == f"closed form off at {params} {decay} t={t}"
+    assert math.isnan(result.max_dev)
+
+
+def test_a_loose_check_cannot_hide_a_later_tight_breach_in_the_lindblad_suite(monkeypatch):
+    closed = lindblad.closed_form_state
+
+    def patched(params, decay, inp, t):
+        # 1e-7 passes closed_form's 1e-6 on the grid; 1e-8 breaks decay_free's 1e-9
+        return closed(params, decay, inp, t) + (1e-7 if inp is verify._DECAY_INPUT else 1e-8)
+
+    monkeypatch.setattr(lindblad, "closed_form_state", patched)
+    result = _run("lindblad-closed-form")
+    assert result.passed is False
+    assert result.detail == "decay-free limit broken at g t=0.0"
+
+
+def test_a_loose_check_cannot_hide_a_later_tight_breach_in_the_concatenation_suite(monkeypatch):
+    concatenate, quantum_capacity = channels.concatenate, capacity.quantum_capacity
+    calls, shifted = {"concatenate": 0, "capacity": 0}, []
+
+    def shifted_q(ch):
+        # the first Q is off by 5e-11: under phase's 1e-10, above every later deviation
+        calls["capacity"] += 1
+        res = quantum_capacity(ch)
+        return dataclasses.replace(res, q=res.q + 5e-11) if calls["capacity"] == 1 else res
+
+    def shifted_keep(e1, loss, e2):
+        # the second chain's keep share is off by 1e-11: above product's 1e-12
+        calls["concatenate"] += 1
+        ch = concatenate(e1, loss, e2)
+        if calls["concatenate"] != 2:
+            return ch
+        shifted.append(f"{e1}, T={loss.T}, {e2}")
+        return dataclasses.replace(ch, h_keep=math.sqrt(ch.keep_prob + 1e-11))
+
+    monkeypatch.setattr(capacity, "quantum_capacity", shifted_q)
+    monkeypatch.setattr(channels, "concatenate", shifted_keep)
+    result = _run("concatenation-law")
+    assert result.passed is False
+    assert result.detail == f"product law broken at {shifted[0]}"
+    assert result.max_dev == pytest.approx(5e-11, rel=1e-3)
+
+
+def test_degradability_equivalence_gates_its_identity(monkeypatch):
+    name = "degradability-equivalence"
+    monkeypatch.setitem(TOLERANCES, name, {**TOLERANCES[name], "identity": 1e-16})
+    result = _run(name)
+    assert result.passed is False
+    assert result.detail.startswith("degradability identity off at ")
+
+
+def test_degradability_equivalence_fails_on_a_boolean_mismatch(monkeypatch):
+    monkeypatch.setattr(lindblad, "decay_degradability", lambda conv: False)
+    result = _run("degradability-equivalence")
+    assert result.passed is False
+    assert result.detail.startswith("boolean mismatch at ")
+    assert result.max_dev == math.inf
