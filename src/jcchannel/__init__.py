@@ -32,7 +32,6 @@ from .channels import (
     conversion_channel,
     extended_apply,
     extended_state,
-    loss_apply,
     reception_channel,
 )
 from .jc import (

@@ -113,10 +113,6 @@ class LossChannel:
         )
 
 
-def loss_apply(loss: LossChannel, inp: QubitInput) -> np.ndarray:
-    return loss.as_transfer().apply(inp)
-
-
 def compose(first: TransferChannel, second: TransferChannel) -> TransferChannel:
     """Serial composition: amplitudes multiply, remainder goes to the environment.
 

@@ -5,12 +5,13 @@ photon loss at rate kappa and spontaneous emission at rate gamma_at.  Both
 jump operators only lower the excitation number, so the one-excitation
 block (|down,1>, |up,0>) evolves under jc.block_propagator with both rates
 passed in; the closed-form state and the decayed channel amplitudes are
-read off its entries.  An independent fixed-step RK4 integrator over the
-full Liouvillian serves as the oracle for those closed forms; it applies
-its n steps as the n-th power of the one-step map, by repeated squaring,
-and raises StepFailure before running a step count past its cap.  It, the
-closed-form state and the decayed conversion raise ValueError unless their
-time t is finite and nonnegative.
+read off its entries.  The oracle for those closed forms is an independent
+fixed-step RK4 integrator over the full Liouvillian: it runs its points as
+blocked stacks that climb one halving ladder in lockstep, takes n steps as
+the n-th power of the one-step map, and raises StepFailure before a rung
+would pass its step cap; integrate_master_equation is its one-point view.
+The integrator, the closed-form state and the decayed conversion raise
+ValueError unless their time t is finite and nonnegative.
 
 derive_constants supplies the constants of the paper's separate sign
 expression for degradability.  Their conventions are fixed against the
@@ -39,11 +40,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import TransferChannel
-from .jc import JCParams, block_amplitudes, block_propagator
+from .jc import JCParams, block_amplitudes, block_propagator, hamiltonian
 from .qmat import QubitInput
 
 ORACLE_ATOL = 1e-10
 _MAX_STEPS = 1 << 21
+_ORACLE_BLOCK = 32  # points per stack in integrate_master_equations
 
 
 def _check_time(t: float) -> None:
@@ -132,66 +134,84 @@ def closed_form_state(jc: JCParams, d: DecayParams, init: QubitInput, t: float) 
     return rho
 
 
-def _liouvillian(jc: JCParams, d: DecayParams) -> np.ndarray:
-    """16x16 superoperator of the master equation over row-major vec(rho)."""
-    from .jc import hamiltonian
-
-    h = hamiltonian(jc)
-    lower = np.array([[0, 1], [0, 0]], dtype=complex)
-    eye2 = np.eye(2, dtype=complex)
-    f = np.kron(eye2, lower)   # field photon loss
-    a = np.kron(lower, eye2)   # atomic decay
-    eye4 = np.eye(4, dtype=complex)
-
-    def left(x):
-        return np.kron(x, eye4)
-
-    def right(x):
-        return np.kron(eye4, x.T)
-
-    sup = -1j * (left(h) - right(h))
-    for op, rate in ((f, d.kappa), (a, d.gamma_at)):
+def _liouvillians(points) -> np.ndarray:
+    """(n, 16, 16) master-equation superoperators over row-major vec(rho), one per (jc, d, t)."""
+    h = np.array([hamiltonian(jc) for jc, _, _ in points])
+    rates = np.array([(d.kappa, d.gamma_at) for _, d, _ in points])[:, :, None, None]
+    lower, eye2, eye4 = np.array([[0, 1], [0, 0]], dtype=complex), np.eye(2), np.eye(4)
+    sup = -1j * (np.kron(h, eye4[None]) - np.kron(eye4[None], h.transpose(0, 2, 1)))
+    # field photon loss at kappa, then atomic decay at gamma_at
+    for k, op in enumerate((np.kron(eye2, lower), np.kron(lower, eye2))):
         num = op.conj().T @ op
-        sup += 0.5 * rate * (
-            2.0 * np.kron(op, op.conj()) - left(num) - right(num)
-        )
+        sup += 0.5 * rates[:, k] * (2.0 * np.kron(op, op.conj()) - np.kron(num, eye4) - np.kron(eye4, num.T))
     return sup
 
 
 def integrate_master_equation(jc: JCParams, d: DecayParams, init: np.ndarray, t: float) -> np.ndarray:
-    """Brute-force master-equation solution by fixed-step RK4 with halving.
+    """The one-point view of integrate_master_equations: the state at time t."""
+    return integrate_master_equations([(jc, d, t)], init)[0]
 
-    For this linear autonomous system a classic RK4 step with width h is
-    the degree-4 Taylor polynomial P(hL) of exp(h L) applied to the state,
-    so n steps are P(hL)^n applied to it; the power is taken by repeated
-    squaring.  Step counts double until two successive refinements agree
-    within 1e-10 per entry; StepFailure, before any run, if the count
-    would pass _MAX_STEPS.  This routine is the oracle for
-    closed_form_state and deliberately shares none of its derivation.
+
+def integrate_master_equations(points, init: np.ndarray) -> np.ndarray:
+    """Brute-force master-equation solutions by fixed-step RK4 with halving.
+
+    The (n, 4, 4) states init reaches at each (jc, d, t) of points.  For
+    this linear system an RK4 step of width h is the degree-4 Taylor
+    polynomial P(hL) of exp(hL), so n steps are P(hL)^n, taken by repeated
+    squaring.  Points climb the ladder in lockstep blocks of _ORACLE_BLOCK:
+    each doubles its own step count until two runs agree within 1e-10 per
+    entry, then leaves, so it gets the floats it gets alone.  StepFailure,
+    before a rung runs, if a count in it would pass _MAX_STEPS.  This is
+    the oracle for closed_form_state and shares none of its derivation.
     """
-    _check_time(t)
+    for _, _, t in points:
+        _check_time(t)
     init = np.asarray(init, dtype=complex)
     if init.shape != (4, 4):
         raise ValueError("initial state must be 4x4 over the joint basis")
-    if t == 0.0:
-        return init.copy()
-    sup = _liouvillian(jc, d)
-    scale = max(1.0, jc.rabi, abs(jc.nu), abs(jc.delta), d.kappa, d.gamma_at)
-    steps = max(16, int(math.ceil(4.0 * t * scale)))
-    prev = None
-    while steps <= _MAX_STEPS:
-        cur = _rk4_run(sup, init, t, steps)
-        if prev is not None and np.max(np.abs(cur - prev)) < ORACLE_ATOL:
-            return cur
-        prev, steps = cur, steps * 2
-    raise StepFailure(f"no convergence to {ORACLE_ATOL} per entry within {_MAX_STEPS} steps")
+    todo = [i for i, (_, _, t) in enumerate(points) if t > 0.0]
+    out = np.repeat(init[None], len(points), axis=0)  # a point at t = 0 needs no run
+    for start in range(0, len(todo), _ORACLE_BLOCK):
+        live = np.array(todo[start:start + _ORACLE_BLOCK])
+        block = [points[i] for i in live]
+        sup, t, prev = _liouvillians(block), np.array([t for _, _, t in block]), None
+        scale = np.array([max(1.0, jc.rabi, abs(jc.nu), abs(jc.delta), d.kappa, d.gamma_at) for jc, d, _ in block])
+        steps = np.maximum(16.0, np.ceil(4.0 * t * scale))  # integral floats: a huge count cannot wrap
+        while live.size:
+            if np.any(steps > _MAX_STEPS):
+                raise StepFailure(f"no convergence to {ORACLE_ATOL} per entry within {_MAX_STEPS} steps")
+            cur = _rk4_run(sup, init, t, steps)
+            if prev is not None:
+                done = np.max(np.abs(cur - prev), axis=(1, 2)) < ORACLE_ATOL
+                out[live[done]] = cur[done]
+                live, sup, t, steps, cur = (x[~done] for x in (live, sup, t, steps, cur))
+            prev, steps = cur, steps * 2.0
+    return out
 
 
-def _rk4_run(sup: np.ndarray, init: np.ndarray, t: float, steps: int) -> np.ndarray:
-    hl = (t / steps) * sup
+def _rk4_run(sup: np.ndarray, init: np.ndarray, t: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    hl = (t / steps)[:, None, None] * sup
     eye = np.eye(16, dtype=complex)
     step = eye + hl @ (eye + hl @ (eye / 2 + hl @ (eye / 6 + hl / 24)))
-    return (np.linalg.matrix_power(step, steps) @ init.reshape(16)).reshape(4, 4)
+    return (_powers(step, steps.astype(np.int64)) @ init.reshape(16)).reshape(-1, 4, 4)
+
+
+def _powers(a: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """a[i]^n[i] for n[i] >= 4, with the floats of np.linalg.matrix_power's binary ladder.
+
+    z squares on every bit; a set bit makes a matrix's result z the first time, result @ z after.
+    """
+    z, result, started = a, np.empty_like(a), np.zeros(len(a), dtype=bool)
+    while True:
+        bit = (n & 1).astype(bool)
+        first, more = bit & ~started, bit & started
+        result[first] = z[first]
+        result[more] = result[more] @ z[more]
+        started |= bit
+        n = n >> 1
+        if not n.any():
+            return result
+        z = z @ z
 
 
 @dataclass(frozen=True)
@@ -213,10 +233,6 @@ class DecayedConversion:
     @property
     def constants(self) -> DecayConstants:
         return derive_constants(self.params, self.decay)
-
-    @property
-    def delta(self) -> float:
-        return self.params.delta
 
     def as_transfer(self) -> TransferChannel:
         return TransferChannel(h_keep=self.h_keep, h_env=self.h_env)
@@ -242,7 +258,7 @@ def degradability_expression(conv: DecayedConversion) -> float:
     nonpositive value means the atom received at least as much amplitude
     as the field kept.
     """
-    c, dl, t = conv.constants, conv.delta, conv.t
+    c, dl, t = conv.constants, conv.params.delta, conv.t
     x, y, k2 = c.x, c.y, c.k2
     return (
         (x**2 + dl**2) * math.cosh(x * t)

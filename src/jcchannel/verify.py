@@ -123,13 +123,13 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
     return total.reshape(a.shape)
 
 
-def _random_params(rng: np.random.Generator) -> jc.JCParams:
-    return jc.JCParams.from_detuning(
-        g=float(rng.uniform(0.1, 3.0)),
-        delta=float(rng.uniform(-4.0, 4.0)),
-        t=float(rng.uniform(0.0, 8.0)),
-        nu=float(rng.uniform(-2.0, 2.0)),
-    )
+# bounds of one seeded draw of from_detuning's (g, delta, t, nu)
+_PARAM_BOUNDS = ((0.1, -4.0, 0.0, -2.0), (3.0, 4.0, 8.0, 2.0))
+
+
+def _random_params(rng: np.random.Generator, n: int) -> list[jc.JCParams]:
+    """n seeded JCParams from one (n, 4) block of draws."""
+    return [jc.JCParams.from_detuning(*row) for row in rng.uniform(*_PARAM_BOUNDS, size=(n, 4)).tolist()]
 
 
 def random_inputs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -165,7 +165,7 @@ def _suite(name, fn, level):
 
 def _kraus_completeness(level: str):
     rng = np.random.default_rng(_SEED)
-    samples = [_random_params(rng) for _ in range(1000 if level == "full" else 150)]
+    samples = _random_params(rng, 1000 if level == "full" else 150)
     devs = [
         np.max(np.abs(a1.conj().T @ a1 + a2.conj().T @ a2 - np.eye(2)))
         for a1, a2 in map(jc.kraus_operators, samples)
@@ -191,7 +191,7 @@ def _unitary_oracle(level: str):
 
 def _amplitude_completeness(level: str):
     rng = np.random.default_rng(_SEED + 1)
-    samples = [_random_params(rng) for _ in range(1000 if level == "full" else 150)]
+    samples = _random_params(rng, 1000 if level == "full" else 150)
     devs = []
     for params in samples:
         send = abs(jc.transfer_amplitude(params)) ** 2 + abs(jc.residual_amplitude(params)) ** 2
@@ -276,11 +276,11 @@ def _coherent_info_two_route(level: str):
 
 def _concatenation_law(level: str):
     rng = np.random.default_rng(_SEED + 3)
+    (low, high), n = _PARAM_BOUNDS, 1000 if level == "full" else 100
     points, product_devs, phase_devs = [], [], []
-    for _ in range(1000 if level == "full" else 100):
-        e1 = _random_params(rng)
-        e2 = _random_params(rng)
-        tr = float(rng.uniform(0.0, 1.0))
+    # one row per sample: e1, e2, then the transmittance T
+    for row in rng.uniform(low + low + (0.0,), high + high + (1.0,), size=(n, 9)).tolist():
+        e1, e2, tr = jc.JCParams.from_detuning(*row[:4]), jc.JCParams.from_detuning(*row[4:8]), row[8]
         chained = channels.concatenate(e1, channels.LossChannel(T=tr), e2)
         product = (
             tr
@@ -296,30 +296,19 @@ def _concatenation_law(level: str):
     yield "phase", phase_devs, lambda i: "capacity not phase-invariant at {}, T={}, {}".format(*points[i])
 
 
-def _joint_init(inp: QubitInput) -> np.ndarray:
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0] = 1.0 - inp.p
-    rho[1, 1] = inp.p
-    rho[0, 1] = inp.r
-    rho[1, 0] = np.conj(complex(inp.r))
-    return rho
-
-
 def _lindblad_points(level: str):
-    grid = lindblad.oracle_grid()
-    if level == "full":
-        return grid
-    return grid[::11]  # 20-point subset
+    """The decay oracle grid on "full", and a 20-point subset of it on "quick"."""
+    return lindblad.oracle_grid()[:: 1 if level == "full" else 11]
 
 
 def _lindblad_closed_form(level: str):
-    points, init = _lindblad_points(level), _joint_init(_DECAY_INPUT)
+    points = _lindblad_points(level)
+    init = np.zeros((4, 4), dtype=complex)
+    init[:2, :2] = _DECAY_INPUT.matrix  # |down><down| (x) the photon's state
+    numeric = lindblad.integrate_master_equations(points, init)
     devs = [
-        np.max(np.abs(
-            lindblad.closed_form_state(params, decay, _DECAY_INPUT, t)
-            - lindblad.integrate_master_equation(params, decay, init, t)
-        ))
-        for params, decay, t in points
+        np.max(np.abs(lindblad.closed_form_state(params, decay, _DECAY_INPUT, t) - rho))
+        for (params, decay, t), rho in zip(points, numeric)
     ]
     yield "closed_form", devs, lambda i: "closed form off at {} {} t={}".format(*points[i])
     # decay-free limit must reduce to the pure oscillation

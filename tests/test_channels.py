@@ -14,7 +14,6 @@ from jcchannel.channels import (
     conversion_channel,
     extended_apply,
     extended_state,
-    loss_apply,
     reception_channel,
 )
 from jcchannel.jc import JCParams, channel_output, transfer_amplitude
@@ -122,7 +121,7 @@ def test_loss_channel_range():
 def test_loss_channel_action():
     loss = LossChannel(T=0.36)
     inp = QubitInput(p=0.5, r=0.5)
-    out = loss_apply(loss, inp)
+    out = loss.as_transfer().apply(inp)
     assert out[1, 1].real == pytest.approx(0.18)
     assert out[0, 1].real == pytest.approx(0.3)  # sqrt(T) r
 

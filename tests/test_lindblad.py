@@ -18,6 +18,7 @@ from jcchannel.lindblad import (
     degradability_expression,
     derive_constants,
     integrate_master_equation,
+    integrate_master_equations,
     oracle_grid,
 )
 from jcchannel.qmat import QubitInput, check_state
@@ -137,12 +138,12 @@ def test_integrator_preserves_trace_and_positivity():
 
 
 def _recorded_ladders(monkeypatch):
-    """Patch lindblad._rk4_run to record the step count of every run."""
+    """Patch lindblad._rk4_run to record, as ints, the step count of every point of every run."""
     ladder = []
     real = lindblad._rk4_run
 
     def recording(sup, init, t, steps):
-        ladder.append(steps)
+        ladder.extend(int(n) for n in steps)
         return real(sup, init, t, steps)
 
     monkeypatch.setattr(lindblad, "_rk4_run", recording)
@@ -154,7 +155,7 @@ def _sequential_rk4(jc, d, init, t):
 
     Returns the state and the ladder of step counts it ran.
     """
-    sup = lindblad._liouvillian(jc, d)
+    sup = lindblad._liouvillians([(jc, d, t)])[0]
     scale = max(1.0, jc.rabi, abs(jc.nu), abs(jc.delta), d.kappa, d.gamma_at)
     steps = max(16, math.ceil(4.0 * t * scale))
     ladder, prev = [], None
@@ -170,7 +171,8 @@ def _sequential_rk4(jc, d, init, t):
         prev, steps = y, steps * 2
 
 
-def test_integrator_power_matches_sequential_steps(monkeypatch):
+def _wide_points():
+    """Four seeded (jc, d, t) points with t up to 30, whose ladders climb past the grid's."""
     rng = np.random.default_rng(808)
     wide = []
     for _ in range(4):
@@ -179,9 +181,13 @@ def test_integrator_power_matches_sequential_steps(monkeypatch):
             g=float(rng.uniform(0.2, 2.0)), delta=float(rng.uniform(-3.0, 3.0)), t=t, nu=0.3
         )
         wide.append((jc, DecayParams(float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.0, 1.0))), t))
+    return wide
+
+
+def test_integrator_power_matches_sequential_steps(monkeypatch):
     init = _joint_init(_REF_INPUT)
     ladder = _recorded_ladders(monkeypatch)
-    for jc, d, t in oracle_grid()[::11] + wide:
+    for jc, d, t in oracle_grid()[::11] + _wide_points():
         ladder.clear()
         powered = integrate_master_equation(jc, d, init, t)
         if t == 0.0:
@@ -205,6 +211,65 @@ def test_integrator_step_cap_raises_before_running_past_it(monkeypatch):
     with pytest.raises(StepFailure):
         integrate_master_equation(jc, DecayParams(0.1, 0.0), init, t)
     assert len(ladder) == 1 and ladder[0] <= lindblad._MAX_STEPS < 2 * ladder[0]
+
+
+def test_stacked_powers_equal_matrix_power():
+    rng = np.random.default_rng(17)
+    a = (rng.normal(size=(6, 16, 16)) + 1j * rng.normal(size=(6, 16, 16))) / 8.0
+    n = np.array([16, 17, 255, 1 << 12, 3000, 16])
+    powered = lindblad._powers(a, n)
+    for m, k, p in zip(a, n, powered):
+        assert np.array_equal(p, np.linalg.matrix_power(m, int(k)))
+
+
+def test_stacked_integrator_equals_one_point_calls(monkeypatch):
+    # the wide points sit among grid points of the first block and across
+    # the boundary between the first two, so blocks climb mixed ladders
+    points = oracle_grid()
+    wide = _wide_points()
+    block = lindblad._ORACLE_BLOCK
+    for at, point in zip((3, block - 1, block, 2 * block + 5), wide):
+        points.insert(at, point)
+    init = _joint_init(_REF_INPUT)
+    ladder = _recorded_ladders(monkeypatch)
+    stacked = integrate_master_equations(points, init)
+    first_rung = ladder[: sum(t > 0.0 for _, _, t in points[:block])]
+    assert len(set(first_rung)) > 1
+    assert stacked.shape == (len(points), 4, 4)
+    for (jc, d, t), state in zip(points, stacked):
+        assert np.array_equal(state, integrate_master_equation(jc, d, init, t))
+
+
+def test_stacked_integrator_empty_and_zero_times(monkeypatch):
+    init = _joint_init(_REF_INPUT)
+    assert integrate_master_equations([], init).shape == (0, 4, 4)
+    ladder = _recorded_ladders(monkeypatch)
+    jc = JCParams.resonant(g=1.0, t=1.0)
+    d = DecayParams(0.1, 0.0)
+    out = integrate_master_equations([(jc, d, 0.0), (jc, d, 1.0), (jc, d, 0.0)], init)
+    assert np.array_equal(out[0], init) and np.array_equal(out[2], init)
+    assert not np.shares_memory(out, init)
+    assert np.array_equal(out[1], integrate_master_equation(jc, d, init, 1.0))
+    ladder.clear()
+    integrate_master_equations([(jc, d, 0.0)] * 3, init)
+    assert ladder == []
+
+
+def test_stacked_step_cap_raises_before_the_rung_of_one_point(monkeypatch):
+    ladder = _recorded_ladders(monkeypatch)
+    jc = JCParams.resonant(g=1.0, t=1.0)
+    d = DecayParams(0.1, 0.0)
+    init = _joint_init(_REF_INPUT)
+    # one point's first run would pass the cap: the other's fits, yet nothing runs
+    with pytest.raises(StepFailure):
+        integrate_master_equations([(jc, d, 1.0), (jc, d, 6e5)], init)
+    assert ladder == []
+    # both first runs fit and the short point still needs a second; the long
+    # point's doubling would not fit, so the second rung never runs
+    t = 0.75 * lindblad._MAX_STEPS / 4.0
+    with pytest.raises(StepFailure):
+        integrate_master_equations([(jc, d, 1.0), (jc, d, t)], init)
+    assert len(ladder) == 2 and ladder[1] <= lindblad._MAX_STEPS < 2 * ladder[1]
 
 
 def test_integrator_rejects_bad_shape():
