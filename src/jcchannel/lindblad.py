@@ -175,8 +175,8 @@ def integrate_master_equations(points, init: np.ndarray) -> np.ndarray:
         live = np.array(todo[start:start + _ORACLE_BLOCK])
         block = [points[i] for i in live]
         sup, t, prev = _liouvillians(block), np.array([t for _, _, t in block]), None
-        scale = np.array([max(1.0, jc.rabi, abs(jc.nu), abs(jc.delta), d.kappa, d.gamma_at) for jc, d, _ in block])
-        steps = np.maximum(16.0, np.ceil(4.0 * t * scale))  # integral floats: a huge count cannot wrap
+        spans = [4.0 * s * max(1.0, jc.rabi, abs(jc.nu), abs(jc.delta), d.kappa, d.gamma_at) for jc, d, s in block]
+        steps = np.maximum(16.0, np.ceil(spans))  # integral floats, inf past the float range: never wraps
         while live.size:
             if np.any(steps > _MAX_STEPS):
                 raise StepFailure(f"no convergence to {ORACLE_ATOL} per entry within {_MAX_STEPS} steps")

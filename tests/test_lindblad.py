@@ -260,10 +260,12 @@ def test_stacked_step_cap_raises_before_the_rung_of_one_point(monkeypatch):
     jc = JCParams.resonant(g=1.0, t=1.0)
     d = DecayParams(0.1, 0.0)
     init = _joint_init(_REF_INPUT)
-    # one point's first run would pass the cap: the other's fits, yet nothing runs
-    with pytest.raises(StepFailure):
-        integrate_master_equations([(jc, d, 1.0), (jc, d, 6e5)], init)
-    assert ladder == []
+    # one point's first run would pass the cap, even past the float range:
+    # the other's fits, yet nothing runs
+    for long_t in (6e5, 1e308):
+        with pytest.raises(StepFailure):
+            integrate_master_equations([(jc, d, 1.0), (jc, d, long_t)], init)
+        assert ladder == []
     # both first runs fit and the short point still needs a second; the long
     # point's doubling would not fit, so the second rung never runs
     t = 0.75 * lindblad._MAX_STEPS / 4.0
