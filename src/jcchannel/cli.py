@@ -16,12 +16,15 @@ one-point path gives.  All numeric text uses shortest round-trip decimals
 so identical inputs produce byte-identical output (--threads is accepted
 but changes nothing).  A flat key=value config file can supply any flag;
 explicit flags win.  The argparse parser is built once per process, on the
-first main call, and reused by every later call.
+first main call, and reused by every later call.  A request is parsed by
+its subcommand's parser alone; the root parser runs only to print the help
+or usage error of an argv with no known subcommand or with tokens left over.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -250,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process and reused.
 
     argparse keeps no state between parse_args calls, so one parser serves
-    every main call; building it costs ~2.5 ms.
+    every main call; building it costs ~2.5 ms.  Its subcommands attribute
+    maps each subcommand name to that subcommand's parser, for _parse.
     """
     parser = argparse.ArgumentParser(
         prog="jcchannel",
@@ -279,7 +283,24 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run oracle cross-check suites")
     pv.add_argument("level", nargs="?", choices=("quick", "full"), default="quick")
     pv.add_argument("--config", help="flat key=value file supplying flag defaults")
+    parser.subcommands = sub.choices
     return parser
+
+
+def _parse(parser, argv: list) -> argparse.Namespace:
+    """parser.parse_args(argv), parsed by argv's subcommand parser alone.
+
+    The root parser would only hand it every token after the name; it runs
+    only when argv names no subcommand or leaves tokens over, to print its
+    help or usage error.
+    """
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def _merge_config(args, parser) -> None:
@@ -302,14 +323,14 @@ def _merge_config(args, parser) -> None:
         if "=" not in line:
             parser.error(f"--config: line {lineno} is not key=value: {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if not hasattr(args, key):
+        if key in ("command", "config", "level") or not hasattr(args, key):  # not flags
             parser.error(f"--config: unknown key {key!r}")
         current = getattr(args, key)
         if current is None:
             tokens.append(f"--{key}={value}")
         elif current is False and value.lower() in ("1", "true", "yes", "on"):
             tokens.append(f"--{key}")  # a switch
-    parsed = parser.parse_args([args.command, *tokens])
+    parsed = _parse(parser, [args.command, *tokens])
     for key, value in vars(parsed).items():
         if getattr(args, key) is None or getattr(args, key) is False:
             setattr(args, key, value)
@@ -365,7 +386,8 @@ def _emit(lines, out_path: str | None, stamp: str | None = None) -> None:
 
     Lines go to a temporary file beside the target, which replaces it once
     every line is written; a failure leaves an existing target as it was.
-    A stamp line, if given, comes first.
+    A file that cannot be written is a ValueError naming it.  A stamp line,
+    if given, comes first.
     """
     if stamp is not None:
         lines = itertools.chain([stamp], lines)
@@ -381,9 +403,11 @@ def _emit(lines, out_path: str | None, stamp: str | None = None) -> None:
                 fh.write(line)
                 fh.write("\n")
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    except OSError as e:
+        raise ValueError(f"cannot write {out_path}: {e.strerror or e}") from e
+    finally:
+        with contextlib.suppress(OSError):  # gone once it replaced the target
+            tmp.unlink()
 
 
 def _stamp(args) -> str | None:
@@ -631,7 +655,7 @@ def _glue_negative_values(argv) -> list:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
+    args = _parse(parser, _glue_negative_values(sys.argv[1:] if argv is None else argv))
     _merge_config(args, parser)
     if getattr(args, "threads", None) is not None and args.threads < 1:
         parser.error("--threads must be >= 1")

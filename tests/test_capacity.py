@@ -120,6 +120,17 @@ def test_grid_oracle_frozen_value():
     assert p == pytest.approx(4.0 / 9.0, abs=2e-3)
 
 
+@pytest.mark.parametrize("step", [-0.1, 0.0, -0.0, math.nan, math.inf, -math.inf, 1.5])
+def test_grid_oracle_rejects_a_step_outside_0_1(step):
+    with pytest.raises(ValueError, match=r"step must lie in \(0, 1\], got"):
+        capacity_grid_oracle(0.75, step=step)
+
+
+def test_grid_oracle_takes_the_whole_interval_as_one_step():
+    # the grid p = 0, 1 gives 0 at both ends
+    assert capacity_grid_oracle(0.75, step=1.0) == (0.0, 0.0)
+
+
 def test_capacity_perfect_transfer_exact():
     res = quantum_capacity(_unit(1.0))
     assert res.q == 1.0 and res.p_star == 0.5

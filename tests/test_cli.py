@@ -1,5 +1,6 @@
 """Command-line behavior: records, determinism, formats, exit codes."""
 
+import importlib.util
 import itertools
 import json
 import math
@@ -21,7 +22,9 @@ from jcchannel.cli import (
     SweepSpec,
     _axis_values,
     _emit,
+    _glue_negative_values,
     _merge_config,
+    _parse,
     _parse_axis,
     _sweep_lines,
     build_parser,
@@ -512,6 +515,19 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, line, key", [
+    (["capacity", "--g", "1", "--t", "1"], "command = sweep", "command"),
+    (["capacity", "--g", "1", "--t", "1"], "config = other.cfg", "config"),
+    (["verify"], "level = full", "level"),
+])
+def test_config_rejects_keys_that_are_not_flags(command, line, key, tmp_path, capsys):
+    # each is an attribute of the parsed args, but no flag a line can set
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{line}\n")
+    err = usage_error(command + ["--config", str(cfg)], capsys)
+    assert f"--config: unknown key {key!r}" in err
+
+
 def test_evolve_columns_and_initial_row(capsys):
     code, out, _ = run_cli(
         ["evolve", "--g", "1", "--kappa", "0.2", "--sweep", "t:0:3.14:5"], capsys
@@ -599,6 +615,20 @@ def test_out_file_kept_intact_on_failure(tmp_path):
     assert list(tmp_path.iterdir()) == [target]
 
 
+@pytest.mark.parametrize("target", ["missing/x.txt", "a-directory"])
+def test_unwritable_out_is_one_error_line(target, tmp_path, capsys):
+    # the directory stays as it was, and no temporary file is left behind
+    (tmp_path / "a-directory").mkdir()
+    (tmp_path / "a-directory" / "kept.txt").write_text("kept\n")
+    out = tmp_path / target
+    code, stdout, err = run_cli(["capacity", "--g", "1", "--t", "1", "--out", str(out)], capsys)
+    reason = "No such file or directory" if target.startswith("missing") else "Is a directory"
+    assert (code, stdout, err) == (2, "", f"error: cannot write {out}: {reason}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory"]
+    assert [p.name for p in (tmp_path / "a-directory").iterdir()] == ["kept.txt"]
+    assert (tmp_path / "a-directory" / "kept.txt").read_text() == "kept\n"
+
+
 def test_run_record_empty_fields_for_absent_params():
     rec = compute_record("conversion", CONVERSION_VALS)
     row = rec.csv_row().split(",")
@@ -674,3 +704,67 @@ _DEGRADE_BYTES = [
 @pytest.mark.parametrize("args, out", _DEGRADE_BYTES, ids=["text", "json", "concat-json"])
 def test_degrade_output_bytes_are_frozen(args, out, capsys):
     assert run_cli(args, capsys) == (0, out, "")
+
+
+def _workload_requests(monkeypatch) -> list:
+    """Every request argv of the four benchmark workloads, on seeds 1 and 7."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    return [argv for name in workloads.WORKLOADS for seed in (1, 7)
+            for argv in workloads.make_inputs(name, seed).requests]
+
+
+def test_subcommand_parse_equals_the_root_parse(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("g = 1\njson = true\nthreads = 2\nsweep = t:0:1:3\n")
+    requests = _workload_requests(monkeypatch) + [
+        ["capacity", "--config", str(cfg), "--t", "1", "--delta", "-1e-3", "--kap", "0.1"],
+        ["sweep", "--mode", "concat", "--g", "1", "--t", "1", "--g2", "1", "--T", "0.5",
+         "--sweep", "t2:0:1:3", "--sweep", "delta:-1:1:2", "--sweep", "delta2:0:1:2"],
+        ["evolve", "--g", "1", "--kappa", "0.2", "--sweep", "t:0:3:5", "--stamp"],
+        ["degrade", "--mode", "concat", "--g", "1", "--t", "1.4", "--g2", "1.1",
+         "--t2", "1.5", "--T", "0.9", "--json", "--out", "x.json"],
+        ["verify", "full"],
+        ["verify", "--config", str(cfg)],
+    ]
+    parser = build_parser()
+    for argv in requests:
+        argv = _glue_negative_values(argv)
+        assert vars(_parse(parser, argv)) == vars(parser.parse_args(argv)), argv
+
+
+# argv the root parser answers with its help or a usage error
+_USAGE_CORPUS = [
+    [], ["bogus"], ["-h"], ["--help"], ["-x"], ["--", "capacity"], ["capacity", "-h"],
+    ["capacity", "--g", "1", "--help"], ["verify", "-h"], ["sweep", "--he"],
+    ["capacity", "--bogus", "1"], ["capacity", "--g", "1", "extra"], ["verify", "full", "extra"],
+    ["verify", "medium"], ["capacity", "--del", "1"], ["capacity", "--", "--g", "1"],
+    ["capacity", "--g"], ["capacity", "--g", "abc"], ["capacity", "--mode", "nope"],
+    ["capacity", "--threads", "two"], ["capacity", "--json=1"], ["sweep", "--sweep"],
+    ["capacity", "--g", "-x"], ["capacity", "--delta", "-1e-3", "-q"], ["Capacity"],
+]
+
+
+@pytest.mark.parametrize("argv", _USAGE_CORPUS, ids=" ".join)
+def test_main_prints_the_root_parsers_help_and_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as root:
+        build_parser().parse_args(_glue_negative_values(argv))
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, capsys.readouterr()) == (root.value.code, expected)
+
+
+def test_a_valid_query_skips_the_root_parse(monkeypatch, capsys):
+    parser = build_parser()
+
+    def root_parse(*args, **kwargs):
+        raise AssertionError("the root parser parsed a valid request")
+
+    monkeypatch.setattr(parser, "parse_args", root_parse)
+    monkeypatch.setattr(parser, "parse_known_args", root_parse)
+    assert run_cli(["capacity", "--g", "1", "--delta", "-0.5", "--t", "1.2", "--json"], capsys)[0] == 0
+    assert run_cli(["verify", "quick"], capsys)[0] == 0
