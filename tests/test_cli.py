@@ -615,18 +615,23 @@ def test_out_file_kept_intact_on_failure(tmp_path):
     assert list(tmp_path.iterdir()) == [target]
 
 
-@pytest.mark.parametrize("target", ["missing/x.txt", "a-directory"])
-def test_unwritable_out_is_one_error_line(target, tmp_path, capsys):
-    # the directory stays as it was, and no temporary file is left behind
+@pytest.mark.parametrize("target, reason", [
+    ("missing/x.txt", "No such file or directory"),
+    ("a-directory", "Is a directory"),
+    ("a-file/x.txt", "Not a directory"),
+])
+def test_unwritable_out_is_one_error_line(target, reason, tmp_path, capsys):
+    # what exists stays as it was, and no temporary file is left behind
     (tmp_path / "a-directory").mkdir()
     (tmp_path / "a-directory" / "kept.txt").write_text("kept\n")
+    (tmp_path / "a-file").write_text("kept\n")
     out = tmp_path / target
     code, stdout, err = run_cli(["capacity", "--g", "1", "--t", "1", "--out", str(out)], capsys)
-    reason = "No such file or directory" if target.startswith("missing") else "Is a directory"
     assert (code, stdout, err) == (2, "", f"error: cannot write {out}: {reason}\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory", "a-file"]
     assert [p.name for p in (tmp_path / "a-directory").iterdir()] == ["kept.txt"]
     assert (tmp_path / "a-directory" / "kept.txt").read_text() == "kept\n"
+    assert (tmp_path / "a-file").read_text() == "kept\n"
 
 
 def test_run_record_empty_fields_for_absent_params():
