@@ -13,7 +13,9 @@ to the decay environments, making the sum smaller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import cmath
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +32,7 @@ class TransferChannel:
 
     def __post_init__(self):
         hk, he = complex(self.h_keep), complex(self.h_env)
-        if not (np.isfinite(hk) and np.isfinite(he)):
+        if not (cmath.isfinite(hk) and cmath.isfinite(he)):
             raise ValueError("channel amplitudes must be finite")
         if abs(hk) > 1 + _AMP_TOL or abs(he) > 1 + _AMP_TOL:
             raise ValueError("channel amplitudes cannot exceed 1 in magnitude")
@@ -51,13 +53,15 @@ class TransferChannel:
     def outputs(self, p, r) -> np.ndarray:
         """Output of the input (p, r), stacked on the last two axes for arrays p and r."""
         h = complex(self.h_keep)
-        a = abs(h) ** 2
+        pa = np.multiply(p, abs(h) ** 2)
+        out = np.empty(np.broadcast(p, r).shape + (2, 2), dtype=complex)
+        out[..., 0, 0], out[..., 1, 1] = 1.0 - pa, pa
         # r h from real products, as Python multiplies complex numbers: a stack member is apply's
-        rh = np.empty(np.broadcast(p, r).shape, dtype=complex)
+        rh = out[..., 0, 1]
         rh.real = np.real(r) * h.real - np.imag(r) * h.imag
         rh.imag = np.real(r) * h.imag + np.imag(r) * h.real
-        cells = np.broadcast_arrays(1.0 - np.multiply(p, a), rh, np.conj(rh), np.multiply(p, a))
-        return np.stack(cells, axis=-1).reshape(rh.shape + (2, 2))
+        out[..., 1, 0] = np.conj(rh)
+        return out
 
     @staticmethod
     def accepts(keep_abs, env_abs, keep_sq, env_sq) -> np.ndarray:
@@ -69,7 +73,7 @@ class TransferChannel:
         )
 
     def complement(self) -> "TransferChannel":
-        return replace(self, h_keep=self.h_env, h_env=self.h_keep)
+        return TransferChannel(self.h_env, self.h_keep)
 
     def kraus(self) -> tuple[np.ndarray, np.ndarray]:
         """Minimal dilation Kraus pair; depends on h_keep only.
@@ -108,9 +112,7 @@ class LossChannel:
             raise ValueError(f"transmittance {self.T} outside [0, 1]")
 
     def as_transfer(self) -> TransferChannel:
-        return TransferChannel(
-            h_keep=np.sqrt(self.T), h_env=np.sqrt(1.0 - self.T)
-        )
+        return TransferChannel(h_keep=math.sqrt(self.T), h_env=math.sqrt(1.0 - self.T))
 
 
 def compose(first: TransferChannel, second: TransferChannel) -> TransferChannel:
@@ -121,7 +123,7 @@ def compose(first: TransferChannel, second: TransferChannel) -> TransferChannel:
     nonnegative.
     """
     hk = complex(first.h_keep) * complex(second.h_keep)
-    return TransferChannel(h_keep=hk, h_env=np.sqrt(max(0.0, 1.0 - abs(hk) ** 2)))
+    return TransferChannel(h_keep=hk, h_env=math.sqrt(max(0.0, 1.0 - abs(hk) ** 2)))
 
 
 def concatenate(e1: jc.JCParams, loss: LossChannel, e2: jc.JCParams) -> TransferChannel:

@@ -31,6 +31,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 import time
 from collections.abc import Callable
@@ -384,10 +385,12 @@ def _gather_values(args, mode: str, parser, axes=()) -> dict:
 def _emit(lines, out_path: str | None, stamp: str | None = None) -> None:
     """Print lines, or write them to a file that appears only on success.
 
-    Lines go to a temporary file beside the target, which replaces it once
-    every line is written; a failure leaves an existing target as it was.
-    A file that cannot be written is a ValueError naming it.  A stamp line,
-    if given, comes first.
+    A regular file, or a new one, gets the lines through a temporary file
+    beside it, which replaces it once every line is written; a failure
+    leaves an existing file as it was.  A symlink's target is the file
+    replaced, and the link stays.  Any other existing target, such as a FIFO
+    or a device, is written straight into.  A path that cannot be written
+    is a ValueError naming it.  A stamp line, if given, comes first.
     """
     if stamp is not None:
         lines = itertools.chain([stamp], lines)
@@ -395,19 +398,26 @@ def _emit(lines, out_path: str | None, stamp: str | None = None) -> None:
         for line in lines:
             print(line)
         return
-    path = Path(out_path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    target = os.path.realpath(out_path) if os.path.islink(out_path) else out_path
+    head, name = os.path.split(target)
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
+        regular = stat.S_ISREG(os.stat(target).st_mode)
+    except OSError:  # nothing there yet, or nothing reachable: the write names the failure
+        regular = True
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp") if regular and name else None
+    try:
+        with open(tmp or target, "w", encoding="utf-8") as fh:
             for line in lines:
                 fh.write(line)
                 fh.write("\n")
-        os.replace(tmp, path)
+        if tmp:
+            os.replace(tmp, target)
     except OSError as e:
         raise ValueError(f"cannot write {out_path}: {e.strerror or e}") from e
     finally:
-        with contextlib.suppress(OSError):  # gone once it replaced the target
-            tmp.unlink()
+        if tmp:
+            with contextlib.suppress(OSError):  # gone once it replaced the target
+                os.unlink(tmp)
 
 
 def _stamp(args) -> str | None:

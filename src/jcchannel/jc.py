@@ -41,9 +41,10 @@ class JCParams:
     t: float
 
     def __post_init__(self):
-        for name in ("g", "nu", "omega", "t"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"JCParams.{name} must be finite")
+        isfinite = math.isfinite
+        if not (isfinite(self.g) and isfinite(self.nu) and isfinite(self.omega) and isfinite(self.t)):
+            name = next(n for n in ("g", "nu", "omega", "t") if not isfinite(getattr(self, n)))
+            raise ValueError(f"JCParams.{name} must be finite")
         if self.g <= 0:
             raise ValueError("coupling g must be positive")
         if self.t < 0:
@@ -223,8 +224,8 @@ def block_amplitudes(
     the exchange: (reception residual, transfer, residual), all read off
     one block_propagator call.
     """
-    phase, *entries = block_propagator(params, t, kappa, gamma)
-    return tuple(phase * entry.conjugate() for entry in entries)
+    phase, g00, g01, g11 = block_propagator(params, t, kappa, gamma)
+    return phase * g00.conjugate(), phase * g01.conjugate(), phase * g11.conjugate()
 
 
 def block_amplitude_columns(g, delta, nu, t, kappa=0.0, gamma=0.0) -> tuple[CArray, ...]:
@@ -311,7 +312,7 @@ def joint_unitary(params: JCParams) -> np.ndarray:
     """
     u = np.zeros((4, 4), dtype=complex)
     u[0, 0], g00, g01, g11 = block_propagator(params, params.t)
-    u[1:3, 1:3] = [[g00, g01], [g01, g11]]
+    u[1, 1], u[1, 2], u[2, 1], u[2, 2] = g00, g01, g01, g11
     u[3, 3] = cmath.exp(-1j * (1.5 * params.nu + 0.5 * params.omega) * params.t)
     return u
 

@@ -166,10 +166,9 @@ def _suite(name, fn, level):
 def _kraus_completeness(level: str):
     rng = np.random.default_rng(_SEED)
     samples = _random_params(rng, 1000 if level == "full" else 150)
-    devs = [
-        np.max(np.abs(a1.conj().T @ a1 + a2.conj().T @ a2 - np.eye(2)))
-        for a1, a2 in map(jc.kraus_operators, samples)
-    ]
+    a1, a2 = np.array([jc.kraus_operators(params) for params in samples]).swapaxes(0, 1)
+    gram = a1.conj().swapaxes(-1, -2) @ a1 + a2.conj().swapaxes(-1, -2) @ a2
+    devs = np.max(np.abs(gram - np.eye(2)), axis=(-2, -1))
     yield "completeness", devs, lambda i: f"completeness broken at {samples[i]}"
 
 
@@ -194,8 +193,9 @@ def _amplitude_completeness(level: str):
     samples = _random_params(rng, 1000 if level == "full" else 150)
     devs = []
     for params in samples:
-        send = abs(jc.transfer_amplitude(params)) ** 2 + abs(jc.residual_amplitude(params)) ** 2
-        recv = abs(jc.transfer_amplitude(params)) ** 2 + abs(jc.reception_residual_amplitude(params)) ** 2
+        moved = abs(jc.transfer_amplitude(params)) ** 2
+        send = moved + abs(jc.residual_amplitude(params)) ** 2
+        recv = moved + abs(jc.reception_residual_amplitude(params)) ** 2
         devs.append(max(abs(send - 1.0), abs(recv - 1.0)))
     yield "norm", devs, lambda i: f"amplitude norm broken at {samples[i]}"
 

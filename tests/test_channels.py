@@ -62,6 +62,48 @@ def test_validation_rejects_oversized_amplitudes():
         TransferChannel(h_keep=0.9, h_env=0.9)  # squares sum above 1
 
 
+@pytest.mark.parametrize("bad", [
+    complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0),
+    complex(-math.inf, 0.0), complex(0.0, math.inf), complex(0.0, -math.inf),
+])
+@pytest.mark.parametrize("side", ["h_keep", "h_env"])
+def test_validation_rejects_non_finite_amplitudes(bad, side):
+    with pytest.raises(ValueError, match="^channel amplitudes must be finite$"):
+        TransferChannel(**{"h_keep": 0.6, "h_env": 0.3, side: bad})
+
+
+def _stacked_cells(ch, p, r):
+    """outputs as the cells broadcast, stacked and reshaped: the reference the one-array fill must equal."""
+    h = complex(ch.h_keep)
+    a = abs(h) ** 2
+    rh = np.empty(np.broadcast(p, r).shape, dtype=complex)
+    rh.real = np.real(r) * h.real - np.imag(r) * h.imag
+    rh.imag = np.real(r) * h.imag + np.imag(r) * h.real
+    cells = np.broadcast_arrays(1.0 - np.multiply(p, a), rh, np.conj(rh), np.multiply(p, a))
+    return np.stack(cells, axis=-1).reshape(rh.shape + (2, 2))
+
+
+_RNG = np.random.default_rng(20261018)
+
+
+@pytest.mark.parametrize("p, r", [
+    (0.4, 0.2 + 0.1j),
+    (1.0, 0.0),
+    (np.float64(0.3), -0.25j),
+    (_RNG.uniform(size=7), 0.2 * _RNG.uniform(-1, 1, size=7) + 0.2j * _RNG.uniform(-1, 1, size=7)),
+    (np.linspace(0.0, 1.0, 5), 0.0),
+    (_RNG.uniform(size=(3, 1)), 0.1 * _RNG.uniform(-1, 1, size=4) - 0.1j),
+    (0.5, np.array([[0.1, -0.2j], [0.3 + 0.1j, -0.0]])),
+])
+@pytest.mark.parametrize("h_keep", [0.6 + 0.3j, -0.8j, 1.0, 0.0])
+def test_outputs_equal_the_stacked_cells_bit_for_bit(h_keep, p, r):
+    ch = TransferChannel(h_keep=h_keep, h_env=0.0)
+    out, ref = ch.outputs(p, r), _stacked_cells(ch, p, r)
+    assert out.shape == ref.shape
+    assert np.array_equal(out, ref)
+    assert out.tobytes() == ref.tobytes()  # signed zeros too
+
+
 def test_leakage_channel_is_allowed():
     ch = TransferChannel(h_keep=0.6, h_env=0.3)
     assert ch.keep_prob + ch.env_prob < 1.0
@@ -118,6 +160,12 @@ def test_loss_channel_range():
         LossChannel(T=-0.1)
 
 
+@given(st.floats(min_value=0.0, max_value=1.0))
+def test_loss_channel_amplitudes_are_numpys_square_roots(tr):
+    ch = LossChannel(T=tr).as_transfer()
+    assert (ch.h_keep, ch.h_env) == (np.sqrt(tr), np.sqrt(1.0 - tr))
+
+
 def test_loss_channel_action():
     loss = LossChannel(T=0.36)
     inp = QubitInput(p=0.5, r=0.5)
@@ -129,6 +177,8 @@ def test_loss_channel_action():
 @given(unit_channels(), unit_channels(), qubit_inputs())
 def test_compose_equals_sequential_application(first, second, inp):
     chained = compose(first, second)
+    hk = complex(first.h_keep) * complex(second.h_keep)
+    assert chained.h_env == np.sqrt(max(0.0, 1.0 - abs(hk) ** 2))
     mid = QubitInput.from_matrix(first.apply(inp))
     direct = second.apply(mid)
     assert np.max(np.abs(chained.apply(inp) - direct)) < 1e-12

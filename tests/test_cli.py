@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -619,19 +620,48 @@ def test_out_file_kept_intact_on_failure(tmp_path):
     ("missing/x.txt", "No such file or directory"),
     ("a-directory", "Is a directory"),
     ("a-file/x.txt", "Not a directory"),
+    ("", "No such file or directory"),
+    ("/", "Is a directory"),
 ])
-def test_unwritable_out_is_one_error_line(target, reason, tmp_path, capsys):
+def test_unwritable_out_is_one_error_line(target, reason, tmp_path, monkeypatch, capsys):
     # what exists stays as it was, and no temporary file is left behind
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "a-directory").mkdir()
     (tmp_path / "a-directory" / "kept.txt").write_text("kept\n")
     (tmp_path / "a-file").write_text("kept\n")
-    out = tmp_path / target
-    code, stdout, err = run_cli(["capacity", "--g", "1", "--t", "1", "--out", str(out)], capsys)
-    assert (code, stdout, err) == (2, "", f"error: cannot write {out}: {reason}\n")
+    code, stdout, err = run_cli(["capacity", "--g", "1", "--t", "1", "--out", target], capsys)
+    assert (code, stdout, err) == (2, "", f"error: cannot write {target}: {reason}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a-directory", "a-file"]
     assert [p.name for p in (tmp_path / "a-directory").iterdir()] == ["kept.txt"]
     assert (tmp_path / "a-directory" / "kept.txt").read_text() == "kept\n"
     assert (tmp_path / "a-file").read_text() == "kept\n"
+
+
+def test_out_through_a_symlink_replaces_its_target_and_keeps_the_link(tmp_path, capsys):
+    args = ["capacity", "--g", "1", "--t", "1"]
+    expected = run_cli(args, capsys)[1]
+    (tmp_path / "real.txt").write_text("stale\n")
+    (tmp_path / "link.txt").symlink_to("real.txt")
+    assert run_cli(args + ["--out", str(tmp_path / "link.txt")], capsys) == (0, "", "")
+    assert os.readlink(tmp_path / "link.txt") == "real.txt"
+    assert (tmp_path / "real.txt").read_text() == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+
+def test_out_into_a_fifo_writes_through_it(tmp_path, capsys):
+    args = ["capacity", "--g", "1", "--t", "1"]
+    expected = run_cli(args, capsys)[1]
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # a reader that is already there: opening the write end cannot block
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run_cli(args + ["--out", str(fifo)], capsys) == (0, "", "")
+        assert os.read(reader, 1 << 16).decode() == expected
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
 
 def test_run_record_empty_fields_for_absent_params():
@@ -643,19 +673,40 @@ def test_run_record_empty_fields_for_absent_params():
     assert row[header.index("g")] == "1.0"
 
 
+def _src_env():
+    """The environment with this checkout's src/ first on PYTHONPATH, for a `python -m jcchannel` child."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")])))
+
+
 def test_closed_pipe_ends_quietly():
     # `jcchannel sweep ... | head -1`: the reader leaves after one line
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
         [sys.executable, "-m", "jcchannel", "sweep", "--g", "1", "--sweep", "t:0:3:20000"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
     )
     assert proc.stdout.readline().decode() == CSV_HEADER + "\n"
     proc.stdout.close()
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
     assert err == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "full"],
+    ["capacity", "--g", "1", "--delta", "0.4", "--t", "1.2"],
+    ["capacity", "--mode", "concat", "--g", "1", "--t", "1.2", "--g2", "1", "--delta2", "-0.7", "--t2", "1.5",
+     "--T", "0.8"],
+    ["capacity", "--mode", "decayed", "--g", "1", "--delta", "0.4", "--t", "1.9", "--kappa", "0.9", "--gamma", "0.7",
+     "--json"],
+])
+def test_commands_emit_no_warning(args):
+    # -W error turns any warning, such as numpy's RuntimeWarning, into a failing exit
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "jcchannel", *args],
+        capture_output=True, env=_src_env(), timeout=120,
+    )
+    assert (done.returncode, done.stderr.decode()) == (0, "")
 
 
 def test_parser_is_built_once_per_process():

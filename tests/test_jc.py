@@ -59,8 +59,14 @@ def test_params_validation():
         JCParams(g=0.0, nu=0.0, omega=0.0, t=1.0)
     with pytest.raises(ValueError):
         JCParams(g=1.0, nu=0.0, omega=0.0, t=-1.0)
-    with pytest.raises(ValueError):
-        JCParams(g=math.nan, nu=0.0, omega=0.0, t=1.0)
+    # every mix of non-finite fields names its first one, in the order g, nu, omega, t
+    fields = ("g", "nu", "omega", "t")
+    for mask in range(1, 16):
+        bad = [name for i, name in enumerate(fields) if mask >> i & 1]
+        for value in (math.nan, math.inf, -math.inf):
+            values = {"g": 1.0, "nu": 0.0, "omega": 0.0, "t": 1.0, **dict.fromkeys(bad, value)}
+            with pytest.raises(ValueError, match=f"^JCParams.{bad[0]} must be finite$"):
+                JCParams(**values)
 
 
 def test_derived_quantities():

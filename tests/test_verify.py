@@ -30,6 +30,18 @@ def test_stacked_expm_equals_single_calls():
         assert np.array_equal(out[i, j], expm_taylor(stack[i, j]))
 
 
+def test_stacked_kraus_completeness_equals_the_per_sample_expression():
+    (_, devs, _), = verify._kraus_completeness("full")
+    devs = np.asarray(devs)
+    samples = verify._random_params(np.random.default_rng(verify._SEED), 1000)
+    per_sample = np.array([
+        np.max(np.abs(a1.conj().T @ a1 + a2.conj().T @ a2 - np.eye(2)))
+        for a1, a2 in map(jc.kraus_operators, samples)
+    ])
+    assert devs.shape == per_sample.shape
+    assert devs.tobytes() == per_sample.tobytes()
+
+
 def _suite(report, name):
     return next(r for r in report.results if r.name == name)
 
