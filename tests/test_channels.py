@@ -83,16 +83,13 @@ def _stacked_cells(ch, p, r):
     return np.stack(cells, axis=-1).reshape(rh.shape + (2, 2))
 
 
-_RNG = np.random.default_rng(20261018)
-
-
 @pytest.mark.parametrize("p, r", [
     (0.4, 0.2 + 0.1j),
     (1.0, 0.0),
     (np.float64(0.3), -0.25j),
-    (_RNG.uniform(size=7), 0.2 * _RNG.uniform(-1, 1, size=7) + 0.2j * _RNG.uniform(-1, 1, size=7)),
+    (np.linspace(0.05, 0.95, 7), 0.2 * np.exp(1j * np.arange(7))),
     (np.linspace(0.0, 1.0, 5), 0.0),
-    (_RNG.uniform(size=(3, 1)), 0.1 * _RNG.uniform(-1, 1, size=4) - 0.1j),
+    (np.linspace(0.1, 0.9, 3)[:, None], 0.1 * np.cos(np.arange(4)) - 0.1j),
     (0.5, np.array([[0.1, -0.2j], [0.3 + 0.1j, -0.0]])),
 ])
 @pytest.mark.parametrize("h_keep", [0.6 + 0.3j, -0.8j, 1.0, 0.0])
