@@ -138,6 +138,17 @@ def concatenate(e1: jc.JCParams, loss: LossChannel, e2: jc.JCParams) -> Transfer
     return compose(fiber, reception_channel(e2))
 
 
+def squares(magnitudes: np.ndarray) -> list:
+    """x ** 2 of each value as a Python float: libm's pow, as TransferChannel takes it."""
+    return [x ** 2 for x in magnitudes.tolist()]
+
+
+def concatenate_columns(e1: tuple, T, e2: tuple) -> tuple:
+    """concatenate bit for bit over stage arrays (g, delta, nu, t) and T: (h_keep as a CArray, h_env), NaN where it raises."""
+    keep = jc.block_amplitude_columns(*e1)[1] * np.sqrt(T) * jc.block_amplitude_columns(*e2)[1]
+    return keep, np.sqrt(np.maximum(0.0, 1.0 - np.array(squares(abs(keep)))))
+
+
 def extended_state(ch: TransferChannel, inp: QubitInput) -> np.ndarray:
     """(E (x) I) applied to a purification of the input, as a 4x4 state.
 

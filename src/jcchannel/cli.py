@@ -54,8 +54,10 @@ from .channels import (
     TransferChannel,
     compose,
     concatenate,
+    concatenate_columns,
     conversion_channel,
     reception_channel,
+    squares,
 )
 from .jc import JCParams, block_amplitude_columns
 from .lindblad import DecayParams, closed_form_state, decayed_conversion
@@ -104,22 +106,9 @@ def _decay(vals: dict) -> DecayParams:
     return DecayParams(kappa=vals["kappa"], gamma_at=vals["gamma"])
 
 
-def _stage_columns(c: dict, suffix: str = "", kappa=0.0, gamma=0.0) -> tuple:
-    """_stage's block amplitudes over a chunk's columns c."""
-    return block_amplitude_columns(
-        c["g" + suffix], c["delta" + suffix], c["nu"], c["t" + suffix], kappa, gamma
-    )
-
-
-def _squares(magnitudes: np.ndarray) -> list:
-    """x ** 2 of each value as a Python float: libm's pow, as TransferChannel takes it."""
-    return [x ** 2 for x in magnitudes.tolist()]
-
-
-def _concat_columns(c: dict) -> tuple:
-    """concatenate's (h_keep, h_env) over a chunk: the same products, in the same order."""
-    keep = _stage_columns(c)[1] * np.sqrt(c["T"]) * _stage_columns(c, "2")[1]
-    return keep, np.sqrt(np.maximum(0.0, 1.0 - np.array(_squares(abs(keep)))))
+def _stage_columns(c: dict, suffix: str = "") -> tuple:
+    """_stage's (g, delta, nu, t) over a chunk's columns c, as block_amplitude_columns takes them."""
+    return c["g" + suffix], c["delta" + suffix], c["nu"], c["t" + suffix]
 
 
 @dataclass(frozen=True)
@@ -137,19 +126,19 @@ MODES = {
         ("g", "delta", "t"),
         ("g", "t"),
         lambda v: conversion_channel(_stage(v)),
-        lambda c: _stage_columns(c)[1:],
+        lambda c: block_amplitude_columns(*_stage_columns(c))[1:],
     ),
     "concat": Mode(
         ("g", "delta", "t", "g2", "delta2", "t2", "T"),
         ("g", "t", "g2", "t2", "T"),
         lambda v: concatenate(_stage(v), LossChannel(T=v["T"]), _stage(v, "2")),
-        _concat_columns,
+        lambda c: concatenate_columns(_stage_columns(c), c["T"], _stage_columns(c, "2")),
     ),
     "decayed": Mode(
         ("g", "delta", "t", "kappa", "gamma"),
         ("g", "t"),
         lambda v: decayed_conversion(_stage(v), _decay(v), v["t"]).as_transfer(),
-        lambda c: _stage_columns(c, "", c["kappa"], c["gamma"])[1::-1],
+        lambda c: block_amplitude_columns(*_stage_columns(c), c["kappa"], c["gamma"])[1::-1],
     ),
 }
 
@@ -560,7 +549,7 @@ def _sweep_lines(spec: SweepSpec):
         cols = {name: np.full(n, v) for name, v in spec.fixed.items()}
         cols.update(zip(names, values))
         keep, env = (abs(h) for h in entry.build_columns(cols))
-        keep_sq, env_sq = _squares(keep), _squares(env)
+        keep_sq, env_sq = squares(keep), squares(env)
         ok = TransferChannel.accepts(keep, env, keep_sq, env_sq)
         if not ok.all():
             point = {name: float(col[ok.argmin()]) for name, col in cols.items()}

@@ -280,9 +280,9 @@ def kraus_operators(params: JCParams) -> tuple[np.ndarray, np.ndarray]:
     branch where the excitation stays on the atom and the field stays empty.
     """
     phase, _, g10, g11 = block_propagator(params, params.t)
-    a1 = np.diag([phase, g10])
-    a2 = np.array([[0.0, g11], [0.0, 0.0]], dtype=complex)
-    return a1, a2
+    a = np.zeros((2, 2, 2), dtype=complex)
+    a[0, 0, 0], a[0, 1, 1], a[1, 0, 1] = phase, g10, g11
+    return a[0], a[1]
 
 
 def hamiltonian(params: JCParams) -> np.ndarray:

@@ -180,24 +180,19 @@ def _unitary_oracle(level: str):
         for delta in np.linspace(-3.0, 3.0, npts)
         for nu in np.linspace(-2.0, 2.0, npts)
     ]
-    generators = np.empty((len(grid), 4, 4), dtype=complex)
-    for i, params in enumerate(grid):
-        generators[i] = -1j * params.t * jc.hamiltonian(params)
-    numeric = expm_taylor(generators)
-    devs = [np.max(np.abs(jc.joint_unitary(params) - u)) for params, u in zip(grid, numeric)]
+    generators = np.array([-1j * params.t * jc.hamiltonian(params) for params in grid])
+    closed = np.array([jc.joint_unitary(params) for params in grid])
+    devs = np.max(np.abs(closed - expm_taylor(generators)), axis=(1, 2))
     yield "unitary", devs, lambda i: f"unitary mismatch at {grid[i]}"
 
 
 def _amplitude_completeness(level: str):
     rng = np.random.default_rng(_SEED + 1)
-    samples = _random_params(rng, 1000 if level == "full" else 150)
-    devs = []
-    for params in samples:
-        moved = abs(jc.transfer_amplitude(params)) ** 2
-        send = moved + abs(jc.residual_amplitude(params)) ** 2
-        recv = moved + abs(jc.reception_residual_amplitude(params)) ** 2
-        devs.append(max(abs(send - 1.0), abs(recv - 1.0)))
-    yield "norm", devs, lambda i: f"amplitude norm broken at {samples[i]}"
+    draws = rng.uniform(*_PARAM_BOUNDS, size=(1000 if level == "full" else 150, 4))
+    # (reception residual, transfer, residual) of each (g, delta, nu, t), NaN where the scalar call raises
+    back, moved, left = (np.array(channels.squares(abs(h))) for h in jc.block_amplitude_columns(*draws.T[[0, 1, 3, 2]]))
+    devs = np.maximum(np.abs(moved + left - 1.0), np.abs(moved + back - 1.0))
+    yield "norm", devs, lambda i: f"amplitude norm broken at {jc.JCParams.from_detuning(*draws[i].tolist())}"
 
 
 def _degrading_composition(level: str):
@@ -277,23 +272,28 @@ def _coherent_info_two_route(level: str):
 def _concatenation_law(level: str):
     rng = np.random.default_rng(_SEED + 3)
     (low, high), n = _PARAM_BOUNDS, 1000 if level == "full" else 100
-    points, product_devs, phase_devs = [], [], []
-    # one row per sample: e1, e2, then the transmittance T
-    for row in rng.uniform(low + low + (0.0,), high + high + (1.0,), size=(n, 9)).tolist():
-        e1, e2, tr = jc.JCParams.from_detuning(*row[:4]), jc.JCParams.from_detuning(*row[4:8]), row[8]
-        chained = channels.concatenate(e1, channels.LossChannel(T=tr), e2)
-        product = (
-            tr
-            * abs(jc.transfer_amplitude(e1)) ** 2
-            * (math.sin(e2.rabi * e2.t) * e2.g / e2.rabi) ** 2
-        )
-        keep = chained.keep_prob
-        plain = channels.TransferChannel(h_keep=math.sqrt(keep), h_env=math.sqrt(max(0.0, 1.0 - keep)))
-        points.append((e1, tr, e2))
-        product_devs.append(abs(keep - product))
-        phase_devs.append(abs(cap.quantum_capacity(chained).q - cap.quantum_capacity(plain).q))
-    yield "product", product_devs, lambda i: "product law broken at {}, T={}, {}".format(*points[i])
-    yield "phase", phase_devs, lambda i: "capacity not phase-invariant at {}, T={}, {}".format(*points[i])
+    # one row per sample: e1 and e2 as (g, delta, t, nu), then T; each stage goes on as (g, delta, nu, t)
+    draws = rng.uniform(low + low + (0.0,), high + high + (1.0,), size=(n, 9))
+    e1, e2, tr = draws[:, [0, 1, 3, 2]].T, draws[:, [4, 5, 7, 6]].T, draws[:, 8]
+    h_keep, h_env = channels.concatenate_columns(e1, tr, e2)
+    keep = np.minimum(channels.squares(abs(h_keep)), 1.0)
+    # the product law, with e2's rabi from math.hypot, as JCParams.rabi takes it
+    moved = np.array(channels.squares(abs(jc.block_amplitude_columns(*e1)[1])))
+    g2, delta2, nu2, t2 = e2
+    rabi = list(map(math.hypot, g2.tolist(), (0.5 * ((nu2 + delta2) - nu2)).tolist()))
+    swap = np.array([(math.sin(r * t) * g / r) ** 2 for r, t, g in zip(rabi, t2.tolist(), g2.tolist())])
+    product_devs = np.abs(keep - tr * moved * swap)
+    # Q of the chain against Q of the real channel with its keep share; NaN where concatenate raises
+    chains = (abs(h_keep), h_env), (np.sqrt(keep), np.sqrt(np.maximum(0.0, 1.0 - keep)))
+    q, plain_q = (cap.capacity_columns(cap.status_codes(k, e), np.minimum(channels.squares(k), 1.0))[0] for k, e in chains)
+    phase_devs = np.where(np.isnan(keep), np.nan, np.abs(q - plain_q))
+
+    def at(i):
+        row = draws[i].tolist()
+        return "{}, T={}, {}".format(jc.JCParams.from_detuning(*row[:4]), row[8], jc.JCParams.from_detuning(*row[4:8]))
+
+    yield "product", product_devs, lambda i: f"product law broken at {at(i)}"
+    yield "phase", phase_devs, lambda i: f"capacity not phase-invariant at {at(i)}"
 
 
 def _lindblad_points(level: str):

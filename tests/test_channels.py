@@ -11,10 +11,12 @@ from jcchannel.channels import (
     TransferChannel,
     compose,
     concatenate,
+    concatenate_columns,
     conversion_channel,
     extended_apply,
     extended_state,
     reception_channel,
+    squares,
 )
 from jcchannel.jc import JCParams, channel_output, transfer_amplitude
 from jcchannel.qmat import (
@@ -199,6 +201,31 @@ def test_concatenate_equals_three_stage_composition():
     ch = concatenate(e1, loss, e2)
     inp = QubitInput(p=0.6, r=0.4)
     assert np.max(np.abs(stage.apply(inp) - ch.apply(inp))) < 1e-12
+
+
+def test_concatenate_columns_equal_scalar_concatenate():
+    rng = np.random.default_rng(20261019)
+    n = 600
+    # (g, delta, t, nu) of each point's two stages, each stage with its own nu
+    draws = rng.uniform((0.1, -4.0, 0.0, -2.0), (3.0, 4.0, 8.0, 2.0), size=(n, 2, 4))
+    tr = rng.uniform(0.0, 1.0, n)
+    tr[::7], tr[3::7] = 0.0, 1.0
+    draws[::5, 0, 2], draws[::3, 1, 2] = 0.0, 0.0
+    draws[-1, 0, 0] = 1e200  # g^2 overflows: the scalar propagator raises
+    h_keep, h_env = concatenate_columns(draws[:, 0, [0, 1, 3, 2]].T, tr, draws[:, 1, [0, 1, 3, 2]].T)
+    keep_abs = abs(h_keep)
+    keep_prob = np.minimum(squares(keep_abs), 1.0)
+    for i in range(n - 1):
+        e1, e2 = (JCParams.from_detuning(*stage) for stage in draws[i].tolist())
+        ch = concatenate(e1, LossChannel(T=float(tr[i])), e2)
+        assert complex(h_keep.real[i], h_keep.imag[i]) == ch.h_keep, i
+        assert h_env[i] == ch.h_env and keep_prob[i] == ch.keep_prob, i
+    e1, e2 = (JCParams.from_detuning(*stage) for stage in draws[-1].tolist())
+    with pytest.raises(ValueError):
+        concatenate(e1, LossChannel(T=float(tr[-1])), e2)
+    assert np.isnan([h_keep.real[-1], h_keep.imag[-1], h_env[-1]]).all()
+    accepted = TransferChannel.accepts(keep_abs, h_env, squares(keep_abs), squares(h_env))
+    assert accepted[:-1].all() and not accepted[-1]
 
 
 @given(unit_channels(), qubit_inputs())

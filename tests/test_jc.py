@@ -10,6 +10,7 @@ from jcchannel.jc import (
     JCParams,
     block_amplitude_columns,
     block_amplitudes,
+    block_propagator,
     channel_output,
     evolve_joint,
     hamiltonian,
@@ -110,6 +111,15 @@ def test_kraus_completeness(p):
     a1, a2 = kraus_operators(p)
     total = a1.conj().T @ a1 + a2.conj().T @ a2
     assert np.max(np.abs(total - np.eye(2))) < 1e-12
+
+
+@given(params_strategy())
+def test_kraus_operators_are_the_propagator_entries(p):
+    a1, a2 = kraus_operators(p)
+    phase, _, g10, g11 = block_propagator(p, p.t)
+    for got, want in ((a1, np.diag([phase, g10])), (a2, np.array([[0.0, g11], [0.0, 0.0]], dtype=complex))):
+        assert got.shape == (2, 2) and got.dtype == complex
+        assert (got == want).all()
 
 
 @given(params_strategy())

@@ -1,6 +1,5 @@
 """The verify oracles: stacked matrix exponentials, the one verdict every suite's checks get, the tolerance table."""
 
-import dataclasses
 import math
 import subprocess
 import sys
@@ -162,30 +161,95 @@ def test_a_loose_check_cannot_hide_a_later_tight_breach_in_the_lindblad_suite(mo
 
 
 def test_a_loose_check_cannot_hide_a_later_tight_breach_in_the_concatenation_suite(monkeypatch):
-    concatenate, quantum_capacity = channels.concatenate, capacity.quantum_capacity
-    calls, shifted = {"concatenate": 0, "capacity": 0}, []
+    concatenate_columns, capacity_columns = channels.concatenate_columns, capacity.capacity_columns
+    calls, shifted = {"capacity": 0}, []
 
-    def shifted_q(ch):
-        # the first Q is off by 5e-11: under phase's 1e-10, above every later deviation
+    def shifted_q(codes, keep_probs):
+        # the first chain's Q is off by 5e-11: under phase's 1e-10, above every later deviation
         calls["capacity"] += 1
-        res = quantum_capacity(ch)
-        return dataclasses.replace(res, q=res.q + 5e-11) if calls["capacity"] == 1 else res
+        q, p_star = capacity_columns(codes, keep_probs)
+        if calls["capacity"] == 1:
+            q[0] += 5e-11
+        return q, p_star
 
-    def shifted_keep(e1, loss, e2):
+    def shifted_keep(e1, tr, e2):
         # the second chain's keep share is off by 1e-11: above product's 1e-12
-        calls["concatenate"] += 1
-        ch = concatenate(e1, loss, e2)
-        if calls["concatenate"] != 2:
-            return ch
-        shifted.append(f"{e1}, T={loss.T}, {e2}")
-        return dataclasses.replace(ch, h_keep=math.sqrt(ch.keep_prob + 1e-11))
+        h_keep, h_env = concatenate_columns(e1, tr, e2)
+        first, second = (jc.JCParams.from_detuning(*(float(e[k][1]) for k in (0, 1, 3, 2))) for e in (e1, e2))
+        shifted.append(f"{first}, T={float(tr[1])}, {second}")
+        keep_prob = min(float(abs(h_keep)[1]) ** 2, 1.0)
+        h_keep.real[1], h_keep.imag[1] = math.sqrt(keep_prob + 1e-11), 0.0
+        return h_keep, h_env
 
-    monkeypatch.setattr(capacity, "quantum_capacity", shifted_q)
-    monkeypatch.setattr(channels, "concatenate", shifted_keep)
+    monkeypatch.setattr(capacity, "capacity_columns", shifted_q)
+    monkeypatch.setattr(channels, "concatenate_columns", shifted_keep)
     result = _run("concatenation-law")
     assert result.passed is False
     assert result.detail == f"product law broken at {shifted[0]}"
     assert result.max_dev == pytest.approx(5e-11, rel=1e-3)
+
+
+@pytest.mark.parametrize("name", ["amplitude-completeness", "concatenation-law"])
+def test_a_sample_whose_scalar_amplitudes_raise_fails_every_check(name, monkeypatch):
+    # g^2 overflows, so block_propagator raises on every sample: no check may pass one
+    low, high = verify._PARAM_BOUNDS
+    monkeypatch.setattr(verify, "_PARAM_BOUNDS", ((1e200, *low[1:]), (1e201, *high[1:])))
+    with pytest.raises(ValueError):
+        jc.transfer_amplitude(jc.JCParams.from_detuning(g=1e200, delta=0.0, t=1.0))
+    for _, devs, _ in dict(verify._SUITES)[name]("quick"):
+        assert np.isnan(devs).all()
+    result = _run(name)
+    assert result.passed is False
+    assert math.isnan(result.max_dev)
+    assert "e+200, nu=" in result.detail  # names the first sample
+
+
+def test_stacked_unitary_oracle_equals_the_per_point_maxima():
+    (_, devs, _), = verify._unitary_oracle("full")
+    npts = np.linspace(0.0, 2.0 * math.pi, 10), np.linspace(-3.0, 3.0, 10), np.linspace(-2.0, 2.0, 10)
+    grid = [
+        jc.JCParams.from_detuning(g=1.0, delta=float(delta), t=float(t), nu=float(nu))
+        for t in npts[0] for delta in npts[1] for nu in npts[2]
+    ]
+    numeric = expm_taylor(np.array([-1j * params.t * jc.hamiltonian(params) for params in grid]))
+    per_point = np.array([np.max(np.abs(jc.joint_unitary(params) - u)) for params, u in zip(grid, numeric)])
+    assert np.asarray(devs).tobytes() == per_point.tobytes()
+
+
+# every suite's max deviation, as repr: the floats the suites gave before they ran as columns
+MAX_DEVS = {
+    "quick": {
+        "kraus-completeness": "4.442484442825191e-16",
+        "unitary-oracle": "1.7763057938883325e-13",
+        "amplitude-completeness": "6.661338147750939e-16",
+        "degrading-composition": "2.2887833992611187e-16",
+        "capacity-goldens": "2.7050472972689477e-11",
+        "coherent-info-two-route": "4.440892098500626e-16",
+        "concatenation-law": "1.2906342661267445e-15",
+        "lindblad-closed-form": "6.091682713937205e-12",
+        "degradability-equivalence": "1.0824674490095276e-15",
+        "capacity-monotonicity": "1.6069576597205894e-06",
+    },
+    "full": {
+        "kraus-completeness": "5.556232815031838e-16",
+        "unitary-oracle": "2.5787519938034066e-13",
+        "amplitude-completeness": "8.881784197001252e-16",
+        "degrading-composition": "2.3633021048361517e-16",
+        "capacity-goldens": "2.7050472972689477e-11",
+        "coherent-info-two-route": "1.1102230246251565e-15",
+        "concatenation-law": "2.6645352591003757e-15",
+        "lindblad-closed-form": "6.659769957729694e-12",
+        "degradability-equivalence": "1.9984014443252818e-15",
+        "capacity-monotonicity": "1.6069576597205894e-06",
+    },
+}
+
+
+@pytest.mark.parametrize("level", ["quick", "full"])
+def test_every_suite_max_deviation_is_pinned(level):
+    report = run_verify(level)
+    assert report.passed
+    assert {r.name: repr(r.max_dev) for r in report.results} == MAX_DEVS[level]
 
 
 def test_degradability_equivalence_gates_its_identity(monkeypatch):
