@@ -24,7 +24,7 @@ from jcchannel import (
     LossChannel,
     concatenate,
     conversion_channel,
-    quantum_capacities,
+    quantum_capacity,
 )
 
 
@@ -54,7 +54,7 @@ def main():
     chans = [build_channel(args.g, args.delta, t, args.loss) for t in ts]
     rows = [
         (t, ch.keep_prob, res.status.value, res.q, res.p_star)
-        for t, ch, res in zip(ts, chans, quantum_capacities(chans))
+        for t, ch, res in zip(ts, chans, map(quantum_capacity, chans))
     ]
 
     print(f"{'g*t':>10} {'keep_prob':>10} {'status':>16} {'Q':>12} {'p*':>8}")

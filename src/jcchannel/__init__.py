@@ -21,7 +21,6 @@ from .capacity import (
     degrading_channel,
     degrading_map,
     golden_section_max,
-    quantum_capacities,
     quantum_capacity,
 )
 from .channels import (

@@ -10,18 +10,16 @@ have capacity
 when |h_keep|^2 > 1/2, and capacity_root finds its maximum as the root of
 its derivative by a fixed number of Newton steps, with the same
 operations on one keep share (quantum_capacity) and on a column of them
-(capacity_columns, and quantum_capacities, its view over channels).
-golden_section_max stays as an independent maximizer for the checks.
-Channels that are not degradable are assigned Q = 0; for channels with
-decay leakage this follows the same amplitude comparison, with the decay
-environment not modeled as an extra output.
+(capacity_columns).  golden_section_max stays as an independent maximizer
+for the checks.  Channels that are not degradable are assigned Q = 0; for
+channels with decay leakage this follows the same amplitude comparison,
+with the decay environment not modeled as an extra output.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,12 +215,3 @@ def capacity_columns(codes: np.ndarray, keep_probs: np.ndarray) -> tuple[np.ndar
     p_star[searched] = np.where(v > 0.0, p, 0.0)
     return q, p_star
 
-
-def quantum_capacities(channels: Sequence[TransferChannel]) -> list[CapacityResult]:
-    """quantum_capacity of each channel, with one capacity_root for all of them."""
-    codes = np.array([STATUSES.index(classify(ch)) for ch in channels], dtype=int)
-    q, p_star = capacity_columns(codes, np.array([ch.keep_prob for ch in channels], dtype=float))
-    return [
-        CapacityResult(status=STATUSES[code], q=v, p_star=p)
-        for code, v, p in zip(codes.tolist(), q.tolist(), p_star.tolist())
-    ]

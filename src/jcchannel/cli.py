@@ -8,17 +8,19 @@ Subcommands:
   degrade    construct the degrading stage for a channel and verify it
   verify     run the oracle cross-check suites (quick or full)
 
-PARAMS (each model parameter and its domain) and MODES (each mode's
-columns, required flags, channel builder and column builder) drive every
-subcommand.  A sweep evaluates its grid a chunk of points at a time, as
-column arrays, and formats each row from the columns, with the bytes the
-one-point path gives.  All numeric text uses shortest round-trip decimals
-so identical inputs produce byte-identical output (--threads is accepted
-but changes nothing).  A flat key=value config file can supply any flag;
-explicit flags win.  The argparse parser is built once per process, on the
-first main call, and reused by every later call.  A request is parsed by
-its subcommand's parser alone; the root parser runs only to print the help
-or usage error of an argv with no known subcommand or with tokens left over.
+PARAMS (each model parameter and its domain), OUTPUTS (each output column
+and its text-table label) and MODES (each mode's columns, required flags,
+channel builder and column builder) drive every subcommand.  Every record
+prints through one row template.  A sweep evaluates its grid a chunk of
+points at a time, as column arrays, and formats each row from the columns;
+capacity prints its one point's row, or a text table of that row's cells.
+All numeric text uses shortest round-trip decimals so identical inputs
+produce byte-identical output (--threads is accepted but changes nothing).
+A flat key=value config file can supply any flag; explicit flags win.
+The argparse parser is built once per process, on the first main call, and
+reused by every later call.  A request is parsed by its subcommand's parser
+alone; the root parser runs only to print the help or usage error of an
+argv with no known subcommand or with tokens left over.
 """
 
 from __future__ import annotations
@@ -85,7 +87,16 @@ PARAMS = {
 _PARAM_COLUMNS = tuple(name for name in PARAMS if name != "nu")
 _PARAM_FLAGS = {f"--{name}" for name in PARAMS}
 _NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
-CSV_HEADER = ",".join(("mode", *_PARAM_COLUMNS, "h_keep_sq", "h_env_sq", "status", "Q", "p_star"))
+# Every output column of a record, in column order -> its label in
+# capacity's text table
+OUTPUTS = {
+    "h_keep_sq": "|h_keep|^2",
+    "h_env_sq": "|h_env|^2",
+    "status": "status",
+    "Q": "Q",
+    "p_star": "p_star",
+}
+CSV_HEADER = ",".join(("mode", *_PARAM_COLUMNS, *OUTPUTS))
 
 EVOLVE_HEADER = (
     "t,pop_ground,pop_photon,pop_atom,"
@@ -170,15 +181,19 @@ class SweepSpec:
     fmt: str  # "csv" | "json-lines"
 
 
-def _row_format(mode: str, cells: dict, json_lines: bool) -> str:
-    """%-format of a record row whose outputs are %r and %s fields.
+def _param_cells(mode: str, vals: dict, swept=()) -> dict:
+    """Each parameter column's cell text: the repr of its value, "%s" where
+    swept, None where the mode has no such column."""
+    columns = MODES[mode].columns
+    return {
+        name: None if name not in columns else "%s" if name in swept else repr(float(vals[name]))
+        for name in _PARAM_COLUMNS
+    }
 
-    cells maps each parameter column to its text, None where the mode has
-    no such column.
-    """
-    status = '"%s"' if json_lines else "%s"
-    fields = {**cells, "h_keep_sq": "%r", "h_env_sq": "%r", "status": status}
-    fields.update(Q="%r", p_star="%r")
+
+def _row_format(mode: str, cells: dict, json_lines: bool) -> str:
+    """%-format of a record row: mode and cells, then a %r field per output, %s for status."""
+    fields = {**cells, **dict.fromkeys(OUTPUTS, "%r"), "status": '"%s"' if json_lines else "%s"}
     if not json_lines:
         return ",".join([mode, *("" if text is None else text for text in fields.values())])
     pairs = (f'"{name}": {"null" if text is None else text}' for name, text in fields.items())
@@ -188,33 +203,20 @@ def _row_format(mode: str, cells: dict, json_lines: bool) -> str:
 @dataclass(frozen=True)
 class RunRecord:
     mode: str
-    params: dict  # column name -> float or None
-    h_keep_sq: float
-    h_env_sq: float
-    status: str
-    q: float
-    p_star: float
+    cells: dict  # _param_cells of the point
+    outputs: tuple  # the OUTPUTS values, in order; every number a Python float
     wall_time_s: float
 
+    def row(self, json_lines: bool = False) -> str:
+        """The CSV or JSON-lines row a sweep prints for this point."""
+        return _row_format(self.mode, self.cells, json_lines) % self.outputs
+
+    # views of row, kept because the benchmark's tracer times them
     def csv_row(self) -> str:
-        cells = {k: None if v is None else repr(float(v)) for k, v in self.params.items()}
-        row = _row_format(self.mode, cells, False)
-        return row % (float(self.h_keep_sq), float(self.h_env_sq), self.status,
-                      float(self.q), float(self.p_star))
+        return self.row()
 
     def json_obj(self) -> dict:
-        obj = {"mode": self.mode}
-        for name in _PARAM_COLUMNS:
-            v = self.params.get(name)
-            obj[name] = None if v is None else float(v)
-        obj.update(
-            h_keep_sq=float(self.h_keep_sq),
-            h_env_sq=float(self.h_env_sq),
-            status=self.status,
-            Q=float(self.q),
-            p_star=float(self.p_star),
-        )
-        return obj
+        return json.loads(self.row(True))
 
 
 def compute_record(mode: str, vals: dict) -> RunRecord:
@@ -222,17 +224,8 @@ def compute_record(mode: str, vals: dict) -> RunRecord:
     start = time.perf_counter()
     ch = MODES[mode].build(vals)
     res = quantum_capacity(ch)
-    columns = MODES[mode].columns
-    return RunRecord(
-        mode=mode,
-        params={name: vals[name] if name in columns else None for name in _PARAM_COLUMNS},
-        h_keep_sq=ch.keep_prob,
-        h_env_sq=ch.env_prob,
-        status=res.status.value,
-        q=res.q,
-        p_star=res.p_star,
-        wall_time_s=time.perf_counter() - start,
-    )
+    outputs = (ch.keep_prob, ch.env_prob, res.status.value, res.q, res.p_star)
+    return RunRecord(mode, _param_cells(mode, vals), outputs, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------- plumbing
@@ -428,28 +421,17 @@ def _no_sweep(args, parser) -> None:
 def _cmd_capacity(args, parser) -> int:
     _no_sweep(args, parser)
     mode = args.mode or "conversion"
-    vals = _gather_values(args, mode, parser)
-    rec = compute_record(mode, vals)
+    rec = compute_record(mode, _gather_values(args, mode, parser))
     if args.json:
-        obj = rec.json_obj()
-        obj["wall_time_s"] = rec.wall_time_s
-        lines = [json.dumps(obj)]
+        lines = [rec.row(True)[:-1] + f', "wall_time_s": {rec.wall_time_s!r}}}']
     else:
-        rows = [("mode", rec.mode)]
-        rows += [
-            (k, repr(float(v)))
-            for k, v in rec.params.items()
-            if v is not None
+        rows = [
+            (OUTPUTS.get(name, name), _STATUS_TEXT[cell] if name == "status" else cell)
+            for name, cell in zip(CSV_HEADER.split(","), rec.csv_row().split(","))
+            if cell
         ]
-        rows += [
-            ("|h_keep|^2", repr(float(rec.h_keep_sq))),
-            ("|h_env|^2", repr(float(rec.h_env_sq))),
-            ("status", _STATUS_TEXT[rec.status]),
-            ("Q", repr(float(rec.q))),
-            ("p_star", repr(float(rec.p_star))),
-        ]
-        width = max(len(k) for k, _ in rows)
-        lines = [f"{k:<{width}}  {v}" for k, v in rows]
+        width = max(len(label) for label, _ in rows)
+        lines = [f"{label:<{width}}  {cell}" for label, cell in rows]
     _emit(lines, args.out, _stamp(args))
     return 0
 
@@ -533,12 +515,7 @@ def _sweep_lines(spec: SweepSpec):
     if not json_lines:
         yield CSV_HEADER
     names = [axis.name for axis in spec.axes]
-    cells = {
-        name: ("%s" if name in names else repr(float(spec.fixed[name])))
-        if name in entry.columns else None
-        for name in _PARAM_COLUMNS
-    }
-    row = _row_format(spec.mode, cells, json_lines)
+    row = _row_format(spec.mode, _param_cells(spec.mode, spec.fixed, names), json_lines)
     in_columns = sorted(range(len(names)), key=lambda j: _PARAM_COLUMNS.index(names[j]))
     caches = [{} for _ in names]
     total = math.prod(axis.count for axis in spec.axes)
@@ -560,7 +537,7 @@ def _sweep_lines(spec: SweepSpec):
         q, p_star = capacity_columns(codes, keep_p)
         texts = [_axis_texts(caches[j], indices[j], values[j]) for j in in_columns]
         status = [_STATUS_VALUES[code] for code in codes.tolist()]
-        outputs = (keep_p.tolist(), env_p.tolist(), status, q.tolist(), p_star.tolist())
+        outputs = (keep_p.tolist(), env_p.tolist(), status, q.tolist(), p_star.tolist())  # OUTPUTS order
         for fields in zip(*texts, *outputs):
             yield row % fields
 

@@ -221,12 +221,14 @@ def _capacity_goldens(level: str):
         for a in shares
     ]
     scalar = [cap.quantum_capacity(ch) for ch in chs]
-    batched = cap.quantum_capacities(chs)
+    codes = cap.status_codes(np.array([abs(complex(ch.h_keep)) for ch in chs]),
+                             np.array([abs(complex(ch.h_env)) for ch in chs]))
+    qs, p_stars = cap.capacity_columns(codes, np.array([ch.keep_prob for ch in chs]))
 
     # sweeps settle capacities as columns: they must give the one-point floats exactly
     devs = [
-        max(abs(one.q - many.q), abs(one.p_star - many.p_star)) if one.status is many.status else math.inf
-        for one, many in zip(scalar, batched)
+        max(abs(one.q - q), abs(one.p_star - p)) if one.status is cap.STATUSES[code] else math.inf
+        for one, code, q, p in zip(scalar, codes.tolist(), qs.tolist(), p_stars.tolist())
     ]
     yield "exact", devs, lambda i: f"column capacity differs from the one-point one at {chs[i]}"
 

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jcchannel.capacity import (
+    STATUSES,
+    CapacityResult,
     DegradabilityStatus,
     NotDegradable,
+    capacity_columns,
     capacity_grid_oracle,
     capacity_root,
     classify,
@@ -17,8 +20,8 @@ from jcchannel.capacity import (
     degrading_channel,
     degrading_map,
     golden_section_max,
-    quantum_capacities,
     quantum_capacity,
+    status_codes,
 )
 from jcchannel.channels import TransferChannel, compose
 from jcchannel.qmat import QubitInput, binary_entropy, binary_entropy_array, trace_distance
@@ -247,12 +250,18 @@ def test_newton_root_lies_in_its_bracket_and_reaches_the_grid_maximum():
         assert q >= capacity_grid_oracle(a, step=1e-3)[0] - 1e-15, a
 
 
-def test_quantum_capacities_equal_quantum_capacity():
+def test_capacity_columns_equal_quantum_capacity():
     chs = [
         _unit(1.0), _unit(0.5), _unit(0.3), _unit(0.0), _unit(0.75), _unit(0.9),
         _unit(0.8, ph_keep=1.1, ph_env=2.2), _unit(0.5 + 1e-6),
         TransferChannel(h_keep=math.sqrt(0.4), h_env=math.sqrt(0.2)),
         TransferChannel(h_keep=math.sqrt(0.6), h_env=math.sqrt(0.3)),
     ]
-    assert quantum_capacities(chs) == [quantum_capacity(ch) for ch in chs]
-    assert quantum_capacities([]) == []
+    keep = np.array([abs(complex(ch.h_keep)) for ch in chs])
+    env = np.array([abs(complex(ch.h_env)) for ch in chs])
+    codes = status_codes(keep, env)
+    q, p_star = capacity_columns(codes, np.array([ch.keep_prob for ch in chs]))
+    for ch, code, qi, pi in zip(chs, codes.tolist(), q.tolist(), p_star.tolist()):
+        assert CapacityResult(STATUSES[code], qi, pi) == quantum_capacity(ch), ch
+    empty = capacity_columns(np.zeros(0, dtype=int), np.zeros(0))
+    assert [column.shape for column in empty] == [(0,), (0,)]

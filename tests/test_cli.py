@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 from jcchannel.cli import (
+    _STATUS_TEXT,
     CSV_HEADER,
     EVOLVE_HEADER,
+    OUTPUTS,
     SWEEP_CHUNK,
     RunRecord,
     SweepAxis,
@@ -42,20 +44,26 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def _outputs(rec) -> dict:
+    """A record's output values by column name."""
+    return dict(zip(_OUTPUT_COLUMNS, rec.outputs))
+
+
 def test_compute_record_conversion():
     rec = compute_record("conversion", CONVERSION_VALS)
-    assert rec.h_keep_sq == pytest.approx(1.0, abs=1e-12)
-    assert rec.status == "degradable"
-    assert rec.q == pytest.approx(1.0, abs=1e-10)
-    assert rec.params["T"] is None
+    out = _outputs(rec)
+    assert out["h_keep_sq"] == pytest.approx(1.0, abs=1e-12)
+    assert out["status"] == "degradable"
+    assert out["Q"] == pytest.approx(1.0, abs=1e-10)
+    assert rec.cells["T"] is None
     assert rec.wall_time_s >= 0.0
 
 
 def test_compute_record_decayed():
     vals = dict(CONVERSION_VALS, kappa=0.2, gamma=0.0)
     rec = compute_record("decayed", vals)
-    assert rec.h_keep_sq == pytest.approx(0.8567746367339336, abs=1e-9)
-    assert rec.params["kappa"] == 0.2
+    assert _outputs(rec)["h_keep_sq"] == pytest.approx(0.8567746367339336, abs=1e-9)
+    assert rec.cells["kappa"] == "0.2"
 
 
 def test_csv_row_matches_header_arity():
@@ -98,7 +106,7 @@ def test_capacity_json_round_trip(capsys):
     vals = dict(g=obj["g"], delta=obj["delta"], t=obj["t"], g2=obj["g2"],
                 delta2=obj["delta2"], t2=obj["t2"], T=obj["T"], nu=0.0)
     rec = compute_record("concat", vals)
-    assert rec.q == obj["Q"]
+    assert _outputs(rec)["Q"] == obj["Q"]
 
 
 def test_missing_flag_exits_2(capsys):
@@ -139,6 +147,7 @@ def test_each_missing_required_flag_exits_2(mode, missing, capsys):
 
 
 _PARAM_COLUMNS = ("g", "delta", "t", "g2", "delta2", "t2", "T", "kappa", "gamma")
+_OUTPUT_COLUMNS = ("h_keep_sq", "h_env_sq", "status", "Q", "p_star")
 
 # every column of every mode, with a range inside its domain
 _COLUMN_RANGES = {
@@ -368,39 +377,102 @@ _CHUNK_SWEEPS = {
 
 
 def _expected_sweep(mode, flags, sweeps):
-    """Records of the grid's points, one compute_record each, up to the first
-    point that raises; a sweep prints no row of that point's chunk."""
+    """The rows of the grid's points, each from its own compute_record, up to
+    the first point that raises; a sweep prints no row of that point's chunk.
+
+    A row is a dict of its columns, built here from the point's values and
+    the record's outputs, not by the CLI's row template.
+    """
     fixed = dict.fromkeys((*_MODE_COLUMNS[mode], "nu"), 0.0)
     fixed.update((k[2:], float(v)) for k, v in zip(flags[::2], flags[1::2]))
     axes = [s.split(":") for s in sweeps]
-    records = []
+    rows = []
     for values in itertools.product(
         *(np.linspace(float(a), float(b), int(n)).tolist() for _, a, b, n in axes)
     ):
+        point = dict(fixed, **dict(zip([axis[0] for axis in axes], values)))
         try:
-            point = dict(zip([axis[0] for axis in axes], values))
-            records.append(compute_record(mode, dict(fixed, **point)))
+            rec = compute_record(mode, point)
         except ValueError as e:
-            return records[: len(records) - len(records) % SWEEP_CHUNK], f"error: {e}\n"
-    return records, ""
+            return rows[: len(rows) - len(rows) % SWEEP_CHUNK], f"error: {e}\n"
+        row = {"mode": mode}
+        row.update((name, point[name] if name in _MODE_COLUMNS[mode] else None) for name in _PARAM_COLUMNS)
+        rows.append(row | _outputs(rec))
+    return rows, ""
+
+
+def _csv_line(row: dict) -> str:
+    return ",".join("" if v is None else v if isinstance(v, str) else repr(v) for v in row.values())
 
 
 @pytest.mark.parametrize("case", sorted(_CHUNK_SWEEPS))
 def test_batched_sweep_rows_equal_per_point_records(case, capsys):
     mode, flags, sweeps = _CHUNK_SWEEPS[case]
     args = ["sweep", "--mode", mode, *flags, *(a for s in sweeps for a in ("--sweep", s))]
-    records, error = _expected_sweep(mode, flags, sweeps)
+    rows, error = _expected_sweep(mode, flags, sweeps)
     code, out, err = run_cli(args, capsys)
     assert (code, err) == ((2, error) if error else (0, ""))
-    assert out.splitlines() == [CSV_HEADER] + [rec.csv_row() for rec in records]
+    header = ",".join(("mode", *_PARAM_COLUMNS, *_OUTPUT_COLUMNS))
+    assert out.splitlines() == [header] + [_csv_line(row) for row in rows]
     code, out, err = run_cli(args + ["--json"], capsys)
     assert (code, err) == ((2, error) if error else (0, ""))
-    assert out.splitlines() == [json.dumps(rec.json_obj()) for rec in records]
+    assert out.splitlines() == [json.dumps(row) for row in rows]
     if case in ("conversion", "concat", "decayed"):
-        searched = [rec.q > 0.0 for rec in records]
+        searched = [row["Q"] > 0.0 for row in rows]
         assert sum(searched[:SWEEP_CHUNK]) > 100 and all(searched[SWEEP_CHUNK:])
     else:
-        assert len(records) >= SWEEP_CHUNK
+        assert len(rows) >= SWEEP_CHUNK
+
+
+# (mode, flags, the value the one-point sweep's t axis takes, Q's cell or None)
+_ONE_POINTS = {
+    "t-zero": ("conversion", ["--g", "1"], "0", "0.0"),
+    "perfect-transfer": ("conversion", ["--g", "2"], "0.7853981633974483", "1.0"),
+    "boundary": ("conversion", ["--g", "1"], "0.7853981633974483", "0.0"),
+    "anti-degradable": ("conversion", ["--g", "1.3", "--delta", "0.4", "--nu", "0.2"], "0.3", "0.0"),
+    "negative-zero-detuning": ("conversion", ["--g", "1.3", "--delta", "-0.0"], "1.1", None),
+    "transmittance-zero": ("concat", ["--g", "1", "--g2", "1", "--t2", "1.5707963267948966",
+                                      "--T", "0"], "1.5707963267948966", "0.0"),
+    "transmittance-one": ("concat", ["--g", "1", "--g2", "1", "--t2", "1.5707963267948966",
+                                     "--T", "1"], "1.5707963267948966", "1.0"),
+    "lossy-link": ("concat", ["--g", "1.2", "--delta", "0.3", "--g2", "0.9", "--delta2", "-0.0",
+                              "--t2", "1.4", "--T", "0.8"], "1.3", None),
+    "decayed-t-zero": ("decayed", ["--g", "1", "--kappa", "0.5"], "0", "0.0"),
+    "decayed": ("decayed", ["--g", "1.2", "--delta", "-0.0", "--kappa", "0.3", "--gamma", "0.1"],
+                "1.1", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ONE_POINTS))
+def test_capacity_prints_the_one_point_sweep_row(case, capsys):
+    mode, flags, t, q = _ONE_POINTS[case]
+    point = ["--mode", mode, *flags]
+    code, out, err = run_cli(["sweep", *point, "--sweep", f"t:{t}:{t}:1"], capsys)
+    assert (code, err) == (0, "")
+    header, line = out.splitlines()
+    assert header == ",".join(("mode", *_PARAM_COLUMNS, *OUTPUTS))
+    cells = line.split(",")
+    assert q is None or cells[header.split(",").index("Q")] == q
+    code, out, err = run_cli(["sweep", *point, "--sweep", f"t:{t}:{t}:1", "--json"], capsys)
+    assert (code, err) == (0, "")
+    [json_line] = out.splitlines()
+    assert list(json.loads(json_line)) == ["mode", *_PARAM_COLUMNS, *OUTPUTS]
+
+    code, out, err = run_cli(["capacity", *point, "--t", t, "--json"], capsys)
+    assert (code, err) == (0, "")
+    head, wall = out.rstrip("\n").rsplit(', "wall_time_s": ', 1)
+    assert head + "}" == json_line
+    assert wall.endswith("}") and float(wall[:-1]) >= 0.0
+
+    code, out, err = run_cli(["capacity", *point, "--t", t], capsys)
+    assert (code, err) == (0, "")
+    table = [text.split() for text in out.splitlines()]
+    shown = [(name, cell) for name, cell in zip(header.split(","), cells) if cell]
+    assert [label for label, _ in table] == [OUTPUTS.get(name, name) for name, _ in shown]
+    assert [label for label, _ in table][-len(OUTPUTS):] == list(OUTPUTS.values())
+    assert [value for _, value in table] == [
+        _STATUS_TEXT[cell] if name == "status" else cell for name, cell in shown
+    ]
 
 
 @pytest.mark.parametrize("args", [
@@ -455,9 +527,9 @@ def test_sweep_csv_round_trip(capsys):
         cells = dict(zip(header, line.split(",")))
         vals = dict(g=float(cells["g"]), delta=float(cells["delta"]),
                     t=float(cells["t"]), nu=0.0)
-        rec = compute_record("conversion", vals)
-        assert abs(rec.q - float(cells["Q"])) <= 1e-12
-        assert repr(rec.q) == cells["Q"]
+        q = _outputs(compute_record("conversion", vals))["Q"]
+        assert abs(q - float(cells["Q"])) <= 1e-12
+        assert repr(q) == cells["Q"]
 
 
 def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
@@ -666,6 +738,13 @@ def test_out_into_a_fifo_writes_through_it(tmp_path, capsys):
 
 def test_run_record_empty_fields_for_absent_params():
     rec = compute_record("conversion", CONVERSION_VALS)
+    h_keep_sq, h_env_sq, status, q, p_star = rec.outputs
+    params = ["1.0", "0.0", repr(math.pi / 2), "", "", "", "", "", ""]
+    outputs = [repr(h_keep_sq), repr(h_env_sq), status, repr(q), repr(p_star)]
+    assert rec.csv_row() == ",".join(["conversion", *params, *outputs])
+    assert rec.json_obj() == dict(
+        zip(("mode", *_PARAM_COLUMNS, *_OUTPUT_COLUMNS), ["conversion", 1.0, 0.0, math.pi / 2, *[None] * 6, *rec.outputs])
+    )
     row = rec.csv_row().split(",")
     header = CSV_HEADER.split(",")
     assert row[header.index("T")] == ""
