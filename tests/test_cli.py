@@ -395,9 +395,8 @@ def _expected_sweep(mode, flags, sweeps):
             rec = compute_record(mode, point)
         except ValueError as e:
             return rows[: len(rows) - len(rows) % SWEEP_CHUNK], f"error: {e}\n"
-        row = {"mode": mode}
-        row.update((name, point[name] if name in _MODE_COLUMNS[mode] else None) for name in _PARAM_COLUMNS)
-        rows.append(row | _outputs(rec))
+        params = {name: point[name] if name in _MODE_COLUMNS[mode] else None for name in _PARAM_COLUMNS}
+        rows.append({"mode": mode, **params, **_outputs(rec)})
     return rows, ""
 
 
