@@ -5,7 +5,9 @@ photon-to-atom conversion stays degradable only while the atom ends up
 holding at least as much of the excitation as the field keeps.  The
 script scans kappa at fixed interaction time, evaluates the closed-form
 sign expression and the population gap |h_env|^2 - |h_keep|^2 side by
-side, then bisects the sign change to report the critical rate.
+side, then bisects each sign change of the gap and reports one critical
+rate per transition.  A scan point whose gap is within BOUNDARY of zero
+lies on the boundary and belongs to neither side.
 
 Usage:
     python3 scripts/decay_boundary.py --g 1 --t 2.3562 --kmax 2
@@ -23,6 +25,8 @@ from jcchannel import (
     decayed_conversion,
     degradability_expression,
 )
+
+BOUNDARY = 1e-12  # |gap| at most this: on the boundary, not on a side
 
 
 def gap(g, delta, t, kappa, gamma):
@@ -44,8 +48,7 @@ def main():
 
     print(f"{'kappa':>8} {'|h_keep|^2':>12} {'|h_env|^2':>12} "
           f"{'pop gap':>12} {'sign expr':>12} {'degradable':>10}")
-    prev = None
-    bracket = None
+    sides = []  # (kappa, gap > 0) of each scan point off the boundary
     for i in range(args.points):
         kappa = args.kmax * i / (args.points - 1) if args.points > 1 else 0.0
         g, conv = gap(args.g, args.delta, args.t, kappa, args.gamma)
@@ -53,29 +56,28 @@ def main():
         print(f"{kappa:8.4f} {abs(conv.h_keep) ** 2:12.8f} "
               f"{abs(conv.h_env) ** 2:12.8f} {g:12.4e} {expr:12.4e} "
               f"{str(expr <= 0.0):>10}")
-        if prev is not None and (prev[1] <= 0.0) != (expr <= 0.0):
-            bracket = (prev[0], kappa)
-        prev = (kappa, expr)
+        if abs(g) > BOUNDARY:
+            sides.append((kappa, g > 0.0))
 
-    if bracket is None:
+    brackets = [(lo, hi) for (lo, above), (hi, now) in zip(sides, sides[1:]) if above != now]
+    if not brackets:
         print("\nno degradability transition inside the scan range")
         return
 
-    lo, hi = bracket
-    f_lo = gap(args.g, args.delta, args.t, lo, args.gamma)[0]
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        f_mid = gap(args.g, args.delta, args.t, mid, args.gamma)[0]
-        if (f_mid <= 0.0) == (f_lo <= 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    crit = 0.5 * (lo + hi)
-    g_crit, conv = gap(args.g, args.delta, args.t, crit, args.gamma)
-    print(f"\ncritical kappa = {crit:.12f}  (population gap there: {g_crit:.3e})")
-    print(f"unit budget at boundary: |h_keep|^2 + |h_env|^2 = "
-          f"{abs(conv.h_keep) ** 2 + abs(conv.h_env) ** 2:.8f} "
-          f"(deficit is the leak into the decay environments)")
+    for lo, hi in brackets:
+        above = gap(args.g, args.delta, args.t, lo, args.gamma)[0] > 0.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if (gap(args.g, args.delta, args.t, mid, args.gamma)[0] > 0.0) == above:
+                lo = mid
+            else:
+                hi = mid
+        crit = 0.5 * (lo + hi)
+        g_crit, conv = gap(args.g, args.delta, args.t, crit, args.gamma)
+        print(f"\ncritical kappa = {crit:.12f}  (population gap there: {g_crit:.3e})")
+        print(f"unit budget at boundary: |h_keep|^2 + |h_env|^2 = "
+              f"{abs(conv.h_keep) ** 2 + abs(conv.h_env) ** 2:.8f} "
+              f"(deficit is the leak into the decay environments)")
 
 
 if __name__ == "__main__":

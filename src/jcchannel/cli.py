@@ -10,12 +10,13 @@ Subcommands:
 
 PARAMS (each model parameter and its domain), OUTPUTS (each output column
 and its text-table label) and MODES (each mode's columns, required flags,
-channel builder and column builder) drive every subcommand.  Every record
-prints through one row template.  A sweep evaluates its grid a chunk of
+channel builder and column builder) drive every subcommand; each subcommand
+declares only the flags of its COMMAND_MODES.  Every record prints through
+one row template.  A sweep evaluates its grid a chunk of
 points at a time, as column arrays, and formats each row from the columns;
 capacity prints its one point's row, or a text table of that row's cells.
 All numeric text uses shortest round-trip decimals so identical inputs
-produce byte-identical output (--threads is accepted but changes nothing).
+produce byte-identical output (sweep accepts --threads, which changes nothing).
 A flat key=value config file can supply any flag; explicit flags win.
 The argparse parser is built once per process, on the first main call, and
 reused by every later call.  A request is parsed by its subcommand's parser
@@ -153,6 +154,12 @@ MODES = {
     ),
 }
 
+# Each subcommand's modes, the default first: its parser declares their
+# columns and --nu as flags.  MAX_AXES: the --sweep axes a subcommand takes.
+COMMAND_MODES = {"capacity": tuple(MODES), "sweep": tuple(MODES),
+                 "evolve": ("decayed",), "degrade": ("conversion", "concat")}
+MAX_AXES = {"sweep": 3, "evolve": 1}
+
 # grid points a sweep evaluates together as columns
 SWEEP_CHUNK = 1024
 _STATUS_VALUES = [status.value for status in STATUSES]
@@ -171,14 +178,6 @@ class SweepAxis:
     start: float
     stop: float
     count: int
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    mode: str
-    axes: tuple[SweepAxis, ...]
-    fixed: dict
-    fmt: str  # "csv" | "json-lines"
 
 
 def _param_cells(mode: str, vals: dict, swept=()) -> dict:
@@ -244,25 +243,25 @@ def build_parser() -> argparse.ArgumentParser:
         description="Atom-field transfer channels: capacities, sweeps, decay trajectories.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--mode", choices=tuple(MODES))
+    helps = {"capacity": "capacity of a single channel", "sweep": "capacity over a parameter grid",
+             "evolve": "decay trajectory of a single photon input", "degrade": "degrading stage parameters and check"}
+    for command, modes in COMMAND_MODES.items():
+        p = sub.add_parser(command, help=helps[command])
+        p.add_argument("--mode", choices=modes)
         for name in PARAMS:
-            p.add_argument(f"--{name}", type=float)
-        p.add_argument("--sweep", action="append", metavar="AXIS:START:STOP:COUNT",
-                       help="sweep axis, repeatable up to 3 times")
+            if name == "nu" or any(name in MODES[mode].columns for mode in modes):
+                p.add_argument(f"--{name}", type=float)
+        if command in MAX_AXES:
+            p.add_argument("--sweep", action="append", metavar="AXIS:START:STOP:COUNT",
+                           help=f"sweep axis (at most {MAX_AXES[command]})")
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--threads", type=int,
-                       help="accepted for compatibility; output is the same for every N >= 1")
+        if command == "sweep":
+            p.add_argument("--threads", type=int,
+                           help="accepted for compatibility; output is the same for every N >= 1")
         p.add_argument("--config", help="flat key=value file supplying flag defaults")
         p.add_argument("--stamp", action="store_true",
                        help="prepend a timestamp line to the output")
-
-    add_common(sub.add_parser("capacity", help="capacity of a single channel"))
-    add_common(sub.add_parser("sweep", help="capacity over a parameter grid"))
-    add_common(sub.add_parser("evolve", help="decay trajectory of a single photon input"))
-    add_common(sub.add_parser("degrade", help="degrading stage parameters and check"))
     pv = sub.add_parser("verify", help="run oracle cross-check suites")
     pv.add_argument("level", nargs="?", choices=("quick", "full"), default="quick")
     pv.add_argument("--config", help="flat key=value file supplying flag defaults")
@@ -339,13 +338,38 @@ def _parse_axis(text: str, parser) -> SweepAxis:
     return SweepAxis(name=name, start=start, stop=stop, count=count)
 
 
+def _mode(args) -> str:
+    """The request's --mode, or its subcommand's default mode."""
+    return args.mode or COMMAND_MODES[args.command][0]
+
+
+def _parse_axes(args, parser, allowed: tuple) -> tuple:
+    """The --sweep axes: at most MAX_AXES of the subcommand, each once, each in allowed."""
+    texts = args.sweep or ()
+    if len(texts) > MAX_AXES[args.command]:
+        parser.error(f"--sweep: {args.command} takes at most {MAX_AXES[args.command]} (got {len(texts)})")
+    axes = tuple(_parse_axis(text, parser) for text in texts)
+    names = [axis.name for axis in axes]
+    if len(set(names)) != len(names):
+        parser.error("--sweep: duplicate axis names")
+    for name in names:
+        if name not in allowed:
+            parser.error(f"--sweep: axis {name!r} not sweepable (allowed: {', '.join(allowed)})")
+    return axes
+
+
 def _gather_values(args, mode: str, parser, axes=()) -> dict:
     """The fixed parameter values of a mode, zero where optional and unset.
 
-    Fixed values and sweep axis endpoints must be finite and pass PARAMS.
+    A parameter outside the mode, from a flag or from --config, is a usage
+    error.  Fixed values and sweep axis endpoints must be finite and pass
+    PARAMS.
     """
     swept = {axis.name for axis in axes}
     entry = MODES[mode]
+    for name in PARAMS:
+        if name not in entry.columns and name != "nu" and getattr(args, name, None) is not None:
+            parser.error(f"--{name} is not a parameter of mode {mode}")
     vals = {}
     for name in (*entry.columns, "nu"):
         if name in swept:
@@ -410,17 +434,11 @@ def _stamp(args) -> str | None:
     return json.dumps({"stamp": now}) if args.json else f"# generated {now}"
 
 
-def _no_sweep(args, parser) -> None:
-    if args.sweep:
-        parser.error(f"{args.command} takes no --sweep; use the sweep subcommand")
-
-
 # ------------------------------------------------------------- subcommands
 
 
 def _cmd_capacity(args, parser) -> int:
-    _no_sweep(args, parser)
-    mode = args.mode or "conversion"
+    mode = _mode(args)
     rec = compute_record(mode, _gather_values(args, mode, parser))
     if args.json:
         lines = [rec.row(True)[:-1] + f', "wall_time_s": {rec.wall_time_s!r}}}']
@@ -437,25 +455,14 @@ def _cmd_capacity(args, parser) -> int:
 
 
 def _cmd_sweep(args, parser) -> int:
-    mode = args.mode or "conversion"
-    if not args.sweep:
-        parser.error("--sweep is required for the sweep subcommand")
-    if len(args.sweep) > 3:
-        parser.error("--sweep: at most 3 axes")
-    axes = tuple(_parse_axis(s, parser) for s in args.sweep)
-    names = [a.name for a in axes]
-    if len(set(names)) != len(names):
-        parser.error("--sweep: duplicate axis names")
-    columns = MODES[mode].columns
-    for axis in axes:
-        if axis.name not in columns:
-            parser.error(
-                f"--sweep: axis {axis.name!r} not sweepable in mode {mode} "
-                f"(allowed: {', '.join(columns)})"
-            )
+    mode = _mode(args)
+    if args.threads is not None and args.threads < 1:
+        parser.error("--threads must be >= 1")
+    axes = _parse_axes(args, parser, MODES[mode].columns)
     fixed = _gather_values(args, mode, parser, axes)
-    spec = SweepSpec(mode, axes, fixed, fmt="json-lines" if args.json else "csv")
-    _emit(_sweep_lines(spec), args.out, _stamp(args))
+    if not axes:
+        parser.error("--sweep is required for the sweep subcommand")
+    _emit(_sweep_lines(mode, axes, fixed, args.json), args.out, _stamp(args))
     return 0
 
 
@@ -501,8 +508,8 @@ def _axis_texts(cache: dict, index: np.ndarray, values: np.ndarray) -> list:
     return [texts[k] for k in inverse.tolist()]
 
 
-def _sweep_lines(spec: SweepSpec):
-    """Yield the output lines of a sweep, SWEEP_CHUNK grid points at a time.
+def _sweep_lines(mode: str, axes: tuple, fixed: dict, json_lines: bool):
+    """Yield the CSV or JSON-lines output of a sweep, SWEEP_CHUNK grid points at a time.
 
     Each chunk is evaluated as columns: the mode's build_columns gives
     (h_keep, h_env), one check rejects the chunk where build would raise
@@ -510,20 +517,19 @@ def _sweep_lines(spec: SweepSpec):
     settles every capacity, and the rows are formatted from the columns.
     Every row has the bytes compute_record gives the point on its own.
     """
-    entry = MODES[spec.mode]
-    json_lines = spec.fmt == "json-lines"
+    entry = MODES[mode]
     if not json_lines:
         yield CSV_HEADER
-    names = [axis.name for axis in spec.axes]
-    row = _row_format(spec.mode, _param_cells(spec.mode, spec.fixed, names), json_lines)
+    names = [axis.name for axis in axes]
+    row = _row_format(mode, _param_cells(mode, fixed, names), json_lines)
     in_columns = sorted(range(len(names)), key=lambda j: _PARAM_COLUMNS.index(names[j]))
     caches = [{} for _ in names]
-    total = math.prod(axis.count for axis in spec.axes)
+    total = math.prod(axis.count for axis in axes)
     for lo in range(0, total, SWEEP_CHUNK):
         n = min(SWEEP_CHUNK, total - lo)
-        indices = _grid_chunk(spec.axes, lo, n)
-        values = [_axis_at(axis, index) for axis, index in zip(spec.axes, indices)]
-        cols = {name: np.full(n, v) for name, v in spec.fixed.items()}
+        indices = _grid_chunk(axes, lo, n)
+        values = [_axis_at(axis, index) for axis, index in zip(axes, indices)]
+        cols = {name: np.full(n, v) for name, v in fixed.items()}
         cols.update(zip(names, values))
         keep, env = (abs(h) for h in entry.build_columns(cols))
         keep_sq, env_sq = squares(keep), squares(env)
@@ -543,18 +549,8 @@ def _sweep_lines(spec: SweepSpec):
 
 
 def _cmd_evolve(args, parser) -> int:
-    mode = args.mode or "decayed"
-    if mode != "decayed":
-        parser.error("evolve supports only --mode decayed")
-    axes = ()
-    if args.sweep:
-        if len(args.sweep) != 1:
-            parser.error("evolve takes exactly one --sweep axis (t)")
-        axis = _parse_axis(args.sweep[0], parser)
-        if axis.name != "t":
-            parser.error("evolve can sweep only the t axis")
-        axes = (axis,)
-    vals = _gather_values(args, "decayed", parser, axes)
+    axes = _parse_axes(args, parser, ("t",))
+    vals = _gather_values(args, _mode(args), parser, axes)
     times = axes[0] if axes else SweepAxis("t", 0.0, vals["t"], 201)
     stage = _stage(dict(vals, t=0.0))  # each row passes its own time
     decay = _decay(vals)
@@ -579,10 +575,7 @@ def _cmd_evolve(args, parser) -> int:
 
 
 def _cmd_degrade(args, parser) -> int:
-    _no_sweep(args, parser)
-    mode = args.mode or "conversion"
-    if mode == "decayed":
-        parser.error("degrade supports decay-free modes only (conversion, concat)")
+    mode = _mode(args)
     ch = MODES[mode].build(_gather_values(args, mode, parser))
     try:
         second = degrading_map(ch)
@@ -633,8 +626,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = _parse(parser, _glue_negative_values(sys.argv[1:] if argv is None else argv))
     _merge_config(args, parser)
-    if getattr(args, "threads", None) is not None and args.threads < 1:
-        parser.error("--threads must be >= 1")
     handlers = {
         "capacity": _cmd_capacity,
         "sweep": _cmd_sweep,

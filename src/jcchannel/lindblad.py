@@ -78,7 +78,9 @@ class DecayConstants:
     k1, k2 are the half sum/difference of the decay rates, z combines
     coupling, detuning and decay asymmetry, and x + i y is the complex
     splitting rate: (x + i y)^2 = -z + 2 i k2 delta.  x damps (cosh/sinh
-    terms), y oscillates (cos/sin terms).
+    terms), y oscillates (cos/sin terms).  At critical damping, delta = 0
+    and |kappa - gamma_at| = 4 g, x = y = 0: eta then drops its factor
+    1 / (x^2 + y^2), which degradability_expression takes as its limit.
     """
 
     k1: float
@@ -88,7 +90,7 @@ class DecayConstants:
     y: float
 
     def eta(self, t: float) -> float:
-        return math.exp(-self.k1 * t) / (self.x**2 + self.y**2)
+        return math.exp(-self.k1 * t) / ((self.x**2 + self.y**2) or 1.0)
 
 
 def derive_constants(jc: JCParams, d: DecayParams) -> DecayConstants:
@@ -256,10 +258,13 @@ def degradability_expression(conv: DecayedConversion) -> float:
 
     Scaled by eta(t) it equals |h_env|^2 - |h_keep|^2 exactly, so a
     nonpositive value means the atom received at least as much amplitude
-    as the field kept.
+    as the field kept.  At critical damping (x = y = 0) the combination
+    vanishes identically; there it is its limit over x^2 + y^2, 1 - k2 t.
     """
     c, dl, t = conv.constants, conv.params.delta, conv.t
     x, y, k2 = c.x, c.y, c.k2
+    if x**2 + y**2 == 0.0:
+        return 1.0 - k2 * t
     return (
         (x**2 + dl**2) * math.cosh(x * t)
         - (k2 * x + dl * y) * math.sinh(x * t)

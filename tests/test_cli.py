@@ -22,7 +22,6 @@ from jcchannel.cli import (
     SWEEP_CHUNK,
     RunRecord,
     SweepAxis,
-    SweepSpec,
     _axis_values,
     _emit,
     _glue_negative_values,
@@ -228,7 +227,7 @@ def test_negative_exponent_value_is_read_as_a_value(capsys):
 
 def test_degrade_rejects_sweep(capsys):
     err = usage_error(["degrade", "--g", "1", "--t", "1.2", "--sweep", "t:0:1:3"], capsys)
-    assert "degrade takes no --sweep" in err
+    assert "unrecognized arguments: --sweep t:0:1:3" in err
 
 
 @pytest.mark.parametrize("command", [
@@ -306,10 +305,9 @@ def test_sweep_streams_rows_without_materializing_the_grid():
     # 125k points: the first rows must come out before the grid is built
     axes = (SweepAxis("g", 0.5, 2.0, 50), SweepAxis("delta", -1.0, 1.0, 50),
             SweepAxis("t", 0.0, 3.0, 50))
-    spec = SweepSpec(mode="conversion", axes=axes, fixed={"nu": 0.0}, fmt="csv")
     tracemalloc.start()
     try:
-        lines = list(itertools.islice(_sweep_lines(spec), 3))
+        lines = list(itertools.islice(_sweep_lines("conversion", axes, {"nu": 0.0}, False), 3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -331,11 +329,10 @@ def test_axis_values_equal_linspace_bit_for_bit():
 def test_long_axis_streams_rows_without_materializing_it():
     # 2,000,000 points on one axis: memory must not grow with the count
     axes = (SweepAxis("t", 0.0, 3.0, 2_000_000),)
-    spec = SweepSpec(mode="conversion", axes=axes, fixed={"g": 1.0, "delta": 0.0, "nu": 0.0},
-                     fmt="csv")
+    fixed = {"g": 1.0, "delta": 0.0, "nu": 0.0}
     tracemalloc.start()
     try:
-        lines = list(itertools.islice(_sweep_lines(spec), 3))
+        lines = list(itertools.islice(_sweep_lines("conversion", axes, fixed, False), 3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -575,7 +572,7 @@ def test_explicit_sweep_beats_config_sweep(tmp_path, capsys):
 def test_config_bad_value_exits_2(tmp_path, capsys, line, flag):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"g = 1\nt = 1\n{line}\n")
-    assert flag in usage_error(["capacity", "--config", str(cfg)], capsys)
+    assert flag in usage_error(["sweep", "--config", str(cfg)], capsys)
 
 
 def test_config_rejects_unknown_key(tmp_path, capsys):
@@ -616,10 +613,57 @@ def test_evolve_columns_and_initial_row(capsys):
 
 
 def test_evolve_rejects_non_time_axis(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["evolve", "--g", "1", "--kappa", "0.1", "--sweep", "g:0.5:1:4"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    err = usage_error(["evolve", "--g", "1", "--kappa", "0.1", "--sweep", "g:0.5:1:4"], capsys)
+    assert "--sweep: axis 'g' not sweepable (allowed: t)" in err
+    err = usage_error(["evolve", "--g", "1", "--sweep", "t:0:1:2", "--sweep", "t:0:1:3"], capsys)
+    assert "--sweep: evolve takes at most 1 (got 2)" in err
+
+
+# a flag its subcommand's handler would not read, and the flag the error names
+_FOREIGN_FLAGS = [
+    (["capacity", "--sweep"], "--sweep"),
+    (["capacity", "--threads", "1"], "--threads"),
+    (["capacity", "--mode", "conversion", "--kappa", "0.5"], "--kappa"),
+    (["sweep", "--mode", "conversion", "--T", "0.5"], "--T"),
+    (["degrade", "--kappa", "1"], "--kappa"),
+    (["evolve", "--T", "0.5"], "--T"),
+    (["evolve", "--mode", "conversion"], "--mode"),
+    (["capacity", "--config", "mode = conversion; g = 1; t = 1; kappa = 0.2"], "--kappa"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", _FOREIGN_FLAGS, ids=[" ".join(argv) for argv, _ in _FOREIGN_FLAGS])
+def test_a_flag_outside_the_subcommands_modes_is_a_usage_error(argv, flag, tmp_path, capsys):
+    if argv[1] == "--config":  # the config file's lines follow the flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(argv[2].replace("; ", "\n"))
+        argv = [argv[0], "--config", str(cfg)]
+    assert flag in usage_error(argv, capsys)
+
+
+# the modes each subcommand runs, the default first
+_COMMAND_MODES = {
+    "capacity": ("conversion", "concat", "decayed"),
+    "sweep": ("conversion", "concat", "decayed"),
+    "evolve": ("decayed",),
+    "degrade": ("conversion", "concat"),
+}
+_OTHER_FLAGS = {
+    "capacity": {"help", "mode", "out", "json", "config", "stamp"},
+    "sweep": {"help", "mode", "sweep", "out", "json", "threads", "config", "stamp"},
+    "evolve": {"help", "mode", "sweep", "out", "json", "config", "stamp"},
+    "degrade": {"help", "mode", "out", "json", "config", "stamp"},
+}
+
+
+@pytest.mark.parametrize("command", _COMMAND_MODES)
+def test_each_subcommand_declares_its_modes_columns_and_nu(command):
+    modes = _COMMAND_MODES[command]
+    actions = {action.dest: action for action in build_parser().subcommands[command]._actions}
+    assert tuple(actions["mode"].choices) == modes
+    params = {column for mode in modes for column in _MODE_COLUMNS[mode]} | {"nu"}
+    assert set(actions) - _OTHER_FLAGS[command] == params
+    assert _OTHER_FLAGS[command] <= set(actions)
 
 
 def test_degrade_prints_stage_and_distance(capsys):
@@ -777,6 +821,8 @@ def test_closed_pipe_ends_quietly():
      "--T", "0.8"],
     ["capacity", "--mode", "decayed", "--g", "1", "--delta", "0.4", "--t", "1.9", "--kappa", "0.9", "--gamma", "0.7",
      "--json"],
+    ["evolve", "--g", "1", "--delta", "0.3", "--kappa", "0.4", "--gamma", "0.1", "--sweep", "t:0:3:7"],
+    ["degrade", "--mode", "concat", "--g", "1", "--t", "1.4", "--g2", "1.1", "--t2", "1.5", "--T", "0.9"],
 ])
 def test_commands_emit_no_warning(args):
     # -W error turns any warning, such as numpy's RuntimeWarning, into a failing exit
@@ -802,10 +848,11 @@ def test_calls_sharing_the_parser_leak_nothing(tmp_path, capsys):
         main(["capacity", "--g", "1", "--t", "nan"])
     assert exc.value.code == 2
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("delta = 2\nnu = 0.3\njson = true\nthreads = 2\n")
+    cfg.write_text("delta = 2\nnu = 0.3\njson = true\n")
     code, out, _ = run_cli(["capacity", "--config", str(cfg), "--g", "1", "--t", "1.2"], capsys)
     assert code == 0 and json.loads(out)["delta"] == 2.0
-    code, out, _ = run_cli(["sweep", "--g", "1", "--sweep", "t:0:1:2", "--stamp", "--json"], capsys)
+    cfg.write_text("json = true\nthreads = 2\n")
+    code, out, _ = run_cli(["sweep", "--config", str(cfg), "--g", "1", "--sweep", "t:0:1:2", "--stamp"], capsys)
     assert code == 0 and "stamp" in json.loads(out.splitlines()[0])
     assert run_cli(query, capsys) == (0, first, "")
     assert run_cli(sweep, capsys)[1] == swept
@@ -879,6 +926,9 @@ _USAGE_CORPUS = [
     ["capacity", "--g"], ["capacity", "--g", "abc"], ["capacity", "--mode", "nope"],
     ["capacity", "--threads", "two"], ["capacity", "--json=1"], ["sweep", "--sweep"],
     ["capacity", "--g", "-x"], ["capacity", "--delta", "-1e-3", "-q"], ["Capacity"],
+    # flags and modes a subcommand does not declare, because its handler would not read them
+    ["capacity", "--sweep"], ["capacity", "--threads", "1"], ["degrade", "--kappa", "1"],
+    ["evolve", "--T", "0.5"], ["evolve", "--mode", "conversion"],
 ]
 
 

@@ -332,6 +332,26 @@ def test_degradability_booleans_spot():
     assert not decay_degradability(conv_early)
 
 
+@pytest.mark.parametrize("kappa, gamma_at, t, degradable", [
+    (4.0, 0.0, 0.3, False),  # k2 t = 0.6 < 1: the field keeps more
+    (4.0, 0.0, 0.7, True),  # k2 t = 1.4 > 1: the atom holds more
+    (0.0, 4.0, 0.3, False),  # k2 = -2 < 0: 1 - k2 t > 0 at every t
+    (0.0, 4.0, 2.0, False),
+])
+def test_critical_damping_takes_the_limit_of_the_sign_expression(kappa, gamma_at, t, degradable):
+    # delta = 0 and |kappa - gamma_at| = 4 g: x = y = 0 and the combination
+    # vanishes identically, but its sign is still the population gap's
+    jc = JCParams.from_detuning(g=1.0, delta=0.0, t=t, nu=0.0)
+    conv = decayed_conversion(jc, DecayParams(kappa=kappa, gamma_at=gamma_at), t)
+    c = conv.constants
+    assert (c.x, c.y) == (0.0, 0.0)
+    gap = abs(conv.h_env) ** 2 - abs(conv.h_keep) ** 2
+    assert (gap < 0.0) == degradable and abs(gap) > 0.05
+    assert decay_degradability(conv) == degradable
+    assert degradability_expression(conv) == pytest.approx(1.0 - c.k2 * t, abs=1e-15)
+    assert c.eta(t) * degradability_expression(conv) == pytest.approx(gap, abs=1e-12)
+
+
 def test_oracle_grid_shape():
     grid = oracle_grid()
     assert len(grid) == 216
