@@ -10,10 +10,13 @@ have capacity
 when |h_keep|^2 > 1/2, and capacity_root finds its maximum as the root of
 its derivative by a fixed number of Newton steps, with the same
 operations on one keep share (quantum_capacity) and on a column of them
-(capacity_columns).  golden_section_max stays as an independent maximizer
-for the checks.  Channels that are not degradable are assigned Q = 0; for
-channels with decay leakage this follows the same amplitude comparison,
-with the decay environment not modeled as an extra output.
+(capacity_columns).  golden_section_lanes stays as an independent maximizer
+for the checks: a golden-section search per lane over a column of
+objectives, each lane with its own bracket, branches and stop, so
+golden_section_max is its one-lane view.  Channels that are not degradable
+are assigned Q = 0; for channels with decay leakage this follows the same
+amplitude comparison, with the decay environment not modeled as an extra
+output.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import TransferChannel, extended_state, reception_channel
-from .jc import JCParams
+from .jc import CArray, JCParams, math_columns
 from .qmat import QubitInput, binary_entropy, binary_entropy_array, von_neumann_entropy
 
 TIE_BAND = 1e-12
@@ -54,11 +57,7 @@ class CapacityResult:
 
 
 # the status of each code status_codes gives
-STATUSES = (
-    DegradabilityStatus.BOUNDARY,
-    DegradabilityStatus.DEGRADABLE,
-    DegradabilityStatus.ANTI_DEGRADABLE,
-)
+STATUSES = (DegradabilityStatus.BOUNDARY, DegradabilityStatus.DEGRADABLE, DegradabilityStatus.ANTI_DEGRADABLE)
 
 
 def status_codes(keep_abs, env_abs):
@@ -86,21 +85,25 @@ def degrading_map(ch: TransferChannel) -> JCParams:
     if abs(ch.keep_prob + ch.env_prob - 1.0) > 1e-9:
         raise ValueError("degrading map construction requires a decay-free channel")
     if ch.keep_prob < 0.5 - TIE_BAND:
-        raise NotDegradable(
-            f"|h_keep|^2 = {ch.keep_prob} < 1/2: environment holds the larger share"
-        )
+        raise NotDegradable(f"|h_keep|^2 = {ch.keep_prob} < 1/2: environment holds the larger share")
     hk, he = complex(ch.h_keep), complex(ch.h_env)
-    ratio = min(1.0, abs(he) / abs(hk))
-    if ratio <= TIE_BAND:
+    tp, nu = degrading_map_columns(CArray(hk.real, hk.imag), CArray(he.real, he.imag))
+    return JCParams.resonant(g=1.0, t=float(tp), nu=float(nu))
+
+
+def degrading_map_columns(h_keep: CArray, h_env: CArray) -> tuple[np.ndarray, np.ndarray]:
+    """(t', nu') of degrading_map, g' = 1, over columns of decay-free degradable channels, bit for bit."""
+    with np.errstate(all="ignore"):  # CArray's quotient evaluates both of its branches
+        ratio = np.minimum(1.0, abs(h_env) / abs(h_keep))
+        tp = math_columns(math.asin, ratio)  # g' t' with g' = 1
+        # want i e^{i nu' t'} sin(g' t') = h_env / h_keep
+        want = h_env / h_keep
+        phase = math_columns(math.atan2, want.imag, want.real) - 0.5 * math.pi
+        phase = math_columns(math.remainder, phase, 2.0 * math.pi)  # principal value
         # nothing reaches the environment: a stage that transfers nothing;
         # nu' = phase / t' would blow up as t' -> 0
-        return JCParams.resonant(g=1.0, t=0.0, nu=0.0)
-    tp = math.asin(ratio)  # g' t' with g' = 1
-    # want i e^{i nu' t'} sin(g' t') = h_env / h_keep
-    want = he / hk
-    phase = math.atan2(want.imag, want.real) - 0.5 * math.pi
-    phase = math.remainder(phase, 2.0 * math.pi)  # principal value
-    return JCParams.resonant(g=1.0, t=tp, nu=phase / tp)
+        empty = ratio <= TIE_BAND
+        return np.where(empty, 0.0, tp), np.where(empty, 0.0, phase / tp)
 
 
 def degrading_channel(ch: TransferChannel) -> TransferChannel:
@@ -121,23 +124,39 @@ def coherent_information_diagonal(keep_prob: float, p: float) -> float:
     return binary_entropy(keep_prob * p) - binary_entropy((1.0 - keep_prob) * p)
 
 
-def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
-    """Maximize a unimodal f on [lo, hi]; returns (argmax, max)."""
-    a, b = lo, hi
+def coherent_information_columns(keep_prob, p) -> np.ndarray:
+    """coherent_information_diagonal over arrays in [0, 1], bit for bit."""
+    return binary_entropy_array(keep_prob * p) - binary_entropy_array((1.0 - keep_prob) * p)
+
+
+def golden_section_lanes(f, lo, hi, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Maximize unimodal functions on brackets [lo, hi] lane by lane; returns arrays (argmax, max).
+
+    f maps a point per lane to the value of each lane's function.  A lane
+    takes its own branches and stops at its own tol: the floats it gets alone.
+    """
+    a, b = (np.array(x, dtype=float) for x in np.broadcast_arrays(lo, hi))
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN * (b - a)
-            f1 = f(x1)
+    while (live := b - a > tol).any():
+        rise = live & (f1 < f2)  # the bracket moves up: its new point is past x2
+        fall = live & ~(f1 < f2)
+        a, b = np.where(rise, x1, a), np.where(fall, x2, b)
+        x1, x2 = np.where(rise, x2, x1), np.where(fall, x1, x2)
+        f1, f2 = np.where(rise, f2, f1), np.where(fall, f1, f2)
+        probe = np.where(rise, a + GOLDEN * (b - a), b - GOLDEN * (b - a))
+        value = f(probe)
+        x1, f1 = np.where(fall, probe, x1), np.where(fall, value, f1)
+        x2, f2 = np.where(rise, probe, x2), np.where(rise, value, f2)
     xm = 0.5 * (a + b)
     return xm, f(xm)
+
+
+def golden_section_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
+    """Maximize a unimodal f on [lo, hi]; returns (argmax, max): golden_section_lanes on one lane."""
+    xm, fm = golden_section_lanes(lambda x: f(float(x)), lo, hi, tol)
+    return float(xm), float(fm)
 
 
 def capacity_grid_oracle(keep_prob: float, step: float = 1e-5) -> tuple[float, float]:
@@ -154,7 +173,7 @@ def capacity_grid_oracle(keep_prob: float, step: float = 1e-5) -> tuple[float, f
     # a later block wins only with a strictly larger value, like argmax
     for start in range(0, n + 1, _ORACLE_BLOCK):
         ps = np.arange(start, min(start + _ORACLE_BLOCK, n + 1)) * step
-        vals = binary_entropy_array(keep_prob * ps) - binary_entropy_array((1.0 - keep_prob) * ps)
+        vals = coherent_information_columns(keep_prob, ps)
         i = int(np.argmax(vals))
         if vals[i] > best_q:
             best_q, best_p = float(vals[i]), float(ps[i])

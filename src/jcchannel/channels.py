@@ -53,15 +53,7 @@ class TransferChannel:
     def outputs(self, p, r) -> np.ndarray:
         """Output of the input (p, r), stacked on the last two axes for arrays p and r."""
         h = complex(self.h_keep)
-        pa = np.multiply(p, abs(h) ** 2)
-        out = np.empty(np.broadcast(p, r).shape + (2, 2), dtype=complex)
-        out[..., 0, 0], out[..., 1, 1] = 1.0 - pa, pa
-        # r h from real products, as Python multiplies complex numbers: a stack member is apply's
-        rh = out[..., 0, 1]
-        rh.real = np.real(r) * h.real - np.imag(r) * h.imag
-        rh.imag = np.real(r) * h.imag + np.imag(r) * h.real
-        out[..., 1, 0] = np.conj(rh)
-        return out
+        return channel_outputs(h, abs(h) ** 2, p, r)
 
     @staticmethod
     def accepts(keep_abs, env_abs, keep_sq, env_sq) -> np.ndarray:
@@ -87,6 +79,20 @@ class TransferChannel:
         a2 = np.zeros((2, 2), dtype=complex)
         a2[0, 1] = np.sqrt(max(0.0, 1.0 - abs(h) ** 2))
         return a1, a2
+
+
+def channel_outputs(h_keep, keep_sq, p, r) -> np.ndarray:
+    """Outputs of inputs (p, r) through amplitudes h_keep (complex or CArray), |h_keep|^2 = keep_sq; all broadcast."""
+    hr, hi = jc.CArray.parts(h_keep)
+    pa = np.multiply(p, keep_sq)
+    out = np.empty(np.broadcast(pa, r, hr).shape + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 1, 1] = 1.0 - pa, pa
+    # r h from real products, as Python multiplies complex numbers: a stack member is apply's
+    rh = out[..., 0, 1]
+    rh.real = np.real(r) * hr - np.imag(r) * hi
+    rh.imag = np.real(r) * hi + np.imag(r) * hr
+    out[..., 1, 0] = np.conj(rh)
+    return out
 
 
 def conversion_channel(params: jc.JCParams) -> TransferChannel:
@@ -138,15 +144,16 @@ def concatenate(e1: jc.JCParams, loss: LossChannel, e2: jc.JCParams) -> Transfer
     return compose(fiber, reception_channel(e2))
 
 
-def squares(magnitudes: np.ndarray) -> list:
-    """x ** 2 of each value as a Python float: libm's pow, as TransferChannel takes it."""
-    return [x ** 2 for x in magnitudes.tolist()]
+def squares(magnitudes) -> np.ndarray:
+    """x ** 2 of each value, by libm's pow as TransferChannel takes it, in an array of the same shape."""
+    m = np.asarray(magnitudes)
+    return np.array([x ** 2 for x in m.ravel().tolist()]).reshape(m.shape)
 
 
 def concatenate_columns(e1: tuple, T, e2: tuple) -> tuple:
     """concatenate bit for bit over stage arrays (g, delta, nu, t) and T: (h_keep as a CArray, h_env), NaN where it raises."""
     keep = jc.block_amplitude_columns(*e1)[1] * np.sqrt(T) * jc.block_amplitude_columns(*e2)[1]
-    return keep, np.sqrt(np.maximum(0.0, 1.0 - np.array(squares(abs(keep)))))
+    return keep, np.sqrt(np.maximum(0.0, 1.0 - squares(abs(keep))))
 
 
 def extended_state(ch: TransferChannel, inp: QubitInput) -> np.ndarray:

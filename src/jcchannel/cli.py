@@ -44,26 +44,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .capacity import (
-    STATUSES,
-    NotDegradable,
-    capacity_columns,
-    degrading_map,
-    quantum_capacity,
-    status_codes,
-)
-from .channels import (
-    LossChannel,
-    TransferChannel,
-    compose,
-    concatenate,
-    concatenate_columns,
-    conversion_channel,
-    reception_channel,
-    squares,
-)
+from .capacity import STATUSES, NotDegradable, capacity_columns, degrading_map, quantum_capacity, status_codes
+from .channels import (LossChannel, TransferChannel, compose, concatenate, concatenate_columns, conversion_channel,
+                       reception_channel, squares)
 from .jc import JCParams, block_amplitude_columns
-from .lindblad import DecayParams, closed_form_state, decayed_conversion
+from .lindblad import DecayParams, closed_form_columns, closed_form_state, decayed_conversion
 from .qmat import QubitInput, trace_distance
 from .verify import random_inputs, run_verify
 
@@ -99,12 +84,8 @@ OUTPUTS = {
 }
 CSV_HEADER = ",".join(("mode", *_PARAM_COLUMNS, *OUTPUTS))
 
-EVOLVE_HEADER = (
-    "t,pop_ground,pop_photon,pop_atom,"
-    "re_ground_photon,im_ground_photon,"
-    "re_ground_atom,im_ground_atom,"
-    "re_photon_atom,im_photon_atom"
-)
+EVOLVE_HEADER = ("t,pop_ground,pop_photon,pop_atom,re_ground_photon,im_ground_photon,"
+                 "re_ground_atom,im_ground_atom,re_photon_atom,im_photon_atom")
 
 
 def _stage(vals: dict, suffix: str = "") -> JCParams:
@@ -165,11 +146,7 @@ SWEEP_CHUNK = 1024
 _STATUS_VALUES = [status.value for status in STATUSES]
 _MAX_COUNT = 2**62  # points per sweep axis: grid indices stay within int64
 
-_STATUS_TEXT = {
-    "degradable": "Degradable",
-    "anti-degradable": "AntiDegradable",
-    "boundary": "Boundary",
-}
+_STATUS_TEXT = {status.value: status.value.title().replace("-", "") for status in STATUSES}  # AntiDegradable
 
 
 @dataclass(frozen=True)
@@ -290,7 +267,9 @@ def _merge_config(args, parser) -> None:
 
     Each line becomes a --key=value token for the parser to convert, so
     explicit flags win and config sweeps apply only when no --sweep is given.
+    args.from_config names the flags the file filled.
     """
+    args.from_config = set()
     if not getattr(args, "config", None):
         return
     try:
@@ -316,6 +295,8 @@ def _merge_config(args, parser) -> None:
     for key, value in vars(parsed).items():
         if getattr(args, key) is None or getattr(args, key) is False:
             setattr(args, key, value)
+            if value is not None and value is not False:
+                args.from_config.add(key)
 
 
 def _parse_axis(text: str, parser) -> SweepAxis:
@@ -362,8 +343,9 @@ def _gather_values(args, mode: str, parser, axes=()) -> dict:
     """The fixed parameter values of a mode, zero where optional and unset.
 
     A parameter outside the mode, from a flag or from --config, is a usage
-    error.  Fixed values and sweep axis endpoints must be finite and pass
-    PARAMS.
+    error, and so is a flag for a swept parameter; a --config value for one
+    gives way to the sweep.  Fixed values and sweep axis endpoints must be
+    finite and pass PARAMS.
     """
     swept = {axis.name for axis in axes}
     entry = MODES[mode]
@@ -372,9 +354,11 @@ def _gather_values(args, mode: str, parser, axes=()) -> dict:
             parser.error(f"--{name} is not a parameter of mode {mode}")
     vals = {}
     for name in (*entry.columns, "nu"):
-        if name in swept:
-            continue
         v = getattr(args, name)
+        if name in swept:
+            if v is not None and name not in args.from_config:
+                parser.error(f"--{name} is also swept")
+            continue
         if v is None and name in entry.required:
             parser.error(f"--{name} is required for mode {mode} (or sweep it)")
         vals[name] = 0.0 if v is None else v
@@ -479,10 +463,10 @@ def _axis_at(axis: SweepAxis, index: np.ndarray) -> np.ndarray:
     return np.where(index == div, axis.stop, values)
 
 
-def _axis_values(axis: SweepAxis):
-    """np.linspace(axis.start, axis.stop, axis.count), bit for bit, a chunk at a time."""
+def _axis_chunks(axis: SweepAxis):
+    """np.linspace(axis.start, axis.stop, axis.count), bit for bit, as arrays of SWEEP_CHUNK values."""
     for lo in range(0, axis.count, SWEEP_CHUNK):
-        yield from _axis_at(axis, np.arange(lo, min(lo + SWEEP_CHUNK, axis.count))).tolist()
+        yield _axis_at(axis, np.arange(lo, min(lo + SWEEP_CHUNK, axis.count)))
 
 
 def _grid_chunk(axes, lo: int, n: int) -> list:
@@ -555,20 +539,24 @@ def _cmd_evolve(args, parser) -> int:
     stage = _stage(dict(vals, t=0.0))  # each row passes its own time
     decay = _decay(vals)
     inp = QubitInput(p=1.0, r=0.0)  # a single photon arrives
+    keys = EVOLVE_HEADER.split(",")
 
     def lines():
         if not args.json:
             yield EVOLVE_HEADER
-        for t in _axis_values(times):
-            rho = closed_form_state(stage, decay, inp, t)
-            cells = [t] + [float(rho[i, i].real) for i in range(3)]
+        # the rows of a chunk of times from one closed_form_columns call
+        for t in _axis_chunks(times):
+            rho = closed_form_columns(inp, stage.g, stage.nu, stage.omega, t, decay.kappa, decay.gamma_at)
+            cells = [t] + [rho[:, i, i].real for i in range(3)]
             for i, j in ((0, 1), (0, 2), (1, 2)):
-                cells += [float(rho[i, j].real), float(rho[i, j].imag)]
-            if args.json:
-                keys = EVOLVE_HEADER.split(",")
-                yield json.dumps(dict(zip(keys, cells)))
-            else:
-                yield ",".join(repr(c) for c in cells)
+                cells += [rho[:, i, j].real, rho[:, i, j].imag]
+            ok = np.isfinite(rho).all(axis=(1, 2))
+            good = len(ok) if ok.all() else int(ok.argmin())  # the rows before the first rejected time
+            for row in zip(*(c[:good].tolist() for c in cells)):
+                yield json.dumps(dict(zip(keys, row))) if args.json else ",".join(map(repr, row))
+            if good < len(ok):
+                closed_form_state(stage, decay, inp, float(t[good]))  # raises that time's error
+                raise RuntimeError(f"closed_form_columns and closed_form_state disagree at t = {float(t[good])!r}")
 
     _emit(lines(), args.out, _stamp(args))
     return 0
@@ -626,13 +614,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = _parse(parser, _glue_negative_values(sys.argv[1:] if argv is None else argv))
     _merge_config(args, parser)
-    handlers = {
-        "capacity": _cmd_capacity,
-        "sweep": _cmd_sweep,
-        "evolve": _cmd_evolve,
-        "degrade": _cmd_degrade,
-        "verify": _cmd_verify,
-    }
+    handlers = {"capacity": _cmd_capacity, "sweep": _cmd_sweep, "evolve": _cmd_evolve, "degrade": _cmd_degrade,
+                "verify": _cmd_verify}
     try:
         code = handlers[args.command](args, parser)
         sys.stdout.flush()

@@ -9,9 +9,12 @@ to photon numbers {0, 1}.  The joint basis is ordered
 populated, so all dynamics lives on indices 0..2.  _block, the 2x2
 propagator of the pair (|down, 1>, |up, 0>) with optional decay, is the
 only place the Rabi dynamics is written.  It runs unchanged on Python
-complex scalars (block_propagator, which every closed form here and in the
-lindblad module reads) and on CArray columns (block_amplitude_columns, for
-sweeps), with the same bits on each point.
+complex scalars (block_propagator, which the one-point amplitudes read) and
+on CArray columns (propagator_columns), with the same bits on each point.
+Every other closed form is a column form over propagator_columns (the
+amplitudes of sweeps, the Kraus pairs, the joint unitary, the lindblad
+module's decayed state); the scalar kraus_operators, joint_unitary and
+hamiltonian are one-point views of theirs.
 """
 
 from __future__ import annotations
@@ -121,6 +124,16 @@ class CArray:
     def conjugate(self) -> "CArray":
         return CArray(self.real, -self.imag)
 
+    def to_complex(self) -> np.ndarray:
+        out = np.empty(np.broadcast(self.real, self.imag).shape, dtype=complex)
+        out.real, out.imag = self.real, self.imag
+        return out
+
+
+def math_columns(fn, *arrays) -> np.ndarray:
+    """A math module fn on each element of the broadcast arrays (numpy's asin, atan2, ... round differently)."""
+    return np.asarray(np.frompyfunc(fn, len(arrays), 1)(*arrays), dtype=float)
+
 
 def _sqrt(z: CArray) -> CArray:
     """cmath.sqrt's algorithm (numpy's complex sqrt rounds differently)."""
@@ -140,9 +153,7 @@ def _numpy(fn):
     """numpy's complex fn on a CArray; where _block uses it, it equals cmath's."""
 
     def apply(z: CArray) -> CArray:
-        w = np.empty(np.shape(z.real), dtype=complex)
-        w.real, w.imag = z.real, z.imag
-        out = fn(w)
+        out = fn(z.to_complex())
         return CArray(out.real, out.imag)
 
     return apply
@@ -199,9 +210,7 @@ def _block(m, g, delta, nu, t, kappa, gamma) -> tuple:
     )
 
 
-def block_propagator(
-    params: JCParams, t: float, kappa: float = 0.0, gamma: float = 0.0
-) -> tuple[complex, complex, complex, complex]:
+def block_propagator(params: JCParams, t: float, kappa: float = 0.0, gamma: float = 0.0) -> tuple[complex, ...]:
     """(e^{i delta t/2}; G00, G01 = G10, G11) at time t: see _block.
 
     Raises ValueError where they are out of range or not finite.
@@ -215,9 +224,22 @@ def block_propagator(
     return tuple(out)
 
 
-def block_amplitudes(
-    params: JCParams, t: float, kappa: float = 0.0, gamma: float = 0.0
-) -> tuple[complex, complex, complex]:
+def propagator_columns(g, nu, omega, t, kappa=0.0, gamma=0.0) -> tuple[CArray, ...]:
+    """block_propagator of JCParams(g, nu, omega, .) over arrays, bit for bit; all NaN where it raises."""
+    with np.errstate(all="ignore"):
+        ok, *out = _block(_COLUMNS, *np.broadcast_arrays(g, omega - nu, nu, t, kappa, gamma))
+        ok &= np.logical_and.reduce([np.isfinite(x) for z in out for x in CArray.parts(z)])
+        return tuple(CArray(*(np.where(ok, x, np.nan) for x in CArray.parts(z))) for z in out)
+
+
+def one_point(values: np.ndarray, t: float) -> np.ndarray:
+    """A column form's values at one point; block_propagator's ValueError where they are not finite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"the propagator leaves the float range at t = {t!r}")  # block_propagator's error
+    return values
+
+
+def block_amplitudes(params: JCParams, t: float, kappa: float = 0.0, gamma: float = 0.0) -> tuple[complex, ...]:
     """Amplitudes e^{i delta t/2} conj(G) of the entries G00, G01, G11 at time t.
 
     Each is the ground-state coherence left per unit input on one side of
@@ -234,10 +256,9 @@ def block_amplitude_columns(g, delta, nu, t, kappa=0.0, gamma=0.0) -> tuple[CArr
     All three amplitudes are NaN at the points where the scalar call raises.
     """
     with np.errstate(all="ignore"):
-        delta = (nu + delta) - nu  # omega - nu, as JCParams.delta takes it
-        ok, phase, *entries = _block(_COLUMNS, *np.broadcast_arrays(g, delta, nu, t, kappa, gamma))
+        phase, *entries = propagator_columns(g, nu, nu + delta, t, kappa, gamma)
         amps = [phase * entry.conjugate() for entry in entries]
-        ok &= np.logical_and.reduce([np.isfinite(x) for a in amps for x in CArray.parts(a)])
+        ok = np.logical_and.reduce([np.isfinite(x) for a in amps for x in CArray.parts(a)])
         return tuple(CArray(*(np.where(ok, x, np.nan) for x in CArray.parts(a))) for a in amps)
 
 
@@ -271,50 +292,65 @@ def reception_residual_amplitude(params: JCParams) -> complex:
     return block_amplitudes(params, params.t)[0]
 
 
-def kraus_operators(params: JCParams) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus pair of the atom-to-field conversion channel.
+def kraus_operator_columns(g, nu, omega, t) -> np.ndarray:
+    """Kraus pairs (..., [A1, A2], 2, 2) of the atom-to-field conversion over arrays of JCParams fields.
 
-    Both operators map the atomic basis (|down>, |up>) to the photon basis
-    (|0>, |1>); rows index the photon state.  A1 = diag(e^{i delta t/2}, G10)
-    carries the population that transfers, A2 = [[0, G11], [0, 0]] the
-    branch where the excitation stays on the atom and the field stays empty.
+    A1 = diag(e^{i delta t/2}, G10) carries the population that transfers,
+    A2 = [[0, G11], [0, 0]] the branch where the excitation stays on the
+    atom; rows index the photon state.  NaN where block_propagator raises.
     """
-    phase, _, g10, g11 = block_propagator(params, params.t)
-    a = np.zeros((2, 2, 2), dtype=complex)
-    a[0, 0, 0], a[0, 1, 1], a[1, 0, 1] = phase, g10, g11
+    phase, _, g10, g11 = propagator_columns(g, nu, omega, t)
+    a = np.zeros(np.shape(phase.real) + (2, 2, 2), dtype=complex)
+    a[..., 0, 0, 0], a[..., 0, 1, 1], a[..., 1, 0, 1] = phase.to_complex(), g10.to_complex(), g11.to_complex()
+    return a
+
+
+def kraus_operators(params: JCParams) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus pair (A1, A2) of the atom-to-field conversion: kraus_operator_columns at one point."""
+    a = one_point(kraus_operator_columns(params.g, params.nu, params.omega, params.t), params.t)
     return a[0], a[1]
 
 
-def hamiltonian(params: JCParams) -> np.ndarray:
-    """The interaction Hamiltonian on the truncated 4-dim joint space.
+def hamiltonian_columns(g, nu, omega) -> np.ndarray:
+    """The interaction Hamiltonian on the truncated 4-dim joint space, over arrays.
 
     nu (n_field + 1/2) + (omega/2) sigma_z + g (a^dag sigma_- + a sigma_+),
     with the ladder operators cut off above one photon.  Only the 3x3
     excitation <= 1 block is physical; the |up, 1> diagonal entry is the
     truncated remainder and is never reached by allowed initial states.
     """
-    g, nu, om = params.g, params.nu, params.omega
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 0] = 0.5 * nu - 0.5 * om
-    h[1, 1] = 1.5 * nu - 0.5 * om
-    h[2, 2] = 0.5 * nu + 0.5 * om
-    h[3, 3] = 1.5 * nu + 0.5 * om
-    h[1, 2] = h[2, 1] = g
+    g, nu, omega = np.broadcast_arrays(g, nu, omega)
+    h = np.zeros(g.shape + (4, 4), dtype=complex)
+    h[..., 0, 0] = 0.5 * nu - 0.5 * omega
+    h[..., 1, 1] = 1.5 * nu - 0.5 * omega
+    h[..., 2, 2] = 0.5 * nu + 0.5 * omega
+    h[..., 3, 3] = 1.5 * nu + 0.5 * omega
+    h[..., 1, 2] = h[..., 2, 1] = g
     return h
 
 
-def joint_unitary(params: JCParams) -> np.ndarray:
-    """Closed-form e^{-iHt} on the truncated joint space.
+def hamiltonian(params: JCParams) -> np.ndarray:
+    """hamiltonian_columns at one point: a 4x4 matrix."""
+    return hamiltonian_columns(params.g, params.nu, params.omega)
 
-    |down,0> picks up e^{i delta t/2}, the excitation-1 pair
-    (|down,1>, |up,0>) evolves under the decay-free block_propagator, and
-    the unreachable |up,1> slot keeps its diagonal phase.
+
+def joint_unitary_columns(g, nu, omega, t) -> np.ndarray:
+    """Closed-form e^{-iHt} on the truncated joint space, over arrays of JCParams fields.
+
+    |down,0> picks up e^{i delta t/2}, (|down,1>, |up,0>) evolves under the
+    decay-free propagator (NaN where it raises), |up,1> keeps its phase.
     """
-    u = np.zeros((4, 4), dtype=complex)
-    u[0, 0], g00, g01, g11 = block_propagator(params, params.t)
-    u[1, 1], u[1, 2], u[2, 1], u[2, 2] = g00, g01, g01, g11
-    u[3, 3] = cmath.exp(-1j * (1.5 * params.nu + 0.5 * params.omega) * params.t)
+    phase, g00, g01, g11 = (z.to_complex() for z in propagator_columns(g, nu, omega, t))
+    u = np.zeros(phase.shape + (4, 4), dtype=complex)
+    u[..., 0, 0], u[..., 1, 1], u[..., 1, 2], u[..., 2, 1], u[..., 2, 2] = phase, g00, g01, g01, g11
+    with np.errstate(all="ignore"):
+        u[..., 3, 3] = _COLUMNS.exp(-1j * CArray(1.5 * nu + 0.5 * omega, 0.0) * t).to_complex()
     return u
+
+
+def joint_unitary(params: JCParams) -> np.ndarray:
+    """joint_unitary_columns at one point: a 4x4 matrix."""
+    return one_point(joint_unitary_columns(params.g, params.nu, params.omega, params.t), params.t)
 
 
 def evolve_joint(inp: QubitInput, params: JCParams) -> np.ndarray:

@@ -13,6 +13,11 @@ most the named tolerance in `TOLERANCES`, so a NaN fails.  A suite reports
 its largest deviation over all its checks and names the first failing
 point of the first failing check, in the order it yields them.
 
+The closed forms run as columns, one call per check over the whole
+sample; a scalar one-point function runs only where it is what the check
+is about (capacity-goldens' exact check, capacity-monotonicity) and in
+degradability-equivalence's sign expression.
+
 Levels: "quick" runs reduced point counts for a fast smoke check,
 "full" runs the counts the acceptance gate requires.
 """
@@ -132,21 +137,20 @@ def _random_params(rng: np.random.Generator, n: int) -> list[jc.JCParams]:
     return [jc.JCParams.from_detuning(*row) for row in rng.uniform(*_PARAM_BOUNDS, size=(n, 4)).tolist()]
 
 
+# bounds of one seeded draw of a qubit input: p, the share of the largest |r| and its phase
+_INPUT_BOUNDS = ((0.0, 0.0, 0.0), (1.0, 1.0, 2.0 * math.pi))
+
+
 def random_inputs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays (p, r) of n qubit inputs, drawing p, the share of the largest |r| and its phase in turn."""
-    p, share, phase = rng.uniform(0.0, (1.0, 1.0, 2.0 * math.pi), size=(n, 3)).T
+    return _inputs(rng.uniform(*_INPUT_BOUNDS, size=(n, 3)))
+
+
+def _inputs(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, r) of the qubit inputs whose _INPUT_BOUNDS draws lie on the last axis."""
+    p, share, phase = np.moveaxis(draws, -1, 0)
     mag = np.sqrt(p * (1.0 - p)) * share
     return p, mag * np.cos(phase) + 1j * (mag * np.sin(phase))
-
-
-def _random_unit_channel(rng: np.random.Generator, lo: float, hi: float) -> channels.TransferChannel:
-    a = float(rng.uniform(lo, hi))
-    ph1 = float(rng.uniform(0.0, 2.0 * math.pi))
-    ph2 = float(rng.uniform(0.0, 2.0 * math.pi))
-    return channels.TransferChannel(
-        h_keep=math.sqrt(a) * complex(math.cos(ph1), math.sin(ph1)),
-        h_env=math.sqrt(1.0 - a) * complex(math.cos(ph2), math.sin(ph2)),
-    )
 
 
 def _suite(name, fn, level):
@@ -165,50 +169,68 @@ def _suite(name, fn, level):
 
 def _kraus_completeness(level: str):
     rng = np.random.default_rng(_SEED)
-    samples = _random_params(rng, 1000 if level == "full" else 150)
-    a1, a2 = np.array([jc.kraus_operators(params) for params in samples]).swapaxes(0, 1)
+    # _random_params's draws: each row is from_detuning's (g, delta, t, nu)
+    draws = rng.uniform(*_PARAM_BOUNDS, size=(1000 if level == "full" else 150, 4))
+    g, delta, t, nu = draws.T
+    a1, a2 = jc.kraus_operator_columns(g, nu, nu + delta, t).swapaxes(0, 1)
     gram = a1.conj().swapaxes(-1, -2) @ a1 + a2.conj().swapaxes(-1, -2) @ a2
     devs = np.max(np.abs(gram - np.eye(2)), axis=(-2, -1))
-    yield "completeness", devs, lambda i: f"completeness broken at {samples[i]}"
+    yield "completeness", devs, lambda i: f"completeness broken at {jc.JCParams.from_detuning(*draws[i].tolist())}"
 
 
 def _unitary_oracle(level: str):
     npts = 10 if level == "full" else 5
-    grid = [
-        jc.JCParams.from_detuning(g=1.0, delta=float(delta), t=float(t), nu=float(nu))
-        for t in np.linspace(0.0, 2.0 * math.pi, npts)
-        for delta in np.linspace(-3.0, 3.0, npts)
-        for nu in np.linspace(-2.0, 2.0, npts)
-    ]
-    generators = np.array([-1j * params.t * jc.hamiltonian(params) for params in grid])
-    closed = np.array([jc.joint_unitary(params) for params in grid])
+    axes = np.linspace(0.0, 2.0 * math.pi, npts), np.linspace(-3.0, 3.0, npts), np.linspace(-2.0, 2.0, npts)
+    t, delta, nu = (x.ravel() for x in np.meshgrid(*axes, indexing="ij"))  # t slowest, nu fastest
+    omega = nu + delta  # as from_detuning takes it
+    generators = (-1j * t)[:, None, None] * jc.hamiltonian_columns(1.0, nu, omega)
+    closed = jc.joint_unitary_columns(1.0, nu, omega, t)
     devs = np.max(np.abs(closed - expm_taylor(generators)), axis=(1, 2))
-    yield "unitary", devs, lambda i: f"unitary mismatch at {grid[i]}"
+
+    def at(i):
+        return jc.JCParams.from_detuning(g=1.0, delta=float(delta[i]), t=float(t[i]), nu=float(nu[i]))
+
+    yield "unitary", devs, lambda i: f"unitary mismatch at {at(i)}"
 
 
 def _amplitude_completeness(level: str):
     rng = np.random.default_rng(_SEED + 1)
     draws = rng.uniform(*_PARAM_BOUNDS, size=(1000 if level == "full" else 150, 4))
     # (reception residual, transfer, residual) of each (g, delta, nu, t), NaN where the scalar call raises
-    back, moved, left = (np.array(channels.squares(abs(h))) for h in jc.block_amplitude_columns(*draws.T[[0, 1, 3, 2]]))
+    back, moved, left = (channels.squares(abs(h)) for h in jc.block_amplitude_columns(*draws.T[[0, 1, 3, 2]]))
     devs = np.maximum(np.abs(moved + left - 1.0), np.abs(moved + back - 1.0))
     yield "norm", devs, lambda i: f"amplitude norm broken at {jc.JCParams.from_detuning(*draws[i].tolist())}"
 
 
+def _amplitudes(share, phase) -> jc.CArray:
+    """sqrt(share) e^{i phase} over arrays, as math.sqrt(share) * complex(math.cos(phase), math.sin(phase))."""
+    return np.sqrt(share) * jc.CArray(jc.math_columns(math.cos, phase), jc.math_columns(math.sin, phase))
+
+
 def _degrading_composition(level: str):
     rng = np.random.default_rng(_SEED + 2)
-    n_ch = 100 if level == "full" else 10
-    n_in = 20 if level == "full" else 5
-    sampled, (mapped, target) = [], np.empty((2, 2 * n_ch, n_in, 2, 2), dtype=complex)
-    for side, lo, hi in (("degradable", 0.5, 1.0), ("anti-degradable", 0.0, 0.5)):
-        for _ in range(n_ch):
-            ch = _random_unit_channel(rng, lo, hi)
-            better, worse = (ch, ch.complement()) if side == "degradable" else (ch.complement(), ch)
-            p, r = random_inputs(rng, n_in)
-            mapped[len(sampled)] = channels.compose(better, cap.degrading_channel(better)).outputs(p, r)
-            target[len(sampled)] = worse.outputs(p, r)
-            sampled.append((side, ch))
-    yield "composition", trace_distance(mapped, target), lambda c, _: "{} composition off at {}".format(*sampled[c])
+    n_ch, n_in = (100, 20) if level == "full" else (10, 5)
+    (in_low, in_high), sides = _INPUT_BOUNDS, (("degradable", 0.5, 1.0), ("anti-degradable", 0.0, 0.5))
+    # a row per channel, a side at a time: its keep share and two phases, then its inputs', as drawn one by one
+    draws = np.concatenate([
+        rng.uniform((lo, 0.0, 0.0) + in_low * n_in, (hi, 2.0 * math.pi, 2.0 * math.pi) + in_high * n_in,
+                    size=(n_ch, 3 + 3 * n_in))
+        for _, lo, hi in sides
+    ])
+    a, ph1, ph2 = draws[:, :3].T[:, :, None]
+    anti = np.arange(2 * n_ch)[:, None] >= n_ch  # there the complement is the better channel
+    better = _amplitudes(np.where(anti, 1.0 - a, a), np.where(anti, ph2, ph1))
+    worse = _amplitudes(np.where(anti, a, 1.0 - a), np.where(anti, ph1, ph2))
+    p, r = _inputs(draws[:, 3:].reshape(2 * n_ch, n_in, 3))
+    t2, nu2 = cap.degrading_map_columns(better, worse)
+    composed = better * jc.block_amplitude_columns(1.0, 0.0, nu2, t2)[1]  # then the reception stage of the map
+    mapped, target = (channels.channel_outputs(h, channels.squares(abs(h)), p, r) for h in (composed, worse))
+
+    def at(c):
+        keep, env = (complex(h.real[c, 0], h.imag[c, 0]) for h in (_amplitudes(a, ph1), _amplitudes(1.0 - a, ph2)))
+        return f"{sides[c // n_ch][0]} composition off at {channels.TransferChannel(h_keep=keep, h_env=env)}"
+
+    yield "composition", trace_distance(mapped, target), lambda c, _: at(c)
 
 
 def _capacity_goldens(level: str):
@@ -247,25 +269,23 @@ def _capacity_goldens(level: str):
             yield "stored_grid", [abs(fresh - stored)], lambda _: f"stored grid value stale at {a}"
 
     # golden-section search is a second, independent maximizer: no Q below its maximum
-    keep = [ch.keep_prob for ch in chs[4:]]
-    below = [
-        cap.golden_section_max(lambda p: cap.coherent_information_diagonal(a, p), 0.0, 1.0)[1] - one.q
-        for a, one in zip(keep, scalar[4:])
-    ]
+    keep = np.array([ch.keep_prob for ch in chs[4:]])
+    _, best = cap.golden_section_lanes(lambda p: cap.coherent_information_columns(keep, p), np.zeros(len(keep)), 1.0)
+    below = best - np.array([one.q for one in scalar[4:]])
     yield "golden", below, lambda i: f"Q below the golden-section maximum at keep share {keep[i]}"
 
 
 def _coherent_info_two_route(level: str):
     grid = np.linspace(0.0, 1.0, 51 if level == "full" else 11)
-    closed, outputs = [], np.empty((len(grid), len(grid), 2, 2), dtype=complex)
+    outputs = np.empty((len(grid), len(grid), 2, 2), dtype=complex)
     extended = np.empty((len(grid), len(grid), 4, 4), dtype=complex)
     for i, a in enumerate(grid):
         ph = complex(math.cos(0.3 * math.pi * a), math.sin(0.3 * math.pi * a))
         ch = channels.TransferChannel(h_keep=math.sqrt(float(a)) * ph, h_env=math.sqrt(1.0 - float(a)))
-        closed.append([cap.coherent_information_diagonal(float(a), float(p)) for p in grid])
         outputs[i], extended[i] = ch.outputs(grid, 0.0), channels.extended_apply(ch, grid)
+    closed = cap.coherent_information_columns(grid[:, None], grid)
     # the eigenvalue route of capacity.coherent_information, over the whole (a, p) grid
-    devs = np.abs(np.array(closed) - (von_neumann_entropy(outputs) - von_neumann_entropy(extended)))
+    devs = np.abs(closed - (von_neumann_entropy(outputs) - von_neumann_entropy(extended)))
     yield "route", devs, lambda i, j: f"route mismatch at a={grid[i]} p={grid[j]}"
     rank_devs = np.max(np.abs(hermitian_eigenvalues(extended)[..., 2:]), axis=-1)
     yield "rank", rank_devs, lambda i, j: f"extended state exceeds rank 2 at a={grid[i]} p={grid[j]}"
@@ -280,7 +300,7 @@ def _concatenation_law(level: str):
     h_keep, h_env = channels.concatenate_columns(e1, tr, e2)
     keep = np.minimum(channels.squares(abs(h_keep)), 1.0)
     # the product law, with e2's rabi from math.hypot, as JCParams.rabi takes it
-    moved = np.array(channels.squares(abs(jc.block_amplitude_columns(*e1)[1])))
+    moved = channels.squares(abs(jc.block_amplitude_columns(*e1)[1]))
     g2, delta2, nu2, t2 = e2
     rabi = list(map(math.hypot, g2.tolist(), (0.5 * ((nu2 + delta2) - nu2)).tolist()))
     swap = np.array([(math.sin(r * t) * g / r) ** 2 for r, t, g in zip(rabi, t2.tolist(), g2.tolist())])
@@ -308,21 +328,17 @@ def _lindblad_closed_form(level: str):
     init = np.zeros((4, 4), dtype=complex)
     init[:2, :2] = _DECAY_INPUT.matrix  # |down><down| (x) the photon's state
     numeric = lindblad.integrate_master_equations(points, init)
-    devs = [
-        np.max(np.abs(lindblad.closed_form_state(params, decay, _DECAY_INPUT, t) - rho))
-        for (params, decay, t), rho in zip(points, numeric)
-    ]
+    columns = [(params.g, params.nu, params.omega, t, decay.kappa, decay.gamma_at) for params, decay, t in points]
+    closed = lindblad.closed_form_columns(_DECAY_INPUT, *np.array(columns).T)
+    devs = np.max(np.abs(closed - numeric), axis=(1, 2))
     yield "closed_form", devs, lambda i: "closed form off at {} {} t={}".format(*points[i])
-    # decay-free limit must reduce to the pure oscillation
-    no_decay = lindblad.DecayParams(kappa=0.0, gamma_at=0.0)
-    gts, devs = np.linspace(0.0, 2.0 * math.pi, 25), []
-    for gt in gts:
-        params = jc.JCParams.resonant(g=1.0, t=float(gt), nu=0.25)
-        state = lindblad.closed_form_state(params, no_decay, QubitInput(p=1.0, r=0.0), float(gt))
-        devs.append(max(
-            abs(state[2, 2].real - math.sin(gt) ** 2),
-            abs(state[1, 1].real - math.cos(gt) ** 2),
-        ))
+    # decay-free limit must reduce to the pure oscillation: resonant, g = 1, nu = 0.25
+    gts = np.linspace(0.0, 2.0 * math.pi, 25)
+    state = lindblad.closed_form_columns(QubitInput(p=1.0, r=0.0), 1.0, 0.25, 0.25, gts)
+    devs = np.maximum(
+        np.abs(state[:, 2, 2].real - channels.squares(jc.math_columns(math.sin, gts))),
+        np.abs(state[:, 1, 1].real - channels.squares(jc.math_columns(math.cos, gts))),
+    )
     yield "decay_free", devs, lambda i: f"decay-free limit broken at g t={gts[i]}"
 
 

@@ -15,15 +15,21 @@ from jcchannel.capacity import (
     capacity_grid_oracle,
     capacity_root,
     classify,
+    GOLDEN,
+    TIE_BAND,
     coherent_information,
+    coherent_information_columns,
     coherent_information_diagonal,
     degrading_channel,
     degrading_map,
+    degrading_map_columns,
+    golden_section_lanes,
     golden_section_max,
     quantum_capacity,
     status_codes,
 )
 from jcchannel.channels import TransferChannel, compose
+from jcchannel.jc import CArray, JCParams
 from jcchannel.qmat import QubitInput, binary_entropy, binary_entropy_array, trace_distance
 
 # Grid-oracle maxima (exhaustive p sweep, step 1e-5), frozen after one run.
@@ -265,3 +271,70 @@ def test_capacity_columns_equal_quantum_capacity():
         assert CapacityResult(STATUSES[code], qi, pi) == quantum_capacity(ch), ch
     empty = capacity_columns(np.zeros(0, dtype=int), np.zeros(0))
     assert [column.shape for column in empty] == [(0,), (0,)]
+
+
+def _golden_by_hand(f, lo, hi, tol=1e-10):
+    a, b = lo, hi
+    x1, x2 = b - GOLDEN * (b - a), a + GOLDEN * (b - a)
+    f1, f2, steps = f(x1), f(x2), 0
+    while b - a > tol:
+        steps += 1
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + GOLDEN * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - GOLDEN * (b - a)
+            f1 = f(x1)
+    xm = 0.5 * (a + b)
+    return xm, f(xm), steps
+
+
+def test_golden_section_lanes_equal_the_scalar_search_lane_by_lane():
+    rng = np.random.default_rng(20261019)
+    shares = rng.uniform(0.5, 1.0, 40)
+    # brackets of widths from 1e-9 to 1, so lanes stop after different step counts; one starts already done
+    lo = rng.uniform(0.0, 0.4, 40)
+    hi = np.minimum(1.0, lo + np.logspace(-9.0, 0.0, 40))
+    lo[7], hi[7] = 0.25, 0.25
+    xs, best = golden_section_lanes(lambda p: coherent_information_columns(shares, p), lo, hi)
+    steps = set()
+    for i, (a, l, h) in enumerate(zip(shares.tolist(), lo.tolist(), hi.tolist())):
+        x, v, n = _golden_by_hand(lambda p: coherent_information_diagonal(a, p), l, h)
+        steps.add(n)
+        assert golden_section_max(lambda p: coherent_information_diagonal(a, p), l, h) == (x, v), i
+        assert (repr(float(xs[i])), repr(float(best[i]))) == (repr(x), repr(v)), i
+    assert len(steps) > 20 and 0 in steps
+
+
+def test_coherent_information_columns_equal_the_scalar_form():
+    grid = np.linspace(0.0, 1.0, 51)
+    got = coherent_information_columns(grid[:, None], grid)
+    want = np.array([[coherent_information_diagonal(float(a), float(p)) for p in grid] for a in grid])
+    assert got.tobytes() == want.tobytes()
+
+
+def _degrading_map_by_hand(ch):
+    hk, he = complex(ch.h_keep), complex(ch.h_env)
+    ratio = min(1.0, abs(he) / abs(hk))
+    if ratio <= TIE_BAND:
+        return JCParams.resonant(g=1.0, t=0.0, nu=0.0)
+    tp = math.asin(ratio)
+    want = he / hk
+    phase = math.remainder(math.atan2(want.imag, want.real) - 0.5 * math.pi, 2.0 * math.pi)
+    return JCParams.resonant(g=1.0, t=tp, nu=phase / tp)
+
+
+def test_degrading_map_columns_equal_the_per_channel_construction():
+    rng = np.random.default_rng(20261020)
+    chs = [_unit(*row) for row in rng.uniform((0.5, 0.0, 0.0), (1.0, 7.0, 7.0), size=(2000, 3)).tolist()]
+    chs += [_unit(1.0, 0.3), _unit(0.5, 1.0, 2.0), _unit(1.0 - 2.0**-52, 1.0, 1.0)]
+    keep, env = (CArray(np.array([complex(getattr(ch, h)).real for ch in chs]),
+                        np.array([complex(getattr(ch, h)).imag for ch in chs])) for h in ("h_keep", "h_env"))
+    t2, nu2 = degrading_map_columns(keep, env)
+    for i, ch in enumerate(chs):
+        want = _degrading_map_by_hand(ch)
+        assert (repr(float(t2[i])), repr(float(nu2[i]))) == (repr(want.t), repr(want.nu)), i
+        assert degrading_map(ch) == want, i
+    assert t2[-3] == 0.0 and nu2[-3] == 0.0

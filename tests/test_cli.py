@@ -22,7 +22,7 @@ from jcchannel.cli import (
     SWEEP_CHUNK,
     RunRecord,
     SweepAxis,
-    _axis_values,
+    _axis_chunks,
     _emit,
     _glue_negative_values,
     _merge_config,
@@ -33,6 +33,9 @@ from jcchannel.cli import (
     compute_record,
     main,
 )
+from jcchannel.jc import JCParams
+from jcchannel.lindblad import DecayParams, closed_form_state
+from jcchannel.qmat import QubitInput
 
 CONVERSION_VALS = dict(g=1.0, delta=0.0, t=math.pi / 2, nu=0.0)
 
@@ -167,7 +170,8 @@ _MODE_COLUMNS = {
 def test_every_mode_column_is_a_sweep_axis(mode, column, capsys):
     args = ["sweep", "--mode", mode]
     for name, value in _REQUIRED_FLAGS[mode].items():
-        args += [f"--{name}", value]
+        if name != column:  # a flag for the swept column is a usage error
+            args += [f"--{name}", value]
     code, out, _ = run_cli(args + ["--sweep", f"{column}:{_COLUMN_RANGES[column]}:3"], capsys)
     assert code == 0
     lines = out.splitlines()
@@ -320,7 +324,7 @@ def test_axis_values_equal_linspace_bit_for_bit():
              (-0.0, -0.0, 3), (-0.0, 1.0, 3), (-0.0, 1.0, 1), (0.1, 0.7, 1),
              (-2.0, 3.3, 2), (0.0, 3.0, 1027), (-1.7, 2.9, 1027)]
     for start, stop, count in cases:
-        got = list(_axis_values(SweepAxis("t", start, stop, count)))
+        got = [v for chunk in _axis_chunks(SweepAxis("t", start, stop, count)) for v in chunk.tolist()]
         want = np.linspace(start, stop, count).tolist()
         # repr tells -0.0 from 0.0
         assert [repr(v) for v in got] == [repr(v) for v in want], (start, stop, count)
@@ -610,6 +614,68 @@ def test_evolve_columns_and_initial_row(capsys):
     assert first[0] == 0.0
     assert first[2] == 1.0
     assert sum(first[1:4]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("command", ["sweep", "evolve"])
+def test_a_flag_for_a_swept_parameter_is_a_usage_error(command, capsys):
+    err = usage_error([command, "--g", "1", "--t", "5", "--sweep", "t:0:1:2"], capsys)
+    assert "--t is also swept" in err
+    err = usage_error([command, "--mode", "decayed", "--g", "1", "--t", "1", "--gamma", "0.2",
+                       "--sweep", ("gamma_at:0:1:2" if command == "sweep" else "t:0:1:2")], capsys)
+    assert ("--gamma" if command == "sweep" else "--t") + " is also swept" in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "evolve"])
+def test_a_config_value_for_a_swept_parameter_gives_way_to_the_sweep(command, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("g = 1\nt = 5\n")
+    code, out, err = run_cli([command, "--config", str(cfg), "--sweep", "t:0:1:2"], capsys)
+    assert (code, err) == (0, "")
+    assert out == run_cli([command, "--g", "1", "--sweep", "t:0:1:2"], capsys)[1]
+    times = [line.split(",")[0 if command == "evolve" else 3] for line in out.splitlines()[1:]]
+    assert times == ["0.0", "1.0"]
+
+
+def _evolve_row_by_row(g, delta, nu, kappa, gamma, times, json_lines):
+    """evolve's output as one closed_form_state call per time made it."""
+    stage = JCParams.from_detuning(g=g, delta=delta, t=0.0, nu=nu)
+    decay, photon, keys = DecayParams(kappa=kappa, gamma_at=gamma), QubitInput(p=1.0, r=0.0), EVOLVE_HEADER.split(",")
+    lines = [] if json_lines else [EVOLVE_HEADER]
+    for t in times:
+        rho = closed_form_state(stage, decay, photon, t)
+        cells = [t] + [float(rho[i, i].real) for i in range(3)]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            cells += [float(rho[i, j].real), float(rho[i, j].imag)]
+        lines.append(json.dumps(dict(zip(keys, cells))) if json_lines else ",".join(repr(c) for c in cells))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("json_lines", [False, True], ids=["csv", "json"])
+@pytest.mark.parametrize("flags, params, times", [
+    (["--t", "3"], (1.0, 0.0, 0.0, 0.0, 0.0), np.linspace(0.0, 3.0, 201)),
+    (["--delta", "0.3", "--kappa", "0.4", "--gamma", "0.1", "--sweep", "t:0:3:7"], (1.0, 0.3, 0.0, 0.4, 0.1),
+     np.linspace(0.0, 3.0, 7)),
+    (["--delta", "-1.7", "--nu", "0.25", "--kappa", "0.9", "--sweep", "t:0:40:2500"], (1.0, -1.7, 0.25, 0.9, 0.0),
+     np.linspace(0.0, 40.0, 2500)),
+], ids=["default", "sweep", "chunks"])
+def test_evolve_rows_equal_the_row_by_row_closed_form(flags, params, times, json_lines, capsys):
+    code, out, err = run_cli(["evolve", "--g", "1", *flags] + (["--json"] if json_lines else []), capsys)
+    assert (code, err) == (0, "")
+    assert out == _evolve_row_by_row(*params, times.tolist(), json_lines)
+
+
+def test_evolve_prints_the_rows_before_a_time_out_of_range_then_its_error(capsys):
+    times = np.linspace(0.0, 1.0, 1500).tolist()
+    code, out, err = run_cli(["evolve", "--g", "1", "--kappa", "1e4", "--sweep", "t:0:1:1500"], capsys)
+    assert code == 2
+    for first_bad, t in enumerate(times):
+        try:
+            _evolve_row_by_row(1.0, 0.0, 0.0, 1e4, 0.0, [t], False)
+        except ValueError:
+            break
+    assert 0 < first_bad < SWEEP_CHUNK < len(times)
+    assert out == _evolve_row_by_row(1.0, 0.0, 0.0, 1e4, 0.0, times[:first_bad], False)
+    assert err == f"error: the propagator leaves the float range at t = {times[first_bad]!r}\n"
 
 
 def test_evolve_rejects_non_time_axis(capsys):

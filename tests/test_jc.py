@@ -1,5 +1,6 @@
 """Closed-form dynamics of the atom-field exchange block."""
 
+import cmath
 import math
 
 import numpy as np
@@ -14,7 +15,10 @@ from jcchannel.jc import (
     channel_output,
     evolve_joint,
     hamiltonian,
+    hamiltonian_columns,
     joint_unitary,
+    joint_unitary_columns,
+    kraus_operator_columns,
     kraus_operators,
     reception_residual_amplitude,
     residual_amplitude,
@@ -22,6 +26,7 @@ from jcchannel.jc import (
     transfer_amplitude,
 )
 from jcchannel.qmat import QubitInput
+from jcchannel import verify
 from jcchannel.verify import expm_taylor
 
 # Frozen via the independent matrix-exponential oracle (expm_taylor of the
@@ -215,3 +220,64 @@ def test_block_amplitude_columns_equal_scalar_bit_for_bit():
             continue
         assert repr(got) == repr(want), i  # repr tells -0.0 from 0.0
     assert 0 < rejected < n // 5
+
+
+def _column_grid():
+    """(g, delta, t, nu) rows: kraus-completeness's full sample, the unitary-oracle grid, t = 0, then g = 1e200."""
+    sample = np.random.default_rng(verify._SEED).uniform(*verify._PARAM_BOUNDS, size=(1000, 4))
+    axes = np.linspace(0.0, 2.0 * math.pi, 10), np.linspace(-3.0, 3.0, 10), np.linspace(-2.0, 2.0, 10)
+    t, delta, nu = (x.ravel() for x in np.meshgrid(*axes, indexing="ij"))
+    grid = np.stack([np.ones_like(t), delta, t, nu], axis=1)
+    return np.concatenate([sample, grid, [[1.3, 0.7, 0.0, 0.4], [1e200, 0.0, 1.0, 0.0]]])
+
+
+def _kraus_by_hand(params):
+    phase, _, g10, g11 = block_propagator(params, params.t)
+    a = np.zeros((2, 2, 2), dtype=complex)
+    a[0, 0, 0], a[0, 1, 1], a[1, 0, 1] = phase, g10, g11
+    return a
+
+
+def _unitary_by_hand(params):
+    u = np.zeros((4, 4), dtype=complex)
+    u[0, 0], g00, g01, g11 = block_propagator(params, params.t)
+    u[1, 1], u[1, 2], u[2, 1], u[2, 2] = g00, g01, g01, g11
+    u[3, 3] = cmath.exp(-1j * (1.5 * params.nu + 0.5 * params.omega) * params.t)
+    return u
+
+
+def _hamiltonian_by_hand(params):
+    g, nu, om = params.g, params.nu, params.omega
+    h = np.zeros((4, 4), dtype=complex)
+    h[0, 0], h[1, 1] = 0.5 * nu - 0.5 * om, 1.5 * nu - 0.5 * om
+    h[2, 2], h[3, 3] = 0.5 * nu + 0.5 * om, 1.5 * nu + 0.5 * om
+    h[1, 2] = h[2, 1] = g
+    return h
+
+
+@pytest.mark.parametrize("columns, by_hand, entries", [
+    (kraus_operator_columns, _kraus_by_hand, [(0, 0, 0), (0, 1, 1), (1, 0, 1)]),
+    (joint_unitary_columns, _unitary_by_hand, [(0, 0), (1, 1), (1, 2), (2, 1), (2, 2)]),
+], ids=["kraus", "joint_unitary"])
+def test_propagator_column_forms_equal_the_per_point_bodies_bit_for_bit(columns, by_hand, entries):
+    rows = _column_grid()
+    points = [JCParams.from_detuning(*row) for row in rows.tolist()]
+    got = columns(*np.array([(p.g, p.nu, p.omega, p.t) for p in points]).T)
+    assert got.dtype == complex and got.shape == (len(rows),) + by_hand(points[0]).shape
+    for i, params in enumerate(points[:-1]):
+        assert got[i].tobytes() == by_hand(params).tobytes(), i
+    # where block_propagator raises, the propagator's entries are NaN and the one-point view raises
+    with pytest.raises(ValueError, match="the propagator leaves the float range at t = 1.0"):
+        by_hand(points[-1])
+    assert all(np.isnan(got[-1][e]) for e in entries)
+    one_point = {kraus_operator_columns: kraus_operators, joint_unitary_columns: joint_unitary}[columns]
+    with pytest.raises(ValueError, match="the propagator leaves the float range at t = 1.0"):
+        one_point(points[-1])
+    assert np.array(one_point(points[-2])).tobytes() == got[-2].tobytes()  # t = 0
+
+
+def test_hamiltonian_columns_equal_the_per_point_body_bit_for_bit():
+    points = [JCParams.from_detuning(*row) for row in _column_grid().tolist()]
+    got = hamiltonian_columns(*np.array([(p.g, p.nu, p.omega) for p in points]).T)
+    assert got.tobytes() == np.array([_hamiltonian_by_hand(p) for p in points]).tobytes()
+    assert hamiltonian(points[3]).tobytes() == got[3].tobytes()

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jcchannel import lindblad
-from jcchannel.jc import JCParams, joint_unitary, transfer_amplitude
+from jcchannel.jc import JCParams, block_propagator, joint_unitary, transfer_amplitude
 from jcchannel.lindblad import (
     ORACLE_ATOL,
     DecayParams,
     StepFailure,
+    closed_form_columns,
     closed_form_state,
     decay_degradability,
     decayed_conversion,
@@ -370,3 +371,40 @@ def test_edge_times_raise_a_clear_error(call, t):
     jc = JCParams.resonant(g=1e-8, t=1.0)
     with pytest.raises(ValueError, match=r"time t must be finite and nonnegative, got"):
         call(jc, DecayParams(kappa=0.1, gamma_at=0.0), t)
+
+
+def _closed_form_by_hand(jc, d, init, t):
+    phase, keep_photon, to_atom, _ = block_propagator(jc, t, d.kappa, d.gamma_at)
+    p, r = init.p, complex(init.r)
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[1, 1] = p * abs(keep_photon) ** 2
+    rho[2, 2] = p * abs(to_atom) ** 2
+    rho[1, 2] = p * keep_photon * to_atom.conjugate()
+    rho[2, 1] = np.conj(rho[1, 2])
+    rho[0, 1] = r * phase * keep_photon.conjugate()
+    rho[1, 0] = np.conj(rho[0, 1])
+    rho[0, 2] = r * phase * to_atom.conjugate()
+    rho[2, 0] = np.conj(rho[0, 2])
+    rho[0, 0] = 1.0 - rho[1, 1].real - rho[2, 2].real
+    return rho
+
+
+@pytest.mark.parametrize("init", [_REF_INPUT, QubitInput(p=1.0, r=0.0)], ids=["coherent", "photon"])
+def test_closed_form_columns_equal_the_per_point_body_bit_for_bit(init):
+    # the decay oracle grid (t = 0 included), the decay-free check's times, then a rate beyond the float range
+    no_decay = DecayParams(kappa=0.0, gamma_at=0.0)
+    points = oracle_grid() + [
+        (JCParams.resonant(g=1.0, t=gt, nu=0.25), no_decay, gt) for gt in np.linspace(0.0, 2.0 * math.pi, 25).tolist()
+    ] + [(JCParams.resonant(g=1.0, t=1.0), DecayParams(kappa=1e150, gamma_at=0.0), 1.0)]
+    columns = np.array([(jc.g, jc.nu, jc.omega, t, d.kappa, d.gamma_at) for jc, d, t in points])
+    got = closed_form_columns(init, *columns.T)
+    assert got.shape == (len(points), 4, 4)
+    for i, point in enumerate(points[:-1]):
+        assert got[i].tobytes() == _closed_form_by_hand(*point[:2], init, point[2]).tobytes(), i
+        assert got[i].tobytes() == closed_form_state(*point[:2], init, point[2]).tobytes(), i
+    assert np.isnan(got[-1, :3, :3]).all()
+    for call in (_closed_form_by_hand, closed_form_state):
+        with pytest.raises(ValueError, match="the propagator leaves the float range at t = 1.0"):
+            call(*points[-1][:2], init, points[-1][2])
+    # times closed_form_state rejects give NaN states
+    assert np.isnan(closed_form_columns(init, 1.0, 0.0, 0.0, np.array([-1.0, np.inf, np.nan]))[:, :3, :3]).all()

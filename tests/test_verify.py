@@ -3,12 +3,13 @@
 import math
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jcchannel import capacity, channels, jc, lindblad, verify
+from jcchannel import capacity, channels, jc, lindblad, qmat, verify
 from jcchannel.verify import TOLERANCES, expm_taylor, run_verify
 
 
@@ -51,13 +52,15 @@ def test_unitary_oracle_names_its_first_failing_point(monkeypatch):
         jc.JCParams.from_detuning(g=1.0, delta=float(grid[1][d]), t=float(grid[0][t]), nu=float(grid[2][n]))
         for t, d, n in ((1, 4, 3), (3, 0, 1))
     )
-    closed = jc.joint_unitary
+    closed = jc.joint_unitary_columns
 
-    def perturbed(params):
+    def perturbed(g, nu, omega, t):
         # the later point is off by more, so it holds the maximum deviation
-        return closed(params) + {early: 1e-6, late: 1e-3}.get(params, 0.0)
+        at = {(p.nu, p.omega, p.t): d for p, d in ((early, 1e-6), (late, 1e-3))}
+        shift = np.array([at.get(point, 0.0) for point in zip(nu.tolist(), omega.tolist(), t.tolist())])
+        return closed(g, nu, omega, t) + shift[:, None, None]
 
-    monkeypatch.setattr(jc, "joint_unitary", perturbed)
+    monkeypatch.setattr(jc, "joint_unitary_columns", perturbed)
     result = _suite(run_verify("quick"), "unitary-oracle")
     assert not result.passed
     assert result.detail == f"unitary mismatch at {early}"
@@ -65,14 +68,16 @@ def test_unitary_oracle_names_its_first_failing_point(monkeypatch):
 
 
 def test_coherent_info_suite_names_its_first_failing_point(monkeypatch):
-    closed = capacity.coherent_information_diagonal
+    closed = capacity.coherent_information_columns
     grid = np.linspace(0.0, 1.0, 11)
 
     def perturbed(a, p):
-        shift = {(grid[6], grid[2]): 1e-6, (grid[8], grid[1]): 1e-3}.get((a, p), 0.0)
+        a, p = np.broadcast_arrays(a, p)
+        at = {(grid[6], grid[2]): 1e-6, (grid[8], grid[1]): 1e-3}
+        shift = np.reshape([at.get(point, 0.0) for point in zip(a.ravel().tolist(), p.ravel().tolist())], a.shape)
         return closed(a, p) + shift
 
-    monkeypatch.setattr(capacity, "coherent_information_diagonal", perturbed)
+    monkeypatch.setattr(capacity, "coherent_information_columns", perturbed)
     result = _suite(run_verify("quick"), "coherent-info-two-route")
     assert not result.passed
     assert result.detail == f"route mismatch at a={grid[6]} p={grid[2]}"
@@ -115,8 +120,9 @@ def _run(name):
 
 
 def test_unitary_oracle_fails_on_nan_and_names_its_point(monkeypatch):
-    closed = jc.joint_unitary
-    monkeypatch.setattr(jc, "joint_unitary", lambda params: closed(params) * (np.nan if params.t > 3 else 1.0))
+    closed = jc.joint_unitary_columns
+    monkeypatch.setattr(jc, "joint_unitary_columns",
+                        lambda g, nu, omega, t: closed(g, nu, omega, t) * np.where(t > 3, np.nan, 1.0)[:, None, None])
     result = _run("unitary-oracle")
     first = next(
         jc.JCParams.from_detuning(g=1.0, delta=float(delta), t=float(t), nu=float(nu))
@@ -134,13 +140,15 @@ def test_unitary_oracle_fails_on_nan_and_names_its_point(monkeypatch):
 
 def test_lindblad_closed_form_fails_on_nan_at_one_grid_point(monkeypatch):
     params, decay, t = verify._lindblad_points("quick")[7]
-    closed = lindblad.closed_form_state
+    closed = lindblad.closed_form_columns
 
-    def patched(p, d, inp, time):
-        state = closed(p, d, inp, time)
-        return state * np.nan if (p, d, time) == (params, decay, t) else state
+    def patched(inp, g, nu, omega, time, kappa=0.0, gamma=0.0):
+        state = closed(inp, g, nu, omega, time, kappa, gamma)
+        at = (g == params.g) & (nu == params.nu) & (omega == params.omega) & (time == t)
+        at &= (kappa == decay.kappa) & (gamma == decay.gamma_at)
+        return np.where(at[..., None, None], state * np.nan, state)
 
-    monkeypatch.setattr(lindblad, "closed_form_state", patched)
+    monkeypatch.setattr(lindblad, "closed_form_columns", patched)
     result = _run("lindblad-closed-form")
     assert result.passed is False
     assert result.detail == f"closed form off at {params} {decay} t={t}"
@@ -148,13 +156,13 @@ def test_lindblad_closed_form_fails_on_nan_at_one_grid_point(monkeypatch):
 
 
 def test_a_loose_check_cannot_hide_a_later_tight_breach_in_the_lindblad_suite(monkeypatch):
-    closed = lindblad.closed_form_state
+    closed = lindblad.closed_form_columns
 
-    def patched(params, decay, inp, t):
+    def patched(inp, *columns):
         # 1e-7 passes closed_form's 1e-6 on the grid; 1e-8 breaks decay_free's 1e-9
-        return closed(params, decay, inp, t) + (1e-7 if inp is verify._DECAY_INPUT else 1e-8)
+        return closed(inp, *columns) + (1e-7 if inp is verify._DECAY_INPUT else 1e-8)
 
-    monkeypatch.setattr(lindblad, "closed_form_state", patched)
+    monkeypatch.setattr(lindblad, "closed_form_columns", patched)
     result = _run("lindblad-closed-form")
     assert result.passed is False
     assert result.detail == "decay-free limit broken at g t=0.0"
@@ -189,7 +197,7 @@ def test_a_loose_check_cannot_hide_a_later_tight_breach_in_the_concatenation_sui
     assert result.max_dev == pytest.approx(5e-11, rel=1e-3)
 
 
-@pytest.mark.parametrize("name", ["amplitude-completeness", "concatenation-law"])
+@pytest.mark.parametrize("name", ["kraus-completeness", "amplitude-completeness", "concatenation-law"])
 def test_a_sample_whose_scalar_amplitudes_raise_fails_every_check(name, monkeypatch):
     # g^2 overflows, so block_propagator raises on every sample: no check may pass one
     low, high = verify._PARAM_BOUNDS
@@ -266,3 +274,53 @@ def test_degradability_equivalence_fails_on_a_boolean_mismatch(monkeypatch):
     assert result.passed is False
     assert result.detail.startswith("boolean mismatch at ")
     assert result.max_dev == math.inf
+
+
+def test_degrading_composition_draws_each_side_as_one_block():
+    # the block holds the draws one channel at a time made: its share and phases, then its inputs' (n, 3) block
+    for level, n_ch, n_in in (("full", 100, 20), ("quick", 10, 5)):
+        one_by_one, block = np.random.default_rng(verify._SEED + 2), np.random.default_rng(verify._SEED + 2)
+        (_, _, describe), = verify._degrading_composition(level)
+        for side, lo, hi in (("degradable", 0.5, 1.0), ("anti-degradable", 0.0, 0.5)):
+            rows = []
+            for c in range(n_ch):
+                a = float(one_by_one.uniform(lo, hi))
+                ph1, ph2 = (float(one_by_one.uniform(0.0, 2.0 * math.pi)) for _ in range(2))
+                p, r = verify.random_inputs(one_by_one, n_in)
+                rows.append((a, ph1, ph2, p, r))
+                ch = channels.TransferChannel(h_keep=math.sqrt(a) * complex(math.cos(ph1), math.sin(ph1)),
+                                              h_env=math.sqrt(1.0 - a) * complex(math.cos(ph2), math.sin(ph2)))
+                row = np.int64(c + (n_ch if side == "anti-degradable" else 0))
+                assert describe(row, np.int64(0)) == f"{side} composition off at {ch}"
+            (in_low, in_high) = verify._INPUT_BOUNDS
+            draws = block.uniform((lo, 0.0, 0.0) + in_low * n_in, (hi, 2.0 * math.pi, 2.0 * math.pi) + in_high * n_in,
+                                  size=(n_ch, 3 + 3 * n_in))
+            p, r = verify._inputs(draws[:, 3:].reshape(n_ch, n_in, 3))
+            assert draws[:, :3].tobytes() == np.array([row[:3] for row in rows]).tobytes()
+            assert p.tobytes() == np.array([row[3] for row in rows]).tobytes()
+            assert r.tobytes() == np.array([row[4] for row in rows]).tobytes()
+        assert block.uniform() == one_by_one.uniform()
+
+
+def test_verify_full_makes_no_per_sample_scalar_call(monkeypatch):
+    # every namespace that holds one of these functions gets a counting wrapper, as a tracer would install it
+    targets = {jc: ("kraus_operators", "joint_unitary", "hamiltonian"), lindblad: ("closed_form_state",),
+               capacity: ("golden_section_max", "coherent_information_diagonal"), qmat: ("binary_entropy",)}
+    modules = [m for name, m in sorted(sys.modules.items()) if name == "jcchannel" or name.startswith("jcchannel.")]
+    calls = Counter()
+    for owner, names in targets.items():
+        for name in names:
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+    assert run_verify("full").passed
+    assert calls == Counter()
+    jc.hamiltonian(jc.JCParams.resonant(g=1.0, t=1.0))
+    capacity.coherent_information_diagonal(0.7, 0.5)  # calls binary_entropy twice
+    assert calls == Counter(hamiltonian=1, coherent_information_diagonal=1, binary_entropy=2)
