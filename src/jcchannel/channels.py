@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jc
+from .jc import squares
 from .qmat import STATE_TOL, QubitInput
 
 _AMP_TOL = 1e-9
@@ -142,12 +143,6 @@ def concatenate(e1: jc.JCParams, loss: LossChannel, e2: jc.JCParams) -> Transfer
     """
     fiber = compose(conversion_channel(e1), loss.as_transfer())
     return compose(fiber, reception_channel(e2))
-
-
-def squares(magnitudes) -> np.ndarray:
-    """x ** 2 of each value, by libm's pow as TransferChannel takes it, in an array of the same shape."""
-    m = np.asarray(magnitudes)
-    return np.array([x ** 2 for x in m.ravel().tolist()]).reshape(m.shape)
 
 
 def concatenate_columns(e1: tuple, T, e2: tuple) -> tuple:

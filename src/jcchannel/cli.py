@@ -46,8 +46,8 @@ import numpy as np
 
 from .capacity import STATUSES, NotDegradable, capacity_columns, degrading_map, quantum_capacity, status_codes
 from .channels import (LossChannel, TransferChannel, compose, concatenate, concatenate_columns, conversion_channel,
-                       reception_channel, squares)
-from .jc import JCParams, block_amplitude_columns
+                       reception_channel)
+from .jc import JCParams, block_amplitude_columns, squares
 from .lindblad import DecayParams, closed_form_columns, closed_form_state, decayed_conversion
 from .qmat import QubitInput, trace_distance
 from .verify import random_inputs, run_verify

@@ -11,10 +11,9 @@ propagator of the pair (|down, 1>, |up, 0>) with optional decay, is the
 only place the Rabi dynamics is written.  It runs unchanged on Python
 complex scalars (block_propagator, which the one-point amplitudes read) and
 on CArray columns (propagator_columns), with the same bits on each point.
-Every other closed form is a column form over propagator_columns (the
-amplitudes of sweeps, the Kraus pairs, the joint unitary, the lindblad
-module's decayed state); the scalar kraus_operators, joint_unitary and
-hamiltonian are one-point views of theirs.
+The closed forms read off its entries (the Kraus pair, the joint unitary,
+the lindblad module's decayed state) are written once too, in the same
+arithmetic as the entries: SCALARS for one point, COLUMNS for columns.
 """
 
 from __future__ import annotations
@@ -135,6 +134,12 @@ def math_columns(fn, *arrays) -> np.ndarray:
     return np.asarray(np.frompyfunc(fn, len(arrays), 1)(*arrays), dtype=float)
 
 
+def squares(magnitudes) -> np.ndarray:
+    """x ** 2 of each value, by libm's pow as Python floats take it, in an array of the same shape."""
+    m = np.asarray(magnitudes)
+    return np.array([x ** 2 for x in m.ravel().tolist()]).reshape(m.shape)
+
+
 def _sqrt(z: CArray) -> CArray:
     """cmath.sqrt's algorithm (numpy's complex sqrt rounds differently)."""
     ax, ay = np.abs(z.real), np.abs(z.imag)
@@ -159,16 +164,18 @@ def _numpy(fn):
     return apply
 
 
-# what _block computes with: Python complex scalars, or CArray columns
-_SCALARS = SimpleNamespace(
+# what _block and the closed forms compute with: Python complex scalars, or
+# CArray columns; values gives the complex numbers to store in a matrix
+SCALARS = SimpleNamespace(
     complex=complex, sqrt=cmath.sqrt, sin=cmath.sin, cos=cmath.cos, exp=cmath.exp,
-    where=lambda cond, a, b: a if cond else b,
+    where=lambda cond, a, b: a if cond else b, square=lambda x: x ** 2, values=lambda z: z,
 )
-_COLUMNS = SimpleNamespace(
+COLUMNS = SimpleNamespace(
     complex=CArray, sqrt=_sqrt, sin=_numpy(np.sin), cos=_numpy(np.cos), exp=_numpy(np.exp),
     where=lambda cond, a, b: CArray(
         *(np.where(cond, x, y) for x, y in zip(CArray.parts(a), CArray.parts(b)))
     ),
+    square=squares, values=CArray.to_complex,
 )
 
 # beyond this |Im(mu t)|, e^{-k1 t/2} <= e^{-|Im(mu t)|} falls below the
@@ -216,7 +223,7 @@ def block_propagator(params: JCParams, t: float, kappa: float = 0.0, gamma: floa
     Raises ValueError where they are out of range or not finite.
     """
     try:
-        in_range, *out = _block(_SCALARS, params.g, params.delta, params.nu, t, kappa, gamma)
+        in_range, *out = _block(SCALARS, params.g, params.delta, params.nu, t, kappa, gamma)
     except (OverflowError, ValueError):  # where cmath raises, numpy gives inf or NaN
         in_range = False
     if not (in_range and all(map(cmath.isfinite, out))):
@@ -227,16 +234,9 @@ def block_propagator(params: JCParams, t: float, kappa: float = 0.0, gamma: floa
 def propagator_columns(g, nu, omega, t, kappa=0.0, gamma=0.0) -> tuple[CArray, ...]:
     """block_propagator of JCParams(g, nu, omega, .) over arrays, bit for bit; all NaN where it raises."""
     with np.errstate(all="ignore"):
-        ok, *out = _block(_COLUMNS, *np.broadcast_arrays(g, omega - nu, nu, t, kappa, gamma))
+        ok, *out = _block(COLUMNS, *np.broadcast_arrays(g, omega - nu, nu, t, kappa, gamma))
         ok &= np.logical_and.reduce([np.isfinite(x) for z in out for x in CArray.parts(z)])
         return tuple(CArray(*(np.where(ok, x, np.nan) for x in CArray.parts(z))) for z in out)
-
-
-def one_point(values: np.ndarray, t: float) -> np.ndarray:
-    """A column form's values at one point; block_propagator's ValueError where they are not finite."""
-    if not np.isfinite(values).all():
-        raise ValueError(f"the propagator leaves the float range at t = {t!r}")  # block_propagator's error
-    return values
 
 
 def block_amplitudes(params: JCParams, t: float, kappa: float = 0.0, gamma: float = 0.0) -> tuple[complex, ...]:
@@ -292,23 +292,30 @@ def reception_residual_amplitude(params: JCParams) -> complex:
     return block_amplitudes(params, params.t)[0]
 
 
-def kraus_operator_columns(g, nu, omega, t) -> np.ndarray:
-    """Kraus pairs (..., [A1, A2], 2, 2) of the atom-to-field conversion over arrays of JCParams fields.
-
-    A1 = diag(e^{i delta t/2}, G10) carries the population that transfers,
-    A2 = [[0, G11], [0, 0]] the branch where the excitation stays on the
-    atom; rows index the photon state.  NaN where block_propagator raises.
-    """
-    phase, _, g10, g11 = propagator_columns(g, nu, omega, t)
+def _kraus(m, phase, g10, g11) -> np.ndarray:
+    """Kraus pairs [A1, A2] (..., 2, 2, 2) from propagator entries in m's arithmetic: see kraus_operators."""
     a = np.zeros(np.shape(phase.real) + (2, 2, 2), dtype=complex)
-    a[..., 0, 0, 0], a[..., 0, 1, 1], a[..., 1, 0, 1] = phase.to_complex(), g10.to_complex(), g11.to_complex()
+    a[..., 0, 0, 0], a[..., 0, 1, 1], a[..., 1, 0, 1] = m.values(phase), m.values(g10), m.values(g11)
     return a
 
 
 def kraus_operators(params: JCParams) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus pair (A1, A2) of the atom-to-field conversion: kraus_operator_columns at one point."""
-    a = one_point(kraus_operator_columns(params.g, params.nu, params.omega, params.t), params.t)
+    """Kraus pair of the atom-to-field conversion channel.
+
+    Both operators map the atomic basis (|down>, |up>) to the photon basis
+    (|0>, |1>); rows index the photon state.  A1 = diag(e^{i delta t/2}, G10)
+    carries the population that transfers, A2 = [[0, G11], [0, 0]] the
+    branch where the excitation stays on the atom and the field stays empty.
+    """
+    phase, _, g10, g11 = block_propagator(params, params.t)
+    a = _kraus(SCALARS, phase, g10, g11)
     return a[0], a[1]
+
+
+def kraus_operator_columns(g, nu, omega, t) -> np.ndarray:
+    """kraus_operators over arrays of JCParams fields, bit for bit: (..., 2, 2, 2), NaN where it raises."""
+    phase, _, g10, g11 = propagator_columns(g, nu, omega, t)
+    return _kraus(COLUMNS, phase, g10, g11)
 
 
 def hamiltonian_columns(g, nu, omega) -> np.ndarray:
@@ -319,8 +326,7 @@ def hamiltonian_columns(g, nu, omega) -> np.ndarray:
     excitation <= 1 block is physical; the |up, 1> diagonal entry is the
     truncated remainder and is never reached by allowed initial states.
     """
-    g, nu, omega = np.broadcast_arrays(g, nu, omega)
-    h = np.zeros(g.shape + (4, 4), dtype=complex)
+    h = np.zeros(np.broadcast(g, nu, omega).shape + (4, 4), dtype=complex)
     h[..., 0, 0] = 0.5 * nu - 0.5 * omega
     h[..., 1, 1] = 1.5 * nu - 0.5 * omega
     h[..., 2, 2] = 0.5 * nu + 0.5 * omega
@@ -334,23 +340,29 @@ def hamiltonian(params: JCParams) -> np.ndarray:
     return hamiltonian_columns(params.g, params.nu, params.omega)
 
 
-def joint_unitary_columns(g, nu, omega, t) -> np.ndarray:
-    """Closed-form e^{-iHt} on the truncated joint space, over arrays of JCParams fields.
-
-    |down,0> picks up e^{i delta t/2}, (|down,1>, |up,0>) evolves under the
-    decay-free propagator (NaN where it raises), |up,1> keeps its phase.
-    """
-    phase, g00, g01, g11 = (z.to_complex() for z in propagator_columns(g, nu, omega, t))
-    u = np.zeros(phase.shape + (4, 4), dtype=complex)
-    u[..., 0, 0], u[..., 1, 1], u[..., 1, 2], u[..., 2, 1], u[..., 2, 2] = phase, g00, g01, g01, g11
-    with np.errstate(all="ignore"):
-        u[..., 3, 3] = _COLUMNS.exp(-1j * CArray(1.5 * nu + 0.5 * omega, 0.0) * t).to_complex()
+def _joint_unitary(m, nu, omega, t, phase, g00, g01, g11) -> np.ndarray:
+    """joint_unitary from the propagator entries, in m's arithmetic."""
+    top = m.exp(-1j * m.complex(1.5 * nu + 0.5 * omega, 0.0) * t)
+    phase, g00, g01, g11, top = (m.values(z) for z in (phase, g00, g01, g11, top))
+    u = np.zeros(np.shape(phase) + (4, 4), dtype=complex)
+    u[..., 0, 0], u[..., 1, 1], u[..., 1, 2], u[..., 2, 1], u[..., 2, 2], u[..., 3, 3] = phase, g00, g01, g01, g11, top
     return u
 
 
 def joint_unitary(params: JCParams) -> np.ndarray:
-    """joint_unitary_columns at one point: a 4x4 matrix."""
-    return one_point(joint_unitary_columns(params.g, params.nu, params.omega, params.t), params.t)
+    """Closed-form e^{-iHt} on the truncated joint space.
+
+    |down,0> picks up e^{i delta t/2}, the excitation-1 pair
+    (|down,1>, |up,0>) evolves under the decay-free block_propagator, and
+    the unreachable |up,1> slot keeps its diagonal phase.
+    """
+    return _joint_unitary(SCALARS, params.nu, params.omega, params.t, *block_propagator(params, params.t))
+
+
+def joint_unitary_columns(g, nu, omega, t) -> np.ndarray:
+    """joint_unitary over arrays of JCParams fields, bit for bit; NaN propagator entries where it raises."""
+    with np.errstate(all="ignore"):
+        return _joint_unitary(COLUMNS, nu, omega, t, *propagator_columns(g, nu, omega, t))
 
 
 def evolve_joint(inp: QubitInput, params: JCParams) -> np.ndarray:

@@ -4,9 +4,8 @@ The master equation adds two dissipators to the Jaynes-Cummings dynamics:
 photon loss at rate kappa and spontaneous emission at rate gamma_at.  Both
 jump operators only lower the excitation number, so the one-excitation
 block (|down,1>, |up,0>) evolves under the jc propagator with both rates
-passed in; the closed-form states (closed_form_columns, whose one-point
-view is closed_form_state) and the decayed channel amplitudes are read off
-its entries.  The oracle for those closed forms is an independent
+passed in; the closed-form state (one point, or closed_form_columns) and
+the decayed channel amplitudes are read off its entries.  The oracle for those closed forms is an independent
 fixed-step RK4 integrator over the full Liouvillian: it runs its points as
 blocked stacks that climb one halving ladder in lockstep, takes n steps as
 the n-th power of the one-step map, and raises StepFailure before a rung
@@ -40,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import TransferChannel, squares
-from .jc import JCParams, block_amplitudes, hamiltonian_columns, one_point, propagator_columns
+from .channels import TransferChannel
+from .jc import COLUMNS, SCALARS, JCParams, block_amplitudes, block_propagator, hamiltonian_columns, propagator_columns
 from .qmat import QubitInput
 
 ORACLE_ATOL = 1e-10
@@ -113,20 +112,15 @@ def derive_constants(jc: JCParams, d: DecayParams) -> DecayConstants:
     return DecayConstants(k1=k1, k2=k2, z=z, x=x, y=y)
 
 
-def closed_form_columns(init: QubitInput, g, nu, omega, t, kappa=0.0, gamma=0.0) -> np.ndarray:
-    """closed_form_state over arrays of JCParams fields, rates and times, bit for bit.
-
-    (..., 4, 4) joint states; NaN entries where the scalar call raises.
-    """
-    t = np.where(np.isfinite(t) & (np.asarray(t) >= 0.0), t, np.nan)  # _check_time's points
-    phase, keep_photon, to_atom, _ = propagator_columns(g, nu, omega, t, kappa, gamma)
+def _closed_form(m, init: QubitInput, phase, keep_photon, to_atom) -> np.ndarray:
+    """The joint state from the propagator entries it reads, in m's arithmetic: see closed_form_state."""
     p, r = init.p, complex(init.r)
     rho = np.zeros(np.shape(phase.real) + (4, 4), dtype=complex)
-    rho[..., 1, 1] = p * squares(abs(keep_photon))
-    rho[..., 2, 2] = p * squares(abs(to_atom))
-    rho[..., 1, 2] = (p * keep_photon * to_atom.conjugate()).to_complex()
-    rho[..., 0, 1] = (r * phase * keep_photon.conjugate()).to_complex()
-    rho[..., 0, 2] = (r * phase * to_atom.conjugate()).to_complex()
+    rho[..., 1, 1] = p * m.square(abs(keep_photon))
+    rho[..., 2, 2] = p * m.square(abs(to_atom))
+    rho[..., 1, 2] = m.values(p * keep_photon * to_atom.conjugate())
+    rho[..., 0, 1] = m.values(r * phase * keep_photon.conjugate())
+    rho[..., 0, 2] = m.values(r * phase * to_atom.conjugate())
     for i, j in ((1, 2), (0, 1), (0, 2)):
         rho[..., j, i] = np.conj(rho[..., i, j])
     rho[..., 0, 0] = 1.0 - rho[..., 1, 1].real - rho[..., 2, 2].real
@@ -139,10 +133,17 @@ def closed_form_state(jc: JCParams, d: DecayParams, init: QubitInput, t: float) 
     rho_photon has one-photon population init.p and coherence init.r.  The
     interaction time stored in jc is not consulted; t is the argument.
     Returns the 4x4 matrix over |down,0>, |down,1>, |up,0>, |up,1>; the
-    last row/column is identically zero.  closed_form_columns at one point.
+    last row/column is identically zero.
     """
     _check_time(t)
-    return one_point(closed_form_columns(init, jc.g, jc.nu, jc.omega, t, d.kappa, d.gamma_at), t)
+    return _closed_form(SCALARS, init, *block_propagator(jc, t, d.kappa, d.gamma_at)[:3])
+
+
+def closed_form_columns(init: QubitInput, g, nu, omega, t, kappa=0.0, gamma=0.0) -> np.ndarray:
+    """closed_form_state over arrays of JCParams fields, times and rates, bit for bit; NaN where it raises."""
+    t = np.where(np.isfinite(t) & (np.asarray(t) >= 0.0), t, np.nan)  # the times _check_time passes
+    with np.errstate(all="ignore"):
+        return _closed_form(COLUMNS, init, *propagator_columns(g, nu, omega, t, kappa, gamma)[:3])
 
 
 def _liouvillians(points) -> np.ndarray:

@@ -197,7 +197,7 @@ def _amplitude_completeness(level: str):
     rng = np.random.default_rng(_SEED + 1)
     draws = rng.uniform(*_PARAM_BOUNDS, size=(1000 if level == "full" else 150, 4))
     # (reception residual, transfer, residual) of each (g, delta, nu, t), NaN where the scalar call raises
-    back, moved, left = (channels.squares(abs(h)) for h in jc.block_amplitude_columns(*draws.T[[0, 1, 3, 2]]))
+    back, moved, left = (jc.squares(abs(h)) for h in jc.block_amplitude_columns(*draws.T[[0, 1, 3, 2]]))
     devs = np.maximum(np.abs(moved + left - 1.0), np.abs(moved + back - 1.0))
     yield "norm", devs, lambda i: f"amplitude norm broken at {jc.JCParams.from_detuning(*draws[i].tolist())}"
 
@@ -224,7 +224,7 @@ def _degrading_composition(level: str):
     p, r = _inputs(draws[:, 3:].reshape(2 * n_ch, n_in, 3))
     t2, nu2 = cap.degrading_map_columns(better, worse)
     composed = better * jc.block_amplitude_columns(1.0, 0.0, nu2, t2)[1]  # then the reception stage of the map
-    mapped, target = (channels.channel_outputs(h, channels.squares(abs(h)), p, r) for h in (composed, worse))
+    mapped, target = (channels.channel_outputs(h, jc.squares(abs(h)), p, r) for h in (composed, worse))
 
     def at(c):
         keep, env = (complex(h.real[c, 0], h.imag[c, 0]) for h in (_amplitudes(a, ph1), _amplitudes(1.0 - a, ph2)))
@@ -298,16 +298,16 @@ def _concatenation_law(level: str):
     draws = rng.uniform(low + low + (0.0,), high + high + (1.0,), size=(n, 9))
     e1, e2, tr = draws[:, [0, 1, 3, 2]].T, draws[:, [4, 5, 7, 6]].T, draws[:, 8]
     h_keep, h_env = channels.concatenate_columns(e1, tr, e2)
-    keep = np.minimum(channels.squares(abs(h_keep)), 1.0)
+    keep = np.minimum(jc.squares(abs(h_keep)), 1.0)
     # the product law, with e2's rabi from math.hypot, as JCParams.rabi takes it
-    moved = channels.squares(abs(jc.block_amplitude_columns(*e1)[1]))
+    moved = jc.squares(abs(jc.block_amplitude_columns(*e1)[1]))
     g2, delta2, nu2, t2 = e2
     rabi = list(map(math.hypot, g2.tolist(), (0.5 * ((nu2 + delta2) - nu2)).tolist()))
     swap = np.array([(math.sin(r * t) * g / r) ** 2 for r, t, g in zip(rabi, t2.tolist(), g2.tolist())])
     product_devs = np.abs(keep - tr * moved * swap)
     # Q of the chain against Q of the real channel with its keep share; NaN where concatenate raises
     chains = (abs(h_keep), h_env), (np.sqrt(keep), np.sqrt(np.maximum(0.0, 1.0 - keep)))
-    q, plain_q = (cap.capacity_columns(cap.status_codes(k, e), np.minimum(channels.squares(k), 1.0))[0] for k, e in chains)
+    q, plain_q = (cap.capacity_columns(cap.status_codes(k, e), np.minimum(jc.squares(k), 1.0))[0] for k, e in chains)
     phase_devs = np.where(np.isnan(keep), np.nan, np.abs(q - plain_q))
 
     def at(i):
@@ -336,8 +336,8 @@ def _lindblad_closed_form(level: str):
     gts = np.linspace(0.0, 2.0 * math.pi, 25)
     state = lindblad.closed_form_columns(QubitInput(p=1.0, r=0.0), 1.0, 0.25, 0.25, gts)
     devs = np.maximum(
-        np.abs(state[:, 2, 2].real - channels.squares(jc.math_columns(math.sin, gts))),
-        np.abs(state[:, 1, 1].real - channels.squares(jc.math_columns(math.cos, gts))),
+        np.abs(state[:, 2, 2].real - jc.squares(jc.math_columns(math.sin, gts))),
+        np.abs(state[:, 1, 1].real - jc.squares(jc.math_columns(math.cos, gts))),
     )
     yield "decay_free", devs, lambda i: f"decay-free limit broken at g t={gts[i]}"
 
