@@ -257,9 +257,7 @@ def block_amplitude_columns(g, delta, nu, t, kappa=0.0, gamma=0.0) -> tuple[CArr
     """
     with np.errstate(all="ignore"):
         phase, *entries = propagator_columns(g, nu, nu + delta, t, kappa, gamma)
-        amps = [phase * entry.conjugate() for entry in entries]
-        ok = np.logical_and.reduce([np.isfinite(x) for a in amps for x in CArray.parts(a)])
-        return tuple(CArray(*(np.where(ok, x, np.nan) for x in CArray.parts(a))) for a in amps)
+        return tuple(phase * entry.conjugate() for entry in entries)
 
 
 def transfer_amplitude(params: JCParams) -> complex:
