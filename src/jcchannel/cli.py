@@ -11,17 +11,14 @@ Subcommands:
 PARAMS (each model parameter and its domain), OUTPUTS (each output column
 and its text-table label) and MODES (each mode's columns, required flags,
 channel builder and column builder) drive every subcommand; each subcommand
-declares only the flags of its COMMAND_MODES.  Every record prints through
-one row template.  A sweep evaluates its grid a chunk of
-points at a time, as column arrays, and formats each row from the columns;
-capacity prints its one point's row, or a text table of that row's cells.
+declares only the flags of its COMMAND_MODES, and --mode only where it runs
+more than one.  Every CSV or JSON-lines record prints as a row template %
+its fields, and the template's field names give the CSV header.  A sweep
+walks its grid, and evolve its times, a chunk of points at a time, as
+column arrays; capacity prints its one point's row, or a text table of it.
 All numeric text uses shortest round-trip decimals so identical inputs
 produce byte-identical output (sweep accepts --threads, which changes nothing).
 A flat key=value config file can supply any flag; explicit flags win.
-The argparse parser is built once per process, on the first main call, and
-reused by every later call.  A request is parsed by its subcommand's parser
-alone; the root parser runs only to print the help or usage error of an
-argv with no known subcommand or with tokens left over.
 """
 
 from __future__ import annotations
@@ -144,7 +141,6 @@ MAX_AXES = {"sweep": 3, "evolve": 1}
 # grid points a sweep evaluates together as columns
 SWEEP_CHUNK = 1024
 _STATUS_VALUES = [status.value for status in STATUSES]
-_MAX_COUNT = 2**62  # points per sweep axis: grid indices stay within int64
 
 _STATUS_TEXT = {status.value: status.value.title().replace("-", "") for status in STATUSES}  # AntiDegradable
 
@@ -157,42 +153,48 @@ class SweepAxis:
     count: int
 
 
-def _param_cells(mode: str, vals: dict, swept=()) -> dict:
-    """Each parameter column's cell text: the repr of its value, "%s" where
-    swept, None where the mode has no such column."""
+def _record_cells(mode: str, vals: dict, swept=()) -> dict:
+    """The cells of a capacity record's row: the mode; per parameter column the
+    repr of its value, "%s" where swept, None where the mode has no such
+    column; a %-field per output."""
     columns = MODES[mode].columns
-    return {
+    params = {
         name: None if name not in columns else "%s" if name in swept else repr(float(vals[name]))
         for name in _PARAM_COLUMNS
     }
+    return {"mode": f'"{mode}"', **params, **dict.fromkeys(OUTPUTS, "%r"), "status": '"%s"'}
 
 
-def _row_format(mode: str, cells: dict, json_lines: bool) -> str:
-    """%-format of a record row: mode and cells, then a %r field per output, %s for status."""
-    fields = {**cells, **dict.fromkeys(OUTPUTS, "%r"), "status": '"%s"' if json_lines else "%s"}
+def _row_format(cells: dict, json_lines: bool) -> str:
+    """%-format of a record row from its cells, each a %-field or fixed JSON text, None where empty;
+    a CSV row gives each cell unquoted, under the header ",".join(cells)."""
+    if json_lines:
+        return "{" + ", ".join(f'"{name}": {"null" if text is None else text}' for name, text in cells.items()) + "}"
+    return ",".join("" if text is None else text.strip('"') for text in cells.values())
+
+
+def _records(cells: dict, rows, json_lines: bool):
+    """The CSV lines, header first, or the JSON lines of rows, each the %-fields of cells."""
     if not json_lines:
-        return ",".join([mode, *("" if text is None else text for text in fields.values())])
-    pairs = (f'"{name}": {"null" if text is None else text}' for name, text in fields.items())
-    return "{" + ", ".join([f'"mode": {json.dumps(mode)}', *pairs]) + "}"
+        yield ",".join(cells)
+    template = _row_format(cells, json_lines)
+    for fields in rows:
+        yield template % fields
 
 
 @dataclass(frozen=True)
 class RunRecord:
     mode: str
-    cells: dict  # _param_cells of the point
+    cells: dict  # _record_cells of the point
     outputs: tuple  # the OUTPUTS values, in order; every number a Python float
     wall_time_s: float
 
-    def row(self, json_lines: bool = False) -> str:
-        """The CSV or JSON-lines row a sweep prints for this point."""
-        return _row_format(self.mode, self.cells, json_lines) % self.outputs
-
-    # views of row, kept because the benchmark's tracer times them
+    # the CSV row and the JSON object a sweep prints for this point; the benchmark's tracer times both
     def csv_row(self) -> str:
-        return self.row()
+        return _row_format(self.cells, False) % self.outputs
 
     def json_obj(self) -> dict:
-        return json.loads(self.row(True))
+        return json.loads(_row_format(self.cells, True) % self.outputs)
 
 
 def compute_record(mode: str, vals: dict) -> RunRecord:
@@ -201,7 +203,7 @@ def compute_record(mode: str, vals: dict) -> RunRecord:
     ch = MODES[mode].build(vals)
     res = quantum_capacity(ch)
     outputs = (ch.keep_prob, ch.env_prob, res.status.value, res.q, res.p_star)
-    return RunRecord(mode, _param_cells(mode, vals), outputs, time.perf_counter() - start)
+    return RunRecord(mode, _record_cells(mode, vals), outputs, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------- plumbing
@@ -224,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
              "evolve": "decay trajectory of a single photon input", "degrade": "degrading stage parameters and check"}
     for command, modes in COMMAND_MODES.items():
         p = sub.add_parser(command, help=helps[command])
-        p.add_argument("--mode", choices=modes)
+        if len(modes) > 1:
+            p.add_argument("--mode", choices=modes)
         for name in PARAMS:
             if name == "nu" or any(name in MODES[mode].columns for mode in modes):
                 p.add_argument(f"--{name}", type=float)
@@ -241,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="prepend a timestamp line to the output")
     pv = sub.add_parser("verify", help="run oracle cross-check suites")
     pv.add_argument("level", nargs="?", choices=("quick", "full"), default="quick")
-    pv.add_argument("--config", help="flat key=value file supplying flag defaults")
     parser.subcommands = sub.choices
     return parser
 
@@ -284,7 +286,7 @@ def _merge_config(args, parser) -> None:
         if "=" not in line:
             parser.error(f"--config: line {lineno} is not key=value: {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key in ("command", "config", "level") or not hasattr(args, key):  # not flags
+        if key in ("command", "config") or not hasattr(args, key):  # not flags
             parser.error(f"--config: unknown key {key!r}")
         current = getattr(args, key)
         if current is None:
@@ -304,16 +306,16 @@ def _parse_axis(text: str, parser) -> SweepAxis:
     if len(parts) != 4:
         parser.error(f"--sweep: expected AXIS:START:STOP:COUNT, got {text!r}")
     name, start_s, stop_s, count_s = parts
-    if name == "gamma_at":  # long spelling of the --gamma flag
-        name = "gamma"
     try:
-        start, stop, count = float(start_s), float(stop_s), int(count_s)
+        start, stop = float(start_s), float(stop_s)
     except ValueError:
         parser.error(f"--sweep: non-numeric bounds in {text!r}")
-    if count < 1:
-        parser.error(f"--sweep: count must be >= 1 in {text!r}")
-    if count > _MAX_COUNT:
-        parser.error(f"--sweep: count must be at most 2**62 in {text!r}")
+    try:
+        count = int(count_s)
+    except ValueError:
+        count = 0
+    if not 1 <= count <= 2**62:  # grid indices stay within int64
+        parser.error(f"--sweep: count must be an integer from 1 to 2**62 in {text!r}")
     if start > stop:
         parser.error(f"--sweep: start exceeds stop in {text!r}")
     return SweepAxis(name=name, start=start, stop=stop, count=count)
@@ -321,7 +323,7 @@ def _parse_axis(text: str, parser) -> SweepAxis:
 
 def _mode(args) -> str:
     """The request's --mode, or its subcommand's default mode."""
-    return args.mode or COMMAND_MODES[args.command][0]
+    return getattr(args, "mode", None) or COMMAND_MODES[args.command][0]
 
 
 def _parse_axes(args, parser, allowed: tuple) -> tuple:
@@ -425,7 +427,7 @@ def _cmd_capacity(args, parser) -> int:
     mode = _mode(args)
     rec = compute_record(mode, _gather_values(args, mode, parser))
     if args.json:
-        lines = [rec.row(True)[:-1] + f', "wall_time_s": {rec.wall_time_s!r}}}']
+        lines = _records({**rec.cells, "wall_time_s": "%r"}, [(*rec.outputs, rec.wall_time_s)], True)
     else:
         rows = [
             (OUTPUTS.get(name, name), _STATUS_TEXT[cell] if name == "status" else cell)
@@ -463,20 +465,17 @@ def _axis_at(axis: SweepAxis, index: np.ndarray) -> np.ndarray:
     return np.where(index == div, axis.stop, values)
 
 
-def _axis_chunks(axis: SweepAxis):
-    """np.linspace(axis.start, axis.stop, axis.count), bit for bit, as arrays of SWEEP_CHUNK values."""
-    for lo in range(0, axis.count, SWEEP_CHUNK):
-        yield _axis_at(axis, np.arange(lo, min(lo + SWEEP_CHUNK, axis.count)))
-
-
-def _grid_chunk(axes, lo: int, n: int) -> list:
-    """Per axis, the indices of grid points lo .. lo + n - 1, the first axis slowest."""
-    carry, out = np.arange(n), []
-    for axis in reversed(axes):
-        lo, first = divmod(lo, axis.count)
-        carry, index = np.divmod(carry + first, axis.count)
-        out.append(index)
-    return out[::-1]
+def _grid_chunks(axes):
+    """Per chunk of SWEEP_CHUNK grid points, the first axis slowest: each
+    axis's indices there, and its values, np.linspace's bit for bit."""
+    total = math.prod(axis.count for axis in axes)
+    for lo in range(0, total, SWEEP_CHUNK):
+        carry, indices, rest = np.arange(min(SWEEP_CHUNK, total - lo)), [], lo
+        for axis in reversed(axes):
+            rest, first = divmod(rest, axis.count)
+            carry, index = np.divmod(carry + first, axis.count)
+            indices.insert(0, index)
+        yield indices, [_axis_at(axis, index) for axis, index in zip(axes, indices)]
 
 
 def _axis_texts(cache: dict, index: np.ndarray, values: np.ndarray) -> list:
@@ -493,7 +492,7 @@ def _axis_texts(cache: dict, index: np.ndarray, values: np.ndarray) -> list:
 
 
 def _sweep_lines(mode: str, axes: tuple, fixed: dict, json_lines: bool):
-    """Yield the CSV or JSON-lines output of a sweep, SWEEP_CHUNK grid points at a time.
+    """The CSV or JSON-lines output of a sweep, made lazily SWEEP_CHUNK grid points at a time.
 
     Each chunk is evaluated as columns: the mode's build_columns gives
     (h_keep, h_env), one check rejects the chunk where build would raise
@@ -502,34 +501,31 @@ def _sweep_lines(mode: str, axes: tuple, fixed: dict, json_lines: bool):
     Every row has the bytes compute_record gives the point on its own.
     """
     entry = MODES[mode]
-    if not json_lines:
-        yield CSV_HEADER
     names = [axis.name for axis in axes]
-    row = _row_format(mode, _param_cells(mode, fixed, names), json_lines)
     in_columns = sorted(range(len(names)), key=lambda j: _PARAM_COLUMNS.index(names[j]))
     caches = [{} for _ in names]
-    total = math.prod(axis.count for axis in axes)
-    for lo in range(0, total, SWEEP_CHUNK):
-        n = min(SWEEP_CHUNK, total - lo)
-        indices = _grid_chunk(axes, lo, n)
-        values = [_axis_at(axis, index) for axis, index in zip(axes, indices)]
-        cols = {name: np.full(n, v) for name, v in fixed.items()}
-        cols.update(zip(names, values))
-        keep, env = (abs(h) for h in entry.build_columns(cols))
-        keep_sq, env_sq = squares(keep), squares(env)
-        ok = TransferChannel.accepts(keep, env, keep_sq, env_sq)
-        if not ok.all():
-            point = {name: float(col[ok.argmin()]) for name, col in cols.items()}
-            entry.build(point)  # raises the error of the first rejected point
-            raise RuntimeError(f"the chunk check rejects {point}, which build accepts")
-        codes = status_codes(keep, env)
-        keep_p, env_p = np.minimum(keep_sq, 1.0), np.minimum(env_sq, 1.0)
-        q, p_star = capacity_columns(codes, keep_p)
-        texts = [_axis_texts(caches[j], indices[j], values[j]) for j in in_columns]
-        status = [_STATUS_VALUES[code] for code in codes.tolist()]
-        outputs = (keep_p.tolist(), env_p.tolist(), status, q.tolist(), p_star.tolist())  # OUTPUTS order
-        for fields in zip(*texts, *outputs):
-            yield row % fields
+
+    def rows():
+        # the swept cells in column order, then the outputs
+        for indices, values in _grid_chunks(axes):
+            cols = {name: np.full(len(indices[0]), v) for name, v in fixed.items()}
+            cols.update(zip(names, values))
+            keep, env = (abs(h) for h in entry.build_columns(cols))
+            keep_sq, env_sq = squares(keep), squares(env)
+            ok = TransferChannel.accepts(keep, env, keep_sq, env_sq)
+            if not ok.all():
+                point = {name: float(col[ok.argmin()]) for name, col in cols.items()}
+                entry.build(point)  # raises the error of the first rejected point
+                raise RuntimeError(f"the chunk check rejects {point}, which build accepts")
+            codes = status_codes(keep, env)
+            keep_p, env_p = np.minimum(keep_sq, 1.0), np.minimum(env_sq, 1.0)
+            q, p_star = capacity_columns(codes, keep_p)
+            texts = [_axis_texts(caches[j], indices[j], values[j]) for j in in_columns]
+            status = [_STATUS_VALUES[code] for code in codes.tolist()]
+            outputs = (keep_p.tolist(), env_p.tolist(), status, q.tolist(), p_star.tolist())  # OUTPUTS order
+            yield from zip(*texts, *outputs)
+
+    return _records(_record_cells(mode, fixed, names), rows(), json_lines)
 
 
 def _cmd_evolve(args, parser) -> int:
@@ -539,26 +535,23 @@ def _cmd_evolve(args, parser) -> int:
     stage = _stage(dict(vals, t=0.0))  # each row passes its own time
     decay = _decay(vals)
     inp = QubitInput(p=1.0, r=0.0)  # a single photon arrives
-    keys = EVOLVE_HEADER.split(",")
 
-    def lines():
-        if not args.json:
-            yield EVOLVE_HEADER
+    def rows():
         # the rows of a chunk of times from one closed_form_columns call
-        for t in _axis_chunks(times):
+        for _, (t,) in _grid_chunks((times,)):
             rho = closed_form_columns(inp, stage.g, stage.nu, stage.omega, t, decay.kappa, decay.gamma_at)
-            cells = [t] + [rho[:, i, i].real for i in range(3)]
+            columns = [t] + [rho[:, i, i].real for i in range(3)]
             for i, j in ((0, 1), (0, 2), (1, 2)):
-                cells += [rho[:, i, j].real, rho[:, i, j].imag]
+                columns += [rho[:, i, j].real, rho[:, i, j].imag]
             ok = np.isfinite(rho).all(axis=(1, 2))
             good = len(ok) if ok.all() else int(ok.argmin())  # the rows before the first rejected time
-            for row in zip(*(c[:good].tolist() for c in cells)):
-                yield json.dumps(dict(zip(keys, row))) if args.json else ",".join(map(repr, row))
+            yield from zip(*(c[:good].tolist() for c in columns))
             if good < len(ok):
                 closed_form_state(stage, decay, inp, float(t[good]))  # raises that time's error
                 raise RuntimeError(f"closed_form_columns and closed_form_state disagree at t = {float(t[good])!r}")
 
-    _emit(lines(), args.out, _stamp(args))
+    cells = dict.fromkeys(EVOLVE_HEADER.split(","), "%r")
+    _emit(_records(cells, rows(), args.json), args.out, _stamp(args))
     return 0
 
 
@@ -575,10 +568,8 @@ def _cmd_degrade(args, parser) -> int:
     p, r = random_inputs(np.random.default_rng(7), 20)
     dist = float(np.max(trace_distance(composed.outputs(p, r), target.outputs(p, r))))
     if args.json:
-        lines = [json.dumps({
-            "g2": second.g, "t2": second.t, "nu2": second.nu,
-            "max_composition_distance": dist,
-        })]
+        cells = dict.fromkeys(("g2", "t2", "nu2", "max_composition_distance"), "%r")
+        lines = _records(cells, [(second.g, second.t, second.nu, dist)], True)
     else:
         lines = [
             f"degrading stage: g' = {second.g!r}, t' = {second.t!r}, nu' = {second.nu!r}",

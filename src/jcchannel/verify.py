@@ -93,23 +93,27 @@ class VerifyReport:
 def expm_taylor(m: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring with a plain Taylor core.
 
-    The argument is scaled by 2^-k until its max-column-sum norm is at
-    most 1/4, the series is summed until the next term falls below 1e-13
-    relative to the running sum, and the result is squared k times.
-    Deliberately independent of any spectral decomposition.  In a stack
-    (..., n, n) each matrix has its own k, terms and squarings: the floats
-    it gives alone.  A non-finite entry raises ValueError.
+    The argument is scaled by 2^-k, the fewest halvings that take its
+    max-column-sum norm to at most 1/4, the series is summed until the next
+    term falls below 1e-13 relative to the running sum, and the result is
+    squared k times.  Deliberately independent of any spectral
+    decomposition.  In a stack (..., n, n) each matrix has its own k, terms
+    and squarings: the floats it gives alone.  A non-finite entry, norm or
+    result raises ValueError.
     """
     a = np.asarray(m, dtype=complex)
     if not np.isfinite(a).all():
         raise ValueError("expm_taylor needs finite entries")
     stack = a.reshape((-1,) + a.shape[-2:])
     norm = np.max(np.sum(np.abs(stack), axis=1), axis=1)
-    k = np.zeros(len(stack), dtype=int)
-    while np.any(norm > 0.25):
-        big = norm > 0.25
-        norm, k = np.where(big, norm * 0.5, norm), k + big
-    stack = stack / (2.0**k)[:, None, None]
+    if not np.isfinite(norm).all():
+        raise ValueError("expm_taylor needs a finite max-column-sum norm")
+    # norm = mant * 2**e, mant in [1/2, 1): norm / 2**k <= 1/4 from k = e + 2, or e + 1 at mant = 1/2
+    mant, e = np.frexp(norm)
+    k = np.where(norm > 0.25, e + 2 - (mant == 0.5), 0)
+    stack = stack / np.ldexp(1.0, np.minimum(k, 1023))[:, None, None]
+    over = k > 1023  # 2**k is past the float range: divide by the rest apart
+    stack[over] /= np.ldexp(1.0, k[over] - 1023)[:, None, None]
     total = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), stack.shape).copy()
     term = total.copy()
     for j in range(1, 40):
@@ -125,6 +129,8 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
         sq = np.flatnonzero(k > s)
         part = total[sq]
         total[sq] = part @ part
+    if not np.isfinite(total).all():
+        raise ValueError("expm_taylor's result leaves the float range")
     return total.reshape(a.shape)
 
 

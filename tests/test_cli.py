@@ -22,9 +22,9 @@ from jcchannel.cli import (
     SWEEP_CHUNK,
     RunRecord,
     SweepAxis,
-    _axis_chunks,
     _emit,
     _glue_negative_values,
+    _grid_chunks,
     _merge_config,
     _parse,
     _parse_axis,
@@ -271,6 +271,22 @@ def test_sweep_axis_validation(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sweeps, message", [
+    (["t:0:1"], "--sweep: expected AXIS:START:STOP:COUNT, got 't:0:1'"),
+    (["t:0:1:3:4"], "--sweep: expected AXIS:START:STOP:COUNT, got 't:0:1:3:4'"),
+    (["t:a:1:3"], "--sweep: non-numeric bounds in 't:a:1:3'"),
+    (["t:0:1e:3"], "--sweep: non-numeric bounds in 't:0:1e:3'"),
+    (["t:0:1:2.5"], "--sweep: count must be an integer from 1 to 2**62 in 't:0:1:2.5'"),
+    (["t:0:1:0"], "--sweep: count must be an integer from 1 to 2**62 in 't:0:1:0'"),
+    (["t:0:1:-3"], "--sweep: count must be an integer from 1 to 2**62 in 't:0:1:-3'"),
+    ([f"t:0:1:{2**62 + 1}"], f"--sweep: count must be an integer from 1 to 2**62 in 't:0:1:{2**62 + 1}'"),
+    (["t:0:1:3", "delta:0:1:2", "t:0:2:2"], "--sweep: duplicate axis names"),
+])
+def test_a_malformed_sweep_axis_is_a_usage_error_naming_it(sweeps, message, capsys):
+    err = usage_error(["sweep", "--g", "1", *(a for s in sweeps for a in ("--sweep", s))], capsys)
+    assert err.endswith(f"jcchannel: error: {message}\n")
+
+
 def test_sweep_grid_order_row_major(capsys):
     code, out, _ = run_cli(
         ["sweep", "--mode", "conversion", "--g", "1",
@@ -324,7 +340,7 @@ def test_axis_values_equal_linspace_bit_for_bit():
              (-0.0, -0.0, 3), (-0.0, 1.0, 3), (-0.0, 1.0, 1), (0.1, 0.7, 1),
              (-2.0, 3.3, 2), (0.0, 3.0, 1027), (-1.7, 2.9, 1027)]
     for start, stop, count in cases:
-        got = [v for chunk in _axis_chunks(SweepAxis("t", start, stop, count)) for v in chunk.tolist()]
+        got = [v for _, (chunk,) in _grid_chunks((SweepAxis("t", start, stop, count),)) for v in chunk.tolist()]
         want = np.linspace(start, stop, count).tolist()
         # repr tells -0.0 from 0.0
         assert [repr(v) for v in got] == [repr(v) for v in want], (start, stop, count)
@@ -579,6 +595,19 @@ def test_config_bad_value_exits_2(tmp_path, capsys, line, flag):
     assert flag in usage_error(["sweep", "--config", str(cfg)], capsys)
 
 
+def test_an_unreadable_config_is_a_usage_error_naming_it(tmp_path, capsys):
+    for path in (tmp_path / "missing.cfg", tmp_path):
+        err = usage_error(["capacity", "--config", str(path)], capsys)
+        assert f"jcchannel: error: --config: cannot read {path}: [Errno " in err
+
+
+def test_a_config_line_without_equals_is_a_usage_error_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("g = 1\n\n# a comment\n  t 1.2  # no equals\n")
+    err = usage_error(["capacity", "--config", str(cfg)], capsys)
+    assert err.endswith("jcchannel: error: --config: line 4 is not key=value: '  t 1.2  # no equals'\n")
+
+
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mode = conversion\nbogus = 1\n")
@@ -591,7 +620,6 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
 @pytest.mark.parametrize("command, line, key", [
     (["capacity", "--g", "1", "--t", "1"], "command = sweep", "command"),
     (["capacity", "--g", "1", "--t", "1"], "config = other.cfg", "config"),
-    (["verify"], "level = full", "level"),
 ])
 def test_config_rejects_keys_that_are_not_flags(command, line, key, tmp_path, capsys):
     # each is an attribute of the parsed args, but no flag a line can set
@@ -620,8 +648,8 @@ def test_evolve_columns_and_initial_row(capsys):
 def test_a_flag_for_a_swept_parameter_is_a_usage_error(command, capsys):
     err = usage_error([command, "--g", "1", "--t", "5", "--sweep", "t:0:1:2"], capsys)
     assert "--t is also swept" in err
-    err = usage_error([command, "--mode", "decayed", "--g", "1", "--t", "1", "--gamma", "0.2",
-                       "--sweep", ("gamma_at:0:1:2" if command == "sweep" else "t:0:1:2")], capsys)
+    sweep = ["--mode", "decayed", "--sweep", "gamma:0:1:2"] if command == "sweep" else ["--sweep", "t:0:1:2"]
+    err = usage_error([command, "--g", "1", "--t", "1", "--gamma", "0.2", *sweep], capsys)
     assert ("--gamma" if command == "sweep" else "--t") + " is also swept" in err
 
 
@@ -717,7 +745,7 @@ _COMMAND_MODES = {
 _OTHER_FLAGS = {
     "capacity": {"help", "mode", "out", "json", "config", "stamp"},
     "sweep": {"help", "mode", "sweep", "out", "json", "threads", "config", "stamp"},
-    "evolve": {"help", "mode", "sweep", "out", "json", "config", "stamp"},
+    "evolve": {"help", "sweep", "out", "json", "config", "stamp"},
     "degrade": {"help", "mode", "out", "json", "config", "stamp"},
 }
 
@@ -726,10 +754,21 @@ _OTHER_FLAGS = {
 def test_each_subcommand_declares_its_modes_columns_and_nu(command):
     modes = _COMMAND_MODES[command]
     actions = {action.dest: action for action in build_parser().subcommands[command]._actions}
-    assert tuple(actions["mode"].choices) == modes
+    if len(modes) > 1:
+        assert tuple(actions["mode"].choices) == modes
+    else:  # one mode: nothing to choose
+        assert "mode" not in actions
     params = {column for mode in modes for column in _MODE_COLUMNS[mode]} | {"nu"}
     assert set(actions) - _OTHER_FLAGS[command] == params
     assert _OTHER_FLAGS[command] <= set(actions)
+
+
+def test_the_settings_of_each_subcommand_are_counted():
+    # a new flag, switch or positional anywhere changes this count: add one only with a request that needs it
+    counts = {command: sum(action.dest != "help" for action in sub._actions)
+              for command, sub in build_parser().subcommands.items()}
+    assert counts == {"capacity": 15, "sweep": 17, "evolve": 11, "degrade": 13, "verify": 1}
+    assert sum(counts.values()) == 57
 
 
 def test_degrade_prints_stage_and_distance(capsys):
@@ -975,7 +1014,6 @@ def test_subcommand_parse_equals_the_root_parse(tmp_path, monkeypatch):
         ["degrade", "--mode", "concat", "--g", "1", "--t", "1.4", "--g2", "1.1",
          "--t2", "1.5", "--T", "0.9", "--json", "--out", "x.json"],
         ["verify", "full"],
-        ["verify", "--config", str(cfg)],
     ]
     parser = build_parser()
     for argv in requests:
@@ -994,7 +1032,7 @@ _USAGE_CORPUS = [
     ["capacity", "--g", "-x"], ["capacity", "--delta", "-1e-3", "-q"], ["Capacity"],
     # flags and modes a subcommand does not declare, because its handler would not read them
     ["capacity", "--sweep"], ["capacity", "--threads", "1"], ["degrade", "--kappa", "1"],
-    ["evolve", "--T", "0.5"], ["evolve", "--mode", "conversion"],
+    ["evolve", "--T", "0.5"], ["evolve", "--mode", "conversion"], ["verify", "--config", "run.cfg"],
 ]
 
 

@@ -1,5 +1,6 @@
 """Decaying transfer: closed-form state vs RK4, derived constants, channel."""
 
+import itertools
 import math
 
 import numpy as np
@@ -351,6 +352,27 @@ def test_critical_damping_takes_the_limit_of_the_sign_expression(kappa, gamma_at
     assert decay_degradability(conv) == degradable
     assert degradability_expression(conv) == pytest.approx(1.0 - c.k2 * t, abs=1e-15)
     assert c.eta(t) * degradability_expression(conv) == pytest.approx(gap, abs=1e-12)
+
+
+def test_overdamped_constants_keep_the_identity_and_the_sign():
+    # |kappa - gamma_at| > 2 sqrt(4 g^2 + delta^2): z < 0, where derive_constants takes x off the
+    # radical and y from x y = k2 delta; no oracle-grid point (kappa <= 0.5) reaches that branch
+    gaps = []
+    for kappa, gamma_at, delta in itertools.product((4.5, 5.0, 8.0), (0.0, 0.5), (0.0, 1.0, -1.0, 2.0)):
+        if abs(kappa - gamma_at) <= 2.0 * math.hypot(2.0, delta):
+            continue
+        for t in np.linspace(0.0, 6.0, 25).tolist():
+            jc = JCParams.from_detuning(g=1.0, delta=delta, t=t, nu=0.0)
+            conv = decayed_conversion(jc, DecayParams(kappa=kappa, gamma_at=gamma_at), t)
+            c = conv.constants
+            assert c.z < 0.0 and c.x > 0.0
+            gap = abs(conv.h_keep) ** 2 - abs(conv.h_env) ** 2
+            assert abs(c.eta(t) * degradability_expression(conv) + gap) <= 1e-12
+            if abs(gap) > 1e-10:
+                assert decay_degradability(conv) == (gap > 0.0)
+            gaps.append(gap)
+    assert len(gaps) == 17 * 25
+    assert min(gaps) < -1e-10 and max(gaps) > 1e-10  # both verdicts are checked
 
 
 def test_oracle_grid_shape():

@@ -115,6 +115,40 @@ def test_expm_rejects_a_non_finite_entry_without_hanging(entry):
     assert done.returncode == 0, done.stderr.decode()
 
 
+@pytest.mark.parametrize("matrix", ["np.full((2, 2), 1e308)", "np.diag([1e308, 0.0])", "np.diag([5e307, 0.0])"])
+def test_expm_rejects_a_norm_or_result_past_the_float_range_at_once(matrix):
+    # an infinite column sum once kept a halving loop from ending; 2.0**k past
+    # k = 1023 once scaled the matrix to zero and returned the identity
+    code = (
+        "import time\n"
+        "import numpy as np\n"
+        "from jcchannel.verify import expm_taylor\n"
+        "start = time.perf_counter()\n"
+        "try:\n"
+        f"    expm_taylor({matrix})\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0 if time.perf_counter() - start < 1.0 else 2)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(verify.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=30, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+
+
+def test_expm_scales_a_norm_past_two_to_the_1021_exactly():
+    # k = 1026 halvings: the nilpotent part survives them and the squarings exactly
+    out = expm_taylor(np.array([[0.0, 1e308], [0.0, 0.0]]))
+    assert out.tolist() == [[1.0, 1e308], [0.0, 1.0]]
+    decaying = expm_taylor(np.diag([-1e308, 0.0]))
+    assert decaying.tolist() == [[0.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("level", ["medium", "Quick", ""])
+def test_run_verify_rejects_an_unknown_level(level):
+    with pytest.raises(ValueError, match=r"^level must be 'quick' or 'full'$"):
+        run_verify(level)
+
+
 def _run(name):
     return verify._suite(name, dict(verify._SUITES)[name], "quick")
 
