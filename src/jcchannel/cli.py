@@ -286,7 +286,7 @@ def _merge_config(args, parser) -> None:
         if "=" not in line:
             parser.error(f"--config: line {lineno} is not key=value: {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        if key in ("command", "config") or not hasattr(args, key):  # not flags
+        if key in ("command", "config", "from_config") or not hasattr(args, key):  # not flags
             parser.error(f"--config: unknown key {key!r}")
         current = getattr(args, key)
         if current is None:
@@ -505,8 +505,8 @@ def _sweep_lines(mode: str, axes: tuple, fixed: dict, json_lines: bool):
     in_columns = sorted(range(len(names)), key=lambda j: _PARAM_COLUMNS.index(names[j]))
     caches = [{} for _ in names]
 
-    def rows():
-        # the swept cells in column order, then the outputs
+    def chunks():
+        # the rows of each chunk: the swept cells in column order, then the outputs
         for indices, values in _grid_chunks(axes):
             cols = {name: np.full(len(indices[0]), v) for name, v in fixed.items()}
             cols.update(zip(names, values))
@@ -523,9 +523,9 @@ def _sweep_lines(mode: str, axes: tuple, fixed: dict, json_lines: bool):
             texts = [_axis_texts(caches[j], indices[j], values[j]) for j in in_columns]
             status = [_STATUS_VALUES[code] for code in codes.tolist()]
             outputs = (keep_p.tolist(), env_p.tolist(), status, q.tolist(), p_star.tolist())  # OUTPUTS order
-            yield from zip(*texts, *outputs)
+            yield zip(*texts, *outputs)
 
-    return _records(_record_cells(mode, fixed, names), rows(), json_lines)
+    return _records(_record_cells(mode, fixed, names), itertools.chain.from_iterable(chunks()), json_lines)
 
 
 def _cmd_evolve(args, parser) -> int:
@@ -536,7 +536,7 @@ def _cmd_evolve(args, parser) -> int:
     decay = _decay(vals)
     inp = QubitInput(p=1.0, r=0.0)  # a single photon arrives
 
-    def rows():
+    def chunks():
         # the rows of a chunk of times from one closed_form_columns call
         for _, (t,) in _grid_chunks((times,)):
             rho = closed_form_columns(inp, stage.g, stage.nu, stage.omega, t, decay.kappa, decay.gamma_at)
@@ -545,13 +545,13 @@ def _cmd_evolve(args, parser) -> int:
                 columns += [rho[:, i, j].real, rho[:, i, j].imag]
             ok = np.isfinite(rho).all(axis=(1, 2))
             good = len(ok) if ok.all() else int(ok.argmin())  # the rows before the first rejected time
-            yield from zip(*(c[:good].tolist() for c in columns))
+            yield zip(*(c[:good].tolist() for c in columns))
             if good < len(ok):
                 closed_form_state(stage, decay, inp, float(t[good]))  # raises that time's error
                 raise RuntimeError(f"closed_form_columns and closed_form_state disagree at t = {float(t[good])!r}")
 
     cells = dict.fromkeys(EVOLVE_HEADER.split(","), "%r")
-    _emit(_records(cells, rows(), args.json), args.out, _stamp(args))
+    _emit(_records(cells, itertools.chain.from_iterable(chunks()), args.json), args.out, _stamp(args))
     return 0
 
 

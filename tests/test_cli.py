@@ -620,6 +620,7 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
 @pytest.mark.parametrize("command, line, key", [
     (["capacity", "--g", "1", "--t", "1"], "command = sweep", "command"),
     (["capacity", "--g", "1", "--t", "1"], "config = other.cfg", "config"),
+    (["capacity", "--g", "1", "--t", "1"], "from_config = g", "from_config"),
 ])
 def test_config_rejects_keys_that_are_not_flags(command, line, key, tmp_path, capsys):
     # each is an attribute of the parsed args, but no flag a line can set
