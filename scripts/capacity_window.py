@@ -47,6 +47,15 @@ def main():
                     help="fiber transmittance; adds a resonant receiving stage")
     ap.add_argument("--csv", type=str, default=None)
     args = ap.parse_args()
+    for name, value in (("g", args.g), ("delta", args.delta), ("tmax", args.tmax), ("loss", args.loss)):
+        if value is not None and not math.isfinite(value):
+            ap.error(f"--{name} must be finite, got {value}")
+    for name, ok, rule in (("g", args.g > 0, "must be positive"),
+                           ("tmax", args.tmax is None or args.tmax >= 0, "must be nonnegative"),
+                           ("loss", args.loss is None or 0 <= args.loss <= 1, "must lie in [0, 1]"),
+                           ("points", args.points >= 1, "must be at least 1")):
+        if not ok:
+            ap.error(f"--{name} {rule}, got {getattr(args, name)}")
 
     tmax = args.tmax if args.tmax is not None else 2.0 * math.pi / args.g
     ts = [tmax * i / (args.points - 1) if args.points > 1 else tmax

@@ -15,6 +15,7 @@ Usage:
 """
 
 import argparse
+import math
 import sys
 
 sys.path.insert(0, "src")
@@ -45,12 +46,21 @@ def main():
     ap.add_argument("--kmax", type=float, default=2.0)
     ap.add_argument("--points", type=int, default=21)
     args = ap.parse_args()
+    for name in ("g", "delta", "t", "gamma", "kmax"):
+        if not math.isfinite(getattr(args, name)):
+            ap.error(f"--{name} must be finite, got {getattr(args, name)}")
+    for name, ok, rule in (("g", args.g > 0, "must be positive"), ("t", args.t >= 0, "must be nonnegative"),
+                           ("gamma", args.gamma >= 0, "must be nonnegative"),
+                           ("kmax", args.kmax >= 0, "must be nonnegative"),
+                           ("points", args.points >= 2, "must be at least 2")):
+        if not ok:
+            ap.error(f"--{name} {rule}, got {getattr(args, name)}")
 
     print(f"{'kappa':>8} {'|h_keep|^2':>12} {'|h_env|^2':>12} "
           f"{'pop gap':>12} {'sign expr':>12} {'degradable':>10}")
     sides = []  # (kappa, gap > 0) of each scan point off the boundary
     for i in range(args.points):
-        kappa = args.kmax * i / (args.points - 1) if args.points > 1 else 0.0
+        kappa = args.kmax * i / (args.points - 1)
         g, conv = gap(args.g, args.delta, args.t, kappa, args.gamma)
         expr = degradability_expression(conv)
         print(f"{kappa:8.4f} {abs(conv.h_keep) ** 2:12.8f} "

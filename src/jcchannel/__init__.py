@@ -16,7 +16,7 @@ from .capacity import (CapacityResult, DegradabilityStatus, NotDegradable, capac
 from .channels import (LossChannel, TransferChannel, compose, concatenate, conversion_channel, extended_apply,
                        extended_state, reception_channel)
 from .jc import (JCParams, channel_output, evolve_joint, hamiltonian, joint_unitary, kraus_operators,
-                 reception_residual_amplitude, residual_amplitude, residual_output, transfer_amplitude)
+                 reception_residual_amplitude, residual_amplitude, transfer_amplitude)
 from .lindblad import (DecayConstants, DecayedConversion, DecayParams, StepFailure, closed_form_state,
                        decay_degradability, decayed_conversion, degradability_expression, derive_constants,
                        integrate_master_equation, oracle_grid)

@@ -12,10 +12,12 @@ PARAMS (each model parameter and its domain), OUTPUTS (each output column
 and its text-table label) and MODES (each mode's columns, required flags,
 channel builder and column builder) drive every subcommand; each subcommand
 declares only the flags of its COMMAND_MODES, and --mode only where it runs
-more than one.  Every CSV or JSON-lines record prints as a row template %
-its fields, and the template's field names give the CSV header.  A sweep
+more than one.  Every CSV or JSON-lines record prints through a row
+template, and the template's field names give the CSV header.  A sweep
 walks its grid, and evolve its times, a chunk of points at a time, as
-column arrays; capacity prints its one point's row, or a text table of it.
+column arrays; each chunk's rows are formatted with one template % and
+written with one write.  capacity prints its one point's row, or a text
+table of it.
 All numeric text uses shortest round-trip decimals so identical inputs
 produce byte-identical output (sweep accepts --threads, which changes nothing).
 A flat key=value config file can supply any flag; explicit flags win.
@@ -173,13 +175,21 @@ def _row_format(cells: dict, json_lines: bool) -> str:
     return ",".join("" if text is None else text.strip('"') for text in cells.values())
 
 
-def _records(cells: dict, rows, json_lines: bool):
-    """The CSV lines, header first, or the JSON lines of rows, each the %-fields of cells."""
+def _records(cells: dict, chunks, json_lines: bool):
+    """The CSV text, header first, or the JSON lines of chunks, one string per chunk.
+
+    Each chunk is a list of columns, one per %-field of cells, in cell
+    order; its rows are formatted with one % of the row template repeated.
+    """
     if not json_lines:
-        yield ",".join(cells)
-    template = _row_format(cells, json_lines)
-    for fields in rows:
-        yield template % fields
+        yield ",".join(cells) + "\n"
+    line = _row_format(cells, json_lines) + "\n"
+    for columns in chunks:
+        width, rows = len(columns), len(columns[0])
+        fields = [None] * (width * rows)
+        for j, column in enumerate(columns):
+            fields[j::width] = column
+        yield line * rows % tuple(fields)
 
 
 @dataclass(frozen=True)
@@ -189,7 +199,8 @@ class RunRecord:
     outputs: tuple  # the OUTPUTS values, in order; every number a Python float
     wall_time_s: float
 
-    # the CSV row and the JSON object a sweep prints for this point; the benchmark's tracer times both
+    # the CSV row and the JSON object of this point: capacity's text table splits
+    # csv_row, and the benchmark's tracer times both
     def csv_row(self) -> str:
         return _row_format(self.cells, False) % self.outputs
 
@@ -374,21 +385,20 @@ def _gather_values(args, mode: str, parser, axes=()) -> dict:
     return vals
 
 
-def _emit(lines, out_path: str | None, stamp: str | None = None) -> None:
-    """Print lines, or write them to a file that appears only on success.
+def _emit(blocks, out_path: str | None, stamp: str | None = None) -> None:
+    """Write blocks of text to stdout, or to a file that appears only on success.
 
-    A regular file, or a new one, gets the lines through a temporary file
-    beside it, which replaces it once every line is written; a failure
+    A regular file, or a new one, gets the blocks through a temporary file
+    beside it, which replaces it once every block is written; a failure
     leaves an existing file as it was.  A symlink's target is the file
     replaced, and the link stays.  Any other existing target, such as a FIFO
     or a device, is written straight into.  A path that cannot be written
     is a ValueError naming it.  A stamp line, if given, comes first.
     """
     if stamp is not None:
-        lines = itertools.chain([stamp], lines)
+        blocks = itertools.chain([stamp], blocks)
     if out_path is None:
-        for line in lines:
-            print(line)
+        sys.stdout.writelines(blocks)
         return
     target = os.path.realpath(out_path) if os.path.islink(out_path) else out_path
     head, name = os.path.split(target)
@@ -399,9 +409,7 @@ def _emit(lines, out_path: str | None, stamp: str | None = None) -> None:
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp") if regular and name else None
     try:
         with open(tmp or target, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line)
-                fh.write("\n")
+            fh.writelines(blocks)
         if tmp:
             os.replace(tmp, target)
     except OSError as e:
@@ -417,7 +425,7 @@ def _stamp(args) -> str | None:
     if not args.stamp:
         return None
     now = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return json.dumps({"stamp": now}) if args.json else f"# generated {now}"
+    return (json.dumps({"stamp": now}) if args.json else f"# generated {now}") + "\n"
 
 
 # ------------------------------------------------------------- subcommands
@@ -427,7 +435,7 @@ def _cmd_capacity(args, parser) -> int:
     mode = _mode(args)
     rec = compute_record(mode, _gather_values(args, mode, parser))
     if args.json:
-        lines = _records({**rec.cells, "wall_time_s": "%r"}, [(*rec.outputs, rec.wall_time_s)], True)
+        text = _records({**rec.cells, "wall_time_s": "%r"}, [[[v] for v in (*rec.outputs, rec.wall_time_s)]], True)
     else:
         rows = [
             (OUTPUTS.get(name, name), _STATUS_TEXT[cell] if name == "status" else cell)
@@ -435,8 +443,8 @@ def _cmd_capacity(args, parser) -> int:
             if cell
         ]
         width = max(len(label) for label, _ in rows)
-        lines = [f"{label:<{width}}  {cell}" for label, cell in rows]
-    _emit(lines, args.out, _stamp(args))
+        text = ["".join(f"{label:<{width}}  {cell}\n" for label, cell in rows)]
+    _emit(text, args.out, _stamp(args))
     return 0
 
 
@@ -506,7 +514,7 @@ def _sweep_lines(mode: str, axes: tuple, fixed: dict, json_lines: bool):
     caches = [{} for _ in names]
 
     def chunks():
-        # the rows of each chunk: the swept cells in column order, then the outputs
+        # the columns of each chunk: the swept cells in column order, then the outputs
         for indices, values in _grid_chunks(axes):
             cols = {name: np.full(len(indices[0]), v) for name, v in fixed.items()}
             cols.update(zip(names, values))
@@ -522,10 +530,9 @@ def _sweep_lines(mode: str, axes: tuple, fixed: dict, json_lines: bool):
             q, p_star = capacity_columns(codes, keep_p)
             texts = [_axis_texts(caches[j], indices[j], values[j]) for j in in_columns]
             status = [_STATUS_VALUES[code] for code in codes.tolist()]
-            outputs = (keep_p.tolist(), env_p.tolist(), status, q.tolist(), p_star.tolist())  # OUTPUTS order
-            yield zip(*texts, *outputs)
+            yield [*texts, keep_p.tolist(), env_p.tolist(), status, q.tolist(), p_star.tolist()]  # OUTPUTS order
 
-    return _records(_record_cells(mode, fixed, names), itertools.chain.from_iterable(chunks()), json_lines)
+    return _records(_record_cells(mode, fixed, names), chunks(), json_lines)
 
 
 def _cmd_evolve(args, parser) -> int:
@@ -537,7 +544,7 @@ def _cmd_evolve(args, parser) -> int:
     inp = QubitInput(p=1.0, r=0.0)  # a single photon arrives
 
     def chunks():
-        # the rows of a chunk of times from one closed_form_columns call
+        # the columns of a chunk of times from one closed_form_columns call
         for _, (t,) in _grid_chunks((times,)):
             rho = closed_form_columns(inp, stage.g, stage.nu, stage.omega, t, decay.kappa, decay.gamma_at)
             columns = [t] + [rho[:, i, i].real for i in range(3)]
@@ -545,13 +552,13 @@ def _cmd_evolve(args, parser) -> int:
                 columns += [rho[:, i, j].real, rho[:, i, j].imag]
             ok = np.isfinite(rho).all(axis=(1, 2))
             good = len(ok) if ok.all() else int(ok.argmin())  # the rows before the first rejected time
-            yield zip(*(c[:good].tolist() for c in columns))
+            yield [c[:good].tolist() for c in columns]
             if good < len(ok):
                 closed_form_state(stage, decay, inp, float(t[good]))  # raises that time's error
                 raise RuntimeError(f"closed_form_columns and closed_form_state disagree at t = {float(t[good])!r}")
 
     cells = dict.fromkeys(EVOLVE_HEADER.split(","), "%r")
-    _emit(_records(cells, itertools.chain.from_iterable(chunks()), args.json), args.out, _stamp(args))
+    _emit(_records(cells, chunks(), args.json), args.out, _stamp(args))
     return 0
 
 
@@ -569,13 +576,11 @@ def _cmd_degrade(args, parser) -> int:
     dist = float(np.max(trace_distance(composed.outputs(p, r), target.outputs(p, r))))
     if args.json:
         cells = dict.fromkeys(("g2", "t2", "nu2", "max_composition_distance"), "%r")
-        lines = _records(cells, [(second.g, second.t, second.nu, dist)], True)
+        text = _records(cells, [[[second.g], [second.t], [second.nu], [dist]]], True)
     else:
-        lines = [
-            f"degrading stage: g' = {second.g!r}, t' = {second.t!r}, nu' = {second.nu!r}",
-            f"max composition distance over 20 inputs: {dist:.3e}",
-        ]
-    _emit(lines, args.out, _stamp(args))
+        text = [f"degrading stage: g' = {second.g!r}, t' = {second.t!r}, nu' = {second.nu!r}\n"
+                f"max composition distance over 20 inputs: {dist:.3e}\n"]
+    _emit(text, args.out, _stamp(args))
     return 0
 
 

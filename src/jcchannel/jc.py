@@ -376,8 +376,3 @@ def evolve_joint(inp: QubitInput, params: JCParams) -> np.ndarray:
 def channel_output(inp: QubitInput, params: JCParams) -> np.ndarray:
     """Field state after conversion: trace the atom out of the evolved joint state."""
     return partial_trace(evolve_joint(inp, params), keep="second")
-
-
-def residual_output(inp: QubitInput, params: JCParams) -> np.ndarray:
-    """Atom state left behind: trace the field out of the evolved joint state."""
-    return partial_trace(evolve_joint(inp, params), keep="first")

@@ -327,11 +327,12 @@ def test_sweep_streams_rows_without_materializing_the_grid():
             SweepAxis("t", 0.0, 3.0, 50))
     tracemalloc.start()
     try:
-        lines = list(itertools.islice(_sweep_lines("conversion", axes, {"nu": 0.0}, False), 3))
+        blocks = list(itertools.islice(_sweep_lines("conversion", axes, {"nu": 0.0}, False), 2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert lines[0] == CSV_HEADER and len(lines) == 3
+    lines = "".join(blocks).splitlines()  # the header, then the first chunk's rows
+    assert lines[0] == CSV_HEADER and len(lines) == 1 + SWEEP_CHUNK
     assert peak < 2_000_000
 
 
@@ -352,11 +353,12 @@ def test_long_axis_streams_rows_without_materializing_it():
     fixed = {"g": 1.0, "delta": 0.0, "nu": 0.0}
     tracemalloc.start()
     try:
-        lines = list(itertools.islice(_sweep_lines("conversion", axes, fixed, False), 3))
+        blocks = list(itertools.islice(_sweep_lines("conversion", axes, fixed, False), 2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert lines[0] == CSV_HEADER and len(lines) == 3
+    lines = "".join(blocks).splitlines()  # the header, then the first chunk's rows
+    assert lines[0] == CSV_HEADER and len(lines) == 1 + SWEEP_CHUNK
     assert peak < 2_000_000
 
 
@@ -707,6 +709,37 @@ def test_evolve_prints_the_rows_before_a_time_out_of_range_then_its_error(capsys
     assert err == f"error: the propagator leaves the float range at t = {times[first_bad]!r}\n"
 
 
+def _first_out_of_range_time(kappa: float) -> float:
+    """The least time at which closed_form_state raises for g = 1, delta = 0 and kappa, by bisection."""
+    stage, decay = JCParams.from_detuning(g=1.0, delta=0.0, t=0.0), DecayParams(kappa, 0.0)
+    photon = QubitInput(1.0, 0.0)
+
+    def raises(t):
+        try:
+            closed_form_state(stage, decay, photon, t)
+        except ValueError:
+            return True
+        return False
+
+    lo, hi = 0.0, 1.0
+    assert not raises(lo) and raises(hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if raises(mid) else (mid, hi)
+    return hi
+
+
+def test_an_empty_chunk_before_the_error_prints_no_blank_line(capsys):
+    # the first out-of-range time is the first time of the second chunk, so that chunk has no rows
+    count = 2 * SWEEP_CHUNK
+    stop = _first_out_of_range_time(1e4) * (count - 1) / (SWEEP_CHUNK - 0.5)
+    times = np.linspace(0.0, stop, count).tolist()
+    code, out, err = run_cli(["evolve", "--g", "1", "--kappa", "1e4", "--sweep", f"t:0:{stop!r}:{count}"], capsys)
+    assert code == 2
+    assert err == f"error: the propagator leaves the float range at t = {times[SWEEP_CHUNK]!r}\n"
+    assert out == _evolve_row_by_row(1.0, 0.0, 0.0, 1e4, 0.0, times[:SWEEP_CHUNK], False)
+    assert len(out.splitlines()) == 1 + SWEEP_CHUNK and "\n\n" not in out
+
+
 def test_evolve_rejects_non_time_axis(capsys):
     err = usage_error(["evolve", "--g", "1", "--kappa", "0.1", "--sweep", "g:0.5:1:4"], capsys)
     assert "--sweep: axis 'g' not sweepable (allowed: t)" in err
@@ -918,6 +951,42 @@ def test_closed_pipe_ends_quietly():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
     assert err == ""
+
+
+# each spans several chunks; the last stops at an out-of-range time in its second chunk
+_SINK_CASES = {
+    "sweep-csv": ["sweep", "--g", "1", "--sweep", "t:0:3:1300", "--sweep", "delta:-1:1:3"],
+    "sweep-json-stamp": ["sweep", "--mode", "decayed", "--g", "1", "--t", "2.356", "--sweep", "kappa:0:2:50",
+                         "--sweep", "gamma:0:1:50", "--json", "--stamp"],
+    "sweep-csv-stamp": ["sweep", "--g", "1", "--sweep", "t:0:3:2500", "--stamp"],
+    "evolve-chunks": ["evolve", "--g", "1", "--kappa", "0.9", "--sweep", "t:0:40:2500", "--json"],
+    "evolve-out-of-range": ["evolve", "--g", "1", "--kappa", "1e4", "--sweep", "t:0:0.5:3000"],
+}
+
+
+@pytest.mark.parametrize("argv", _SINK_CASES.values(), ids=_SINK_CASES)
+def test_a_pipe_a_file_and_an_in_process_call_get_the_same_bytes(argv, tmp_path, capsys):
+    def unstamped(text):
+        if "--stamp" not in argv:
+            return text
+        stamp, rest = text.split("\n", 1)
+        assert stamp.startswith('{"stamp": "' if "--json" in argv else "# generated ")
+        return rest
+
+    child = subprocess.run([sys.executable, "-m", "jcchannel", *argv], capture_output=True, env=_src_env(),
+                           timeout=120)
+    piped = (child.returncode, unstamped(child.stdout.decode()), child.stderr.decode())
+    code, out, err = run_cli(argv, capsys)
+    assert (code, unstamped(out), err) == piped
+    target = tmp_path / "out.txt"
+    code, out, err = run_cli([*argv, "--out", str(target)], capsys)
+    assert (code, out, err) == (piped[0], "", piped[2])
+    if code == 0:
+        assert unstamped(target.read_bytes().decode()) == piped[1]
+        assert len(piped[1].splitlines()) > 2 * SWEEP_CHUNK
+    else:  # a failed run leaves no file behind; the pipe got the rows before the error
+        assert not target.exists()
+        assert SWEEP_CHUNK < len(piped[1].splitlines()) < 2 * SWEEP_CHUNK
 
 
 @pytest.mark.parametrize("args", [

@@ -43,3 +43,38 @@ def test_decay_boundary_reports_the_critical_rate_or_none(argv, critical):
     assert found == critical
     none = "no degradability transition inside the scan range"
     assert (none in out.splitlines()) == (not critical)
+
+
+@pytest.mark.parametrize("script, argv, message", [
+    ("capacity_window", ["--g", "0"], "--g must be positive, got 0.0"),
+    ("capacity_window", ["--g", "-1"], "--g must be positive, got -1.0"),
+    ("capacity_window", ["--g", "nan"], "--g must be finite, got nan"),
+    ("capacity_window", ["--delta", "inf"], "--delta must be finite, got inf"),
+    ("capacity_window", ["--tmax", "-1"], "--tmax must be nonnegative, got -1.0"),
+    ("capacity_window", ["--loss", "1.5"], "--loss must lie in [0, 1], got 1.5"),
+    ("capacity_window", ["--loss", "-0.1"], "--loss must lie in [0, 1], got -0.1"),
+    ("capacity_window", ["--points", "0"], "--points must be at least 1, got 0"),
+    ("decay_boundary", ["--g", "0"], "--g must be positive, got 0.0"),
+    ("decay_boundary", ["--g", "inf"], "--g must be finite, got inf"),
+    ("decay_boundary", ["--delta", "nan"], "--delta must be finite, got nan"),
+    ("decay_boundary", ["--t", "-1"], "--t must be nonnegative, got -1.0"),
+    ("decay_boundary", ["--kmax", "-1"], "--kmax must be nonnegative, got -1.0"),
+    ("decay_boundary", ["--gamma", "-0.5"], "--gamma must be nonnegative, got -0.5"),
+    ("decay_boundary", ["--gamma", "inf"], "--gamma must be finite, got inf"),
+    ("decay_boundary", ["--points", "0"], "--points must be at least 2, got 0"),
+    ("decay_boundary", ["--points", "1"], "--points must be at least 2, got 1"),
+])
+def test_scripts_reject_invalid_arguments_with_a_usage_error(script, argv, message):
+    # exit 2 and one error line naming the flag; nothing on stdout, no traceback
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", f"scripts/{script}.py", *argv], cwd=ROOT, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines()[-1] == f"{script}.py: error: {message}"
+    assert "Traceback" not in proc.stderr
+
+
+def test_decay_boundary_scans_two_points():
+    out = _run("scripts/decay_boundary.py", "--points", "2")
+    assert len([line for line in out.splitlines() if re.match(r" *\d+\.\d{4} ", line)]) == 2
