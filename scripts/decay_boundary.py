@@ -91,4 +91,8 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except ValueError as e:  # a value the model cannot evaluate, such as a propagator past the float range
+        print(f"error: {e}", file=sys.stderr)
+        sys.exit(2)

@@ -176,10 +176,11 @@ def _row_format(cells: dict, json_lines: bool) -> str:
 
 
 def _records(cells: dict, chunks, json_lines: bool):
-    """The CSV text, header first, or the JSON lines of chunks, one string per chunk.
+    """The CSV header line, then one string per chunk of CSV or JSON lines.
 
-    Each chunk is a list of columns, one per %-field of cells, in cell
-    order; its rows are formatted with one % of the row template repeated.
+    A chunk is a list of columns, one per %-field of cells, in cell order,
+    formatted by one % of the row template repeated once per row.  The header
+    stands alone, so it is printed even when the first chunk raises.
     """
     if not json_lines:
         yield ",".join(cells) + "\n"
@@ -199,8 +200,7 @@ class RunRecord:
     outputs: tuple  # the OUTPUTS values, in order; every number a Python float
     wall_time_s: float
 
-    # the CSV row and the JSON object of this point: capacity's text table splits
-    # csv_row, and the benchmark's tracer times both
+    # this point's CSV row (capacity's text table splits it) and JSON object; the benchmark's tracer times both
     def csv_row(self) -> str:
         return _row_format(self.cells, False) % self.outputs
 
@@ -500,7 +500,7 @@ def _axis_texts(cache: dict, index: np.ndarray, values: np.ndarray) -> list:
 
 
 def _sweep_lines(mode: str, axes: tuple, fixed: dict, json_lines: bool):
-    """The CSV or JSON-lines output of a sweep, made lazily SWEEP_CHUNK grid points at a time.
+    """The CSV or JSON-lines output of a sweep, made lazily one string per SWEEP_CHUNK grid points.
 
     Each chunk is evaluated as columns: the mode's build_columns gives
     (h_keep, h_env), one check rejects the chunk where build would raise

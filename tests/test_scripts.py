@@ -10,11 +10,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(*argv) -> str:
+def _proc(*argv) -> subprocess.CompletedProcess:
     # -W error turns any warning, such as numpy's RuntimeWarning, into a failing exit
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", *argv], cwd=ROOT, capture_output=True, text=True, timeout=120
-    )
+    return subprocess.run([sys.executable, "-W", "error", *argv], cwd=ROOT, capture_output=True, text=True, timeout=120)
+
+
+def _run(*argv) -> str:
+    proc = _proc(*argv)
     assert (proc.returncode, proc.stderr) == (0, ""), argv
     return proc.stdout
 
@@ -33,9 +35,10 @@ def test_capacity_window_counts_its_degradable_points(extra):
     (["--points", "9"], ["1.671285"]),
     (["--points", "9", "--kmax", "0.1"], []),  # kappa = 0 sits on the boundary, no side
     (["--points", "9", "--t", "1", "--kmax", "0.1"], []),
+    (["--points", "2"], []),  # the fewest points a scan takes
     # three sign changes of the gap; kappa = 4 is critical damping
     (["--points", "41", "--t", "3.9", "--kmax", "4"], ["0.308628", "0.716110", "3.541800"]),
-], ids=["transition", "boundary-start", "none", "three"])
+], ids=["transition", "boundary-start", "none", "two-points", "three"])
 def test_decay_boundary_reports_the_critical_rate_or_none(argv, critical):
     # one critical kappa line per transition
     out = _run("scripts/decay_boundary.py", *argv)
@@ -66,15 +69,17 @@ def test_decay_boundary_reports_the_critical_rate_or_none(argv, critical):
 ])
 def test_scripts_reject_invalid_arguments_with_a_usage_error(script, argv, message):
     # exit 2 and one error line naming the flag; nothing on stdout, no traceback
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", f"scripts/{script}.py", *argv], cwd=ROOT, capture_output=True, text=True,
-        timeout=120,
-    )
+    proc = _proc(f"scripts/{script}.py", *argv)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.splitlines()[-1] == f"{script}.py: error: {message}"
     assert "Traceback" not in proc.stderr
 
 
-def test_decay_boundary_scans_two_points():
-    out = _run("scripts/decay_boundary.py", "--points", "2")
-    assert len([line for line in out.splitlines() if re.match(r" *\d+\.\d{4} ", line)]) == 2
+@pytest.mark.parametrize("script, argv, message", [
+    ("capacity_window", ["--g", "1e-320"], "error: JCParams.t must be finite"),  # the default tmax, 2 pi / g
+    ("decay_boundary", ["--g", "1e300"], "error: the propagator leaves the float range at t = 2.356194490192345"),
+])
+def test_scripts_report_a_value_the_model_cannot_evaluate(script, argv, message):
+    proc = _proc(f"scripts/{script}.py", *argv)
+    assert (proc.returncode, proc.stderr) == (2, message + "\n")
+
