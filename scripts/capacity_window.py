@@ -58,6 +58,8 @@ def main():
             ap.error(f"--{name} {rule}, got {getattr(args, name)}")
 
     tmax = args.tmax if args.tmax is not None else 2.0 * math.pi / args.g
+    if not math.isfinite(tmax):  # a tiny g overflows the default
+        ap.error(f"--g must keep the default --tmax = 2*pi/g finite, got {args.g}")
     ts = [tmax * i / (args.points - 1) if args.points > 1 else tmax
           for i in range(args.points)]
     chans = [build_channel(args.g, args.delta, t, args.loss) for t in ts]

@@ -7,7 +7,8 @@ script scans kappa at fixed interaction time, evaluates the closed-form
 sign expression and the population gap |h_env|^2 - |h_keep|^2 side by
 side, then bisects each sign change of the gap and reports one critical
 rate per transition.  A scan point whose gap is within BOUNDARY of zero
-lies on the boundary and belongs to neither side.
+lies on the boundary and belongs to neither side; its degradable column
+reads "boundary".
 
 Usage:
     python3 scripts/decay_boundary.py --g 1 --t 2.3562 --kmax 2
@@ -63,9 +64,11 @@ def main():
         kappa = args.kmax * i / (args.points - 1)
         g, conv = gap(args.g, args.delta, args.t, kappa, args.gamma)
         expr = degradability_expression(conv)
+        # on the boundary the sign expression has no precision left to give a side
+        verdict = str(expr <= 0.0) if abs(g) > BOUNDARY else "boundary"
         print(f"{kappa:8.4f} {abs(conv.h_keep) ** 2:12.8f} "
               f"{abs(conv.h_env) ** 2:12.8f} {g:12.4e} {expr:12.4e} "
-              f"{str(expr <= 0.0):>10}")
+              f"{verdict:>10}")
         if abs(g) > BOUNDARY:
             sides.append((kappa, g > 0.0))
 

@@ -222,15 +222,16 @@ def capacity_columns(codes: np.ndarray, keep_probs: np.ndarray) -> tuple[np.ndar
     """Arrays (Q, p_star) of channels given by status code and keep share.
 
     quantum_capacity's rules as array expressions, with one capacity_root
-    over every share that needs it: each channel gets the floats
-    quantum_capacity gives it.
+    over every share that needs it, and none where no share does: each
+    channel gets the floats quantum_capacity gives it.
     """
     degradable = codes == STATUSES.index(DegradabilityStatus.DEGRADABLE)
     perfect = degradable & (keep_probs == 1.0)
     searched = degradable & (keep_probs > 0.5) & ~perfect
-    p, v = capacity_root(keep_probs[searched])
     q, p_star = np.where(perfect, 1.0, 0.0), np.where(perfect, 0.5, 0.0)
-    q[searched] = np.where(v > 0.0, v, 0.0)
-    p_star[searched] = np.where(v > 0.0, p, 0.0)
+    if searched.any():
+        p, v = capacity_root(keep_probs[searched])
+        q[searched] = np.where(v > 0.0, v, 0.0)
+        p_star[searched] = np.where(v > 0.0, p, 0.0)
     return q, p_star
 

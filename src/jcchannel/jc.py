@@ -135,9 +135,22 @@ def math_columns(fn, *arrays) -> np.ndarray:
 
 
 def squares(magnitudes) -> np.ndarray:
-    """x ** 2 of each value, by libm's pow as Python floats take it, in an array of the same shape."""
+    """x ** 2 of each float, bit for bit as Python gives it, in an array of the same shape.
+
+    Python's float ** calls libm's pow, and so does np.float_power, in one
+    numpy call; np.power and x * x round some values differently.  A NaN
+    comes back as it is, as Python returns it (pow quiets a signalling one).
+    Where pow overflows (|x| above ~1.34e154) Python raises OverflowError,
+    and so does squares, with Python's own error for the first such value.
+    """
     m = np.asarray(magnitudes)
-    return np.array([x ** 2 for x in m.ravel().tolist()]).reshape(m.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # invalid: a signalling NaN
+        out = np.float_power(m, 2.0, out=np.empty(m.shape))
+    np.copyto(out, m, where=np.isnan(m))
+    overflow = np.isinf(out) & np.isfinite(m)
+    if overflow.any():
+        float(m[overflow][0]) ** 2  # raises
+    return out
 
 
 def _sqrt(z: CArray) -> CArray:

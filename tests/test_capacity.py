@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jcchannel import capacity
 from jcchannel.capacity import (
     STATUSES,
     CapacityResult,
@@ -271,6 +272,29 @@ def test_capacity_columns_equal_quantum_capacity():
         assert CapacityResult(STATUSES[code], qi, pi) == quantum_capacity(ch), ch
     empty = capacity_columns(np.zeros(0, dtype=int), np.zeros(0))
     assert [column.shape for column in empty] == [(0,), (0,)]
+
+
+def test_capacity_columns_solve_nothing_without_a_searched_lane(monkeypatch):
+    # perfect, boundary, anti-degradable and degradable with a <= 1/2: no lane needs a root
+    chs = [_unit(1.0), _unit(0.5), _unit(0.3), _unit(0.0),
+           TransferChannel(h_keep=math.sqrt(0.4), h_env=math.sqrt(0.2))]
+    keep = np.array([abs(complex(ch.h_keep)) for ch in chs])
+    env = np.array([abs(complex(ch.h_env)) for ch in chs])
+    codes, keep_probs = status_codes(keep, env), np.array([ch.keep_prob for ch in chs])
+    expected = [CapacityResult(STATUSES[code], 0.0, 0.0) for code in codes.tolist()]
+    expected[0] = CapacityResult(DegradabilityStatus.DEGRADABLE, 1.0, 0.5)
+    assert expected == [quantum_capacity(ch) for ch in chs]
+
+    def unreachable(a):
+        raise AssertionError(f"capacity_root called on {a!r}")
+
+    monkeypatch.setattr(capacity, "capacity_root", unreachable)
+    for n in (len(chs), 0):
+        q, p_star = capacity_columns(codes[:n], keep_probs[:n])
+        assert (q.dtype, p_star.dtype, q.shape, p_star.shape) == (float, float, (n,), (n,))
+        got = zip(codes.tolist(), q.tolist(), p_star.tolist())
+        assert [CapacityResult(STATUSES[c], qi, pi) for c, qi, pi in got] == expected[:n]
+        assert not np.signbit(q).any() and not np.signbit(p_star).any()
 
 
 def _golden_by_hand(f, lo, hi, tol=1e-10):

@@ -375,11 +375,11 @@ _CHUNK_SWEEPS = {
     "series-branch": ("conversion", ["--g", "1", "--delta", "0.3"], [f"t:0:2e-8:{_N}"]),
     # delta = 0 and kappa - gamma = 4 g: mu = 0 at every t
     "exceptional-point": ("decayed", ["--g", "1", "--kappa", "4"], [f"t:0:3:{_N}"]),
-    # kappa crosses 4 exactly at index 512, where mu = 0 again
-    "kappa-axis": ("decayed", ["--g", "1", "--t", "1.1"], ["kappa:2:6:1025"]),
-    # kappa = gamma on the diagonal of a 33 x 33 grid
+    # kappa crosses 4 exactly at index SWEEP_CHUNK / 2, where mu = 0 again
+    "kappa-axis": ("decayed", ["--g", "1", "--t", "1.1"], [f"kappa:2:6:{SWEEP_CHUNK + 1}"]),
+    # kappa = gamma on the diagonal of a square grid of more than a chunk
     "kappa-equals-gamma": ("decayed", ["--g", "1", "--t", "1.1", "--delta", "0.2"],
-                           ["kappa:0:1:33", "gamma:0:1:33"]),
+                           [f"{name}:0:1:{math.isqrt(SWEEP_CHUNK) + 1}" for name in ("kappa", "gamma")]),
     # mu^2 = 7.5i, purely imaginary: g^2 + delta^2/4 = (kappa - gamma)^2/16
     "imaginary-mu-squared": ("decayed", ["--g", "2", "--delta", "3", "--kappa", "10"],
                              [f"t:0:4:{_N}"]),
@@ -389,9 +389,10 @@ _CHUNK_SWEEPS = {
                                       "--t2", "1.3", "--nu", "-0.3"], [f"T:0:1:{_N}"]),
     # nu + delta overflows in the second chunk: JCParams.omega is not finite
     "omega-overflow": ("conversion", ["--g", "1", "--nu", "1e308"],
-                       ["delta:0:1e308:2", "t:0:1:1100"]),
-    # the propagator leaves the float range in the second chunk
-    "decay-out-of-range": ("decayed", ["--g", "1", "--t", "1"], ["kappa:0:3000:1100"]),
+                       ["delta:0:1e308:2", f"t:0:1:{_N}"]),
+    # the propagator leaves the float range in the second chunk, from kappa
+    # ~2834 (|Im(mu t)| above log(DBL_MAX / 4)), 94% of the way along
+    "decay-out-of-range": ("decayed", ["--g", "1", "--t", "1"], [f"kappa:0:3000:{SWEEP_CHUNK + SWEEP_CHUNK // 8}"]),
 }
 
 
@@ -696,8 +697,9 @@ def test_evolve_rows_equal_the_row_by_row_closed_form(flags, params, times, json
 
 
 def test_evolve_prints_the_rows_before_a_time_out_of_range_then_its_error(capsys):
-    times = np.linspace(0.0, 1.0, 1500).tolist()
-    code, out, err = run_cli(["evolve", "--g", "1", "--kappa", "1e4", "--sweep", "t:0:1:1500"], capsys)
+    count = 3 * SWEEP_CHUNK // 2
+    times = np.linspace(0.0, 1.0, count).tolist()
+    code, out, err = run_cli(["evolve", "--g", "1", "--kappa", "1e4", "--sweep", f"t:0:1:{count}"], capsys)
     assert code == 2
     for first_bad, t in enumerate(times):
         try:
@@ -953,14 +955,17 @@ def test_closed_pipe_ends_quietly():
     assert err == ""
 
 
-# each spans several chunks; the last stops at an out-of-range time in its second chunk
+# each spans several chunks; the last stops at an out-of-range time (t ~0.2834,
+# 57% of the way along) in its second chunk
+_SIDE = math.isqrt(3 * SWEEP_CHUNK)
 _SINK_CASES = {
-    "sweep-csv": ["sweep", "--g", "1", "--sweep", "t:0:3:1300", "--sweep", "delta:-1:1:3"],
-    "sweep-json-stamp": ["sweep", "--mode", "decayed", "--g", "1", "--t", "2.356", "--sweep", "kappa:0:2:50",
-                         "--sweep", "gamma:0:1:50", "--json", "--stamp"],
-    "sweep-csv-stamp": ["sweep", "--g", "1", "--sweep", "t:0:3:2500", "--stamp"],
-    "evolve-chunks": ["evolve", "--g", "1", "--kappa", "0.9", "--sweep", "t:0:40:2500", "--json"],
-    "evolve-out-of-range": ["evolve", "--g", "1", "--kappa", "1e4", "--sweep", "t:0:0.5:3000"],
+    "sweep-csv": ["sweep", "--g", "1", "--sweep", f"t:0:3:{SWEEP_CHUNK}", "--sweep", "delta:-1:1:3"],
+    "sweep-json-stamp": ["sweep", "--mode", "decayed", "--g", "1", "--t", "2.356", "--sweep", f"kappa:0:2:{_SIDE}",
+                         "--sweep", f"gamma:0:1:{_SIDE}", "--json", "--stamp"],
+    "sweep-csv-stamp": ["sweep", "--g", "1", "--sweep", f"t:0:3:{5 * SWEEP_CHUNK // 2}", "--stamp"],
+    "evolve-chunks": ["evolve", "--g", "1", "--kappa", "0.9", "--sweep", f"t:0:40:{5 * SWEEP_CHUNK // 2}",
+                      "--json"],
+    "evolve-out-of-range": ["evolve", "--g", "1", "--kappa", "1e4", "--sweep", f"t:0:0.5:{3 * SWEEP_CHUNK}"],
 }
 
 

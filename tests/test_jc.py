@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from jcchannel.jc import (
     kraus_operators,
     reception_residual_amplitude,
     residual_amplitude,
+    squares,
     transfer_amplitude,
 )
 from jcchannel.qmat import QubitInput, partial_trace
@@ -279,3 +281,43 @@ def test_hamiltonian_columns_equal_the_per_point_body_bit_for_bit():
     got = hamiltonian_columns(*np.array([(p.g, p.nu, p.omega) for p in points]).T)
     assert got.tobytes() == np.array([_hamiltonian_by_hand(p) for p in points]).tobytes()
     assert hamiltonian(points[3]).tobytes() == got[3].tobytes()
+
+
+def _python_square(x):
+    try:
+        return x ** 2
+    except OverflowError as e:
+        return e
+
+
+def test_squares_equal_python_bit_for_bit_and_raise_where_it_does():
+    # 10^6 random bit patterns: every exponent and sign, subnormals, inf, NaN payloads
+    values = np.random.default_rng(22).integers(0, 2**64, size=10**6, dtype=np.uint64).view(float)
+    edge = [math.sqrt(sys.float_info.max)]  # ~1.34e154, the last value Python squares
+    for _ in range(4):
+        edge = [math.nextafter(edge[0], 0.0), *edge, math.nextafter(edge[-1], math.inf)]
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, sys.float_info.min, 1.0, -1.0,
+               math.inf, -math.inf, math.nan, -math.nan, *edge, *(-x for x in edge)]
+    values = np.concatenate([values, special])
+    expected = [_python_square(x) for x in values.tolist()]
+    raises = np.array([isinstance(e, OverflowError) for e in expected])
+    assert 0 < raises.sum() < len(values) // 2
+    want = np.array([e for e in expected if not isinstance(e, OverflowError)])
+    assert np.array_equal(squares(values[~raises]).view(np.uint64), want.view(np.uint64))
+    # one value at a time about the overflow edge, and a sample of the rest
+    for x in [*edge, *(-x for x in edge), *values[raises][:500].tolist()]:
+        python = _python_square(x)
+        if isinstance(python, OverflowError):
+            with pytest.raises(OverflowError) as err:
+                squares(np.array([x]))
+            assert err.value.args == python.args
+        else:
+            assert squares(np.array([x])).view(np.uint64)[0] == np.array(python).view(np.uint64)
+    with pytest.raises(OverflowError):
+        squares(values)
+
+
+def test_squares_keep_the_shape():
+    m = np.array([[0.5, 3.0], [-2.0, 1e-200]])
+    assert squares(m).shape == (2, 2) and squares(m).tolist() == [[0.25, 9.0], [4.0, 0.0]]
+    assert isinstance(squares(0.5), np.ndarray) and squares(0.5).shape == () and squares(0.5) == 0.25

@@ -48,6 +48,19 @@ def test_decay_boundary_reports_the_critical_rate_or_none(argv, critical):
     assert (none in out.splitlines()) == (not critical)
 
 
+def test_decay_boundary_gives_no_verdict_on_the_boundary():
+    # at t = 1e300 both populations underflow to 0 for every kappa > 0, and
+    # the sign expression has no precision left; kappa = 0 keeps its side
+    out = _run("scripts/decay_boundary.py", "--t", "1e300", "--points", "6")
+    rows = [line.split() for line in out.splitlines()[1:7]]
+    assert [row[0] for row in rows] == ["0.0000", "0.4000", "0.8000", "1.2000", "1.6000", "2.0000"]
+    assert [row[-1] for row in rows] == ["True"] + ["boundary"] * 5
+    assert all(row[1:4] == ["0.00000000", "0.00000000", "0.0000e+00"] for row in rows[1:])
+    # the default scan starts on the tie |h_keep|^2 = |h_env|^2 = 1/2
+    first = _run("scripts/decay_boundary.py", "--points", "3").splitlines()[1].split()
+    assert (first[0], first[-1]) == ("0.0000", "boundary")
+
+
 @pytest.mark.parametrize("script, argv, message", [
     ("capacity_window", ["--g", "0"], "--g must be positive, got 0.0"),
     ("capacity_window", ["--g", "-1"], "--g must be positive, got -1.0"),
@@ -66,6 +79,8 @@ def test_decay_boundary_reports_the_critical_rate_or_none(argv, critical):
     ("decay_boundary", ["--gamma", "inf"], "--gamma must be finite, got inf"),
     ("decay_boundary", ["--points", "0"], "--points must be at least 2, got 0"),
     ("decay_boundary", ["--points", "1"], "--points must be at least 2, got 1"),
+    # the default tmax, 2 pi / g, overflows
+    ("capacity_window", ["--g", "1e-320"], "--g must keep the default --tmax = 2*pi/g finite, got 1e-320"),
 ])
 def test_scripts_reject_invalid_arguments_with_a_usage_error(script, argv, message):
     # exit 2 and one error line naming the flag; nothing on stdout, no traceback
@@ -76,7 +91,6 @@ def test_scripts_reject_invalid_arguments_with_a_usage_error(script, argv, messa
 
 
 @pytest.mark.parametrize("script, argv, message", [
-    ("capacity_window", ["--g", "1e-320"], "error: JCParams.t must be finite"),  # the default tmax, 2 pi / g
     ("decay_boundary", ["--g", "1e300"], "error: the propagator leaves the float range at t = 2.356194490192345"),
 ])
 def test_scripts_report_a_value_the_model_cannot_evaluate(script, argv, message):
