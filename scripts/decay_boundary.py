@@ -64,12 +64,13 @@ def main():
         kappa = args.kmax * i / (args.points - 1)
         g, conv = gap(args.g, args.delta, args.t, kappa, args.gamma)
         expr = degradability_expression(conv)
-        # on the boundary the sign expression has no precision left to give a side
-        verdict = str(expr <= 0.0) if abs(g) > BOUNDARY else "boundary"
+        on_a_side = abs(g) > BOUNDARY
+        # on the boundary the sign expression has no precision left to pick a side
+        verdict = str(expr <= 0.0) if on_a_side else "boundary"
         print(f"{kappa:8.4f} {abs(conv.h_keep) ** 2:12.8f} "
               f"{abs(conv.h_env) ** 2:12.8f} {g:12.4e} {expr:12.4e} "
               f"{verdict:>10}")
-        if abs(g) > BOUNDARY:
+        if on_a_side:
             sides.append((kappa, g > 0.0))
 
     brackets = [(lo, hi) for (lo, above), (hi, now) in zip(sides, sides[1:]) if above != now]

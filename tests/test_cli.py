@@ -339,7 +339,7 @@ def test_sweep_streams_rows_without_materializing_the_grid():
 def test_axis_values_equal_linspace_bit_for_bit():
     cases = [(0.0, 5e-324, 3), (0.0, 5e-324, 2), (0.0, 1e-320, 7), (1.0, 1.0, 4),
              (-0.0, -0.0, 3), (-0.0, 1.0, 3), (-0.0, 1.0, 1), (0.1, 0.7, 1),
-             (-2.0, 3.3, 2), (0.0, 3.0, 1027), (-1.7, 2.9, 1027)]
+             (-2.0, 3.3, 2), (0.0, 3.0, SWEEP_CHUNK + 3), (-1.7, 2.9, SWEEP_CHUNK + 3)]
     for start, stop, count in cases:
         got = [v for _, (chunk,) in _grid_chunks((SweepAxis("t", start, stop, count),)) for v in chunk.tolist()]
         want = np.linspace(start, stop, count).tolist()
