@@ -17,12 +17,12 @@ from .channels import (LossChannel, TransferChannel, compose, concatenate, conve
                        extended_state, reception_channel)
 from .jc import (JCParams, channel_output, evolve_joint, hamiltonian, joint_unitary, kraus_operators,
                  reception_residual_amplitude, residual_amplitude, transfer_amplitude)
-from .lindblad import (DecayConstants, DecayedConversion, DecayParams, StepFailure, closed_form_state,
-                       decay_degradability, decayed_conversion, degradability_expression, derive_constants,
-                       integrate_master_equation, oracle_grid)
+from .lindblad import (DecayConstants, DecayedConversion, DecayParams, closed_form_state, decay_degradability,
+                       decayed_conversion, degradability_expression, derive_constants, integrate_master_equation,
+                       oracle_grid)
 from .qmat import (DimensionError, DomainError, NonHermitianInput, QubitInput, binary_entropy, check_state,
-                   hermitian_eigenvalues, partial_trace, trace_distance, von_neumann_entropy)
-from .verify import VerifyReport, expm_taylor, run_verify
+                   expm_taylor, hermitian_eigenvalues, partial_trace, trace_distance, von_neumann_entropy)
+from .verify import VerifyReport, run_verify
 
 __version__ = "0.1.0"
 

@@ -209,11 +209,13 @@ def _block(m, g, delta, nu, t, kappa, gamma) -> tuple:
 
     k1, k2 the half sum and difference of the rates.  cos(mu t) and
     sin(mu t)/mu are even in mu, so either root serves.  The values are in
-    range where |Im(mu t)| <= log(DBL_MAX / 4).
+    range where |Im(mu t)| <= log(DBL_MAX / 4) and g^2 is a normal float
+    (below that, g^2 drops out of mu and the transfer stops being a sine).
     """
     k1 = 0.5 * (kappa + gamma)
     w = m.complex(0.5 * delta, 0.25 * (kappa - gamma))
-    mu = m.sqrt(g * g + w * w)
+    gg = g * g
+    mu = m.sqrt(gg + w * w)
     mut = mu * t
     small = abs(mut) < 1e-8
     # arrays evaluate both branches, so the quotient's divisor is 1 where unused
@@ -221,7 +223,7 @@ def _block(m, g, delta, nu, t, kappa, gamma) -> tuple:
     cos_term = m.cos(mut)
     common = m.exp(m.complex(-0.5 * k1 * t, -nu * t))
     return (
-        abs(mut.imag) <= _LARGE_EXPONENT,
+        (abs(mut.imag) <= _LARGE_EXPONENT) & (gg >= sys.float_info.min),
         # delta enters as a complex, so columns take CArray's product, not numpy's
         m.exp(0.5j * m.complex(delta, 0.0) * t),
         common * (cos_term + 1j * sin_term * w),

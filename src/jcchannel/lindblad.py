@@ -5,17 +5,16 @@ photon loss at rate kappa and spontaneous emission at rate gamma_at.  Both
 jump operators only lower the excitation number, so the one-excitation
 block (|down,1>, |up,0>) evolves under the jc propagator with both rates
 passed in; the closed-form state (one point, or closed_form_columns) and
-the decayed channel amplitudes are read off its entries.  The oracle for those closed forms is an independent
-fixed-step RK4 integrator over the full Liouvillian: it runs its points as
-blocked stacks that climb one halving ladder in lockstep, takes n steps as
-the n-th power of the one-step map, and raises StepFailure before a rung
-would pass its step cap; integrate_master_equation is its one-point view.
-The integrator, the closed-form state and the decayed conversion raise
-ValueError unless their time t is finite and nonnegative.
+the decayed channel amplitudes are read off its entries.  The oracle for
+those closed forms is exp(tL) vec(rho) on the full 16x16 Liouvillian L,
+by qmat.expm_taylor and none of the propagator's derivation;
+integrate_master_equation is its one-point view.  The oracle, the
+closed-form state and the decayed conversion raise ValueError unless
+their time t is finite and nonnegative.
 
 derive_constants supplies the constants of the paper's separate sign
 expression for degradability.  Their conventions are fixed against the
-integrator and the zero-decay limit (each choice changes observable
+oracle and the zero-decay limit (each choice changes observable
 values, so both are pinned):
 
 * x uses the minus branch and y the plus branch of the shared radical,
@@ -41,20 +40,14 @@ import numpy as np
 
 from .channels import TransferChannel
 from .jc import COLUMNS, SCALARS, JCParams, block_amplitudes, block_propagator, hamiltonian_columns, propagator_columns
-from .qmat import QubitInput
+from .qmat import QubitInput, expm_taylor
 
-ORACLE_ATOL = 1e-10
-_MAX_STEPS = 1 << 21
 _ORACLE_BLOCK = 32  # points per stack in integrate_master_equations
 
 
 def _check_time(t: float) -> None:
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"time t must be finite and nonnegative, got {t!r}")
-
-
-class StepFailure(RuntimeError):
-    """Integrator step refinement failed to converge to the target accuracy."""
 
 
 @dataclass(frozen=True)
@@ -165,65 +158,26 @@ def integrate_master_equation(jc: JCParams, d: DecayParams, init: np.ndarray, t:
 
 
 def integrate_master_equations(points, init: np.ndarray) -> np.ndarray:
-    """Brute-force master-equation solutions by fixed-step RK4 with halving.
+    """Brute-force master-equation solutions: exp(tL) vec(init) at each point.
 
-    The (n, 4, 4) states init reaches at each (jc, d, t) of points.  For
-    this linear system an RK4 step of width h is the degree-4 Taylor
-    polynomial P(hL) of exp(hL), so n steps are P(hL)^n, taken by repeated
-    squaring.  Points climb the ladder in lockstep blocks of _ORACLE_BLOCK:
-    each doubles its own step count until two runs agree within 1e-10 per
-    entry, then leaves, so it gets the floats it gets alone.  StepFailure,
-    before a rung runs, if a count in it would pass _MAX_STEPS.  This is
-    the oracle for closed_form_state and shares none of its derivation.
+    The (n, 4, 4) states init reaches at each (jc, d, t) of points, L the
+    point's Liouvillian over row-major vec(rho), exp by expm_taylor in
+    stacks of _ORACLE_BLOCK, which give each point its floats alone.
+    ValueError where exp(tL) leaves the float range.  This is the oracle
+    for closed_form_state and shares none of its derivation.
     """
     for _, _, t in points:
         _check_time(t)
     init = np.asarray(init, dtype=complex)
     if init.shape != (4, 4):
         raise ValueError("initial state must be 4x4 over the joint basis")
-    todo = [i for i, (_, _, t) in enumerate(points) if t > 0.0]
-    out = np.repeat(init[None], len(points), axis=0)  # a point at t = 0 needs no run
-    for start in range(0, len(todo), _ORACLE_BLOCK):
-        live = np.array(todo[start:start + _ORACLE_BLOCK])
-        block = [points[i] for i in live]
-        sup, t, prev = _liouvillians(block), np.array([t for _, _, t in block]), None
-        spans = [4.0 * s * max(1.0, jc.rabi, abs(jc.nu), abs(jc.delta), d.kappa, d.gamma_at) for jc, d, s in block]
-        steps = np.maximum(16.0, np.ceil(spans))  # integral floats, inf past the float range: never wraps
-        while live.size:
-            if np.any(steps > _MAX_STEPS):
-                raise StepFailure(f"no convergence to {ORACLE_ATOL} per entry within {_MAX_STEPS} steps")
-            cur = _rk4_run(sup, init, t, steps)
-            if prev is not None:
-                done = np.max(np.abs(cur - prev), axis=(1, 2)) < ORACLE_ATOL
-                out[live[done]] = cur[done]
-                live, sup, t, steps, cur = (x[~done] for x in (live, sup, t, steps, cur))
-            prev, steps = cur, steps * 2.0
+    out = np.empty((len(points), 4, 4), dtype=complex)
+    for start in range(0, len(points), _ORACLE_BLOCK):
+        block = points[start:start + _ORACLE_BLOCK]
+        with np.errstate(over="ignore"):  # a generator past the float range: expm_taylor's ValueError
+            generators = np.array([t for _, _, t in block])[:, None, None] * _liouvillians(block)
+        out[start:start + len(block)] = (expm_taylor(generators) @ init.reshape(16)).reshape(-1, 4, 4)
     return out
-
-
-def _rk4_run(sup: np.ndarray, init: np.ndarray, t: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    hl = (t / steps)[:, None, None] * sup
-    eye = np.eye(16, dtype=complex)
-    step = eye + hl @ (eye + hl @ (eye / 2 + hl @ (eye / 6 + hl / 24)))
-    return (_powers(step, steps.astype(np.int64)) @ init.reshape(16)).reshape(-1, 4, 4)
-
-
-def _powers(a: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """a[i]^n[i] for n[i] >= 4, with the floats of np.linalg.matrix_power's binary ladder.
-
-    z squares on every bit; a set bit makes a matrix's result z the first time, result @ z after.
-    """
-    z, result, started = a, np.empty_like(a), np.zeros(len(a), dtype=bool)
-    while True:
-        bit = (n & 1).astype(bool)
-        first, more = bit & ~started, bit & started
-        result[first] = z[first]
-        result[more] = result[more] @ z[more]
-        started |= bit
-        n = n >> 1
-        if not n.any():
-            return result
-        z = z @ z
 
 
 @dataclass(frozen=True)

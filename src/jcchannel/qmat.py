@@ -2,8 +2,9 @@
 
 Everything in this package works with plain complex numpy arrays as density
 matrices.  The helpers here validate them, take eigenvalues and partial
-traces, and compute entropies in bits.  Only the two sizes that occur in
-the physics (a qubit and a pair of qubits) are supported.
+traces, and compute entropies in bits.  The state helpers take only the
+two sizes of the physics (a qubit and a pair of qubits); expm_taylor,
+the matrix exponential of every oracle, takes any square size.
 
 The matrix helpers also take a stack (..., n, n) and answer per matrix in
 one numpy call: a matrix gives the same floats alone or in a stack, and a
@@ -138,6 +139,52 @@ def trace_distance(a, b) -> float:
     lam = hermitian_eigenvalues(np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex))
     d = 0.5 * np.sum(np.abs(lam), axis=-1)
     return float(d) if d.ndim == 0 else d
+
+
+def expm_taylor(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling-and-squaring with a plain Taylor core.
+
+    The argument is scaled by 2^-k, the fewest halvings that take its
+    max-column-sum norm to at most 1/4, the series is summed until the next
+    term falls below 1e-13 relative to the running sum, and the result is
+    squared k times.  Deliberately independent of any spectral
+    decomposition.  In a stack (..., n, n) each matrix has its own k, terms
+    and squarings: the floats it gives alone.  A non-finite entry, norm or
+    result raises ValueError.
+    """
+    a = np.asarray(m, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValueError("expm_taylor needs finite entries")
+    stack = a.reshape((-1,) + a.shape[-2:])
+    with np.errstate(over="ignore"):  # a column sum past the float range: the ValueError below
+        norm = np.max(np.sum(np.abs(stack), axis=1), axis=1)
+    if not np.isfinite(norm).all():
+        raise ValueError("expm_taylor needs a finite max-column-sum norm")
+    # norm = mant * 2**e, mant in [1/2, 1): norm / 2**k <= 1/4 from k = e + 2, or e + 1 at mant = 1/2
+    mant, e = np.frexp(norm)
+    k = np.where(norm > 0.25, e + 2 - (mant == 0.5), 0)
+    stack = stack / np.ldexp(1.0, np.minimum(k, 1023))[:, None, None]
+    over = k > 1023  # 2**k is past the float range: divide by the rest apart
+    stack[over] /= np.ldexp(1.0, k[over] - 1023)[:, None, None]
+    total = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), stack.shape).copy()
+    term = total.copy()
+    for j in range(1, 40):
+        term = term @ stack
+        term /= j
+        total += term
+        # a matrix whose term fell below 1e-13 of its sum adds only zeros from here on
+        top = np.max(np.abs(total), axis=(1, 2))
+        term[np.max(np.abs(term), axis=(1, 2)) < 1e-13 * np.maximum(1.0, top)] = 0.0
+        if not term.any():
+            break
+    with np.errstate(over="ignore", invalid="ignore"):  # a square past the float range: the ValueError below
+        for s in range(int(np.max(k, initial=0))):
+            sq = np.flatnonzero(k > s)
+            part = total[sq]
+            total[sq] = part @ part
+    if not np.isfinite(total).all():
+        raise ValueError("expm_taylor's result leaves the float range")
+    return total.reshape(a.shape)
 
 
 @dataclass(frozen=True)

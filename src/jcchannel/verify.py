@@ -1,10 +1,10 @@
 """Oracle cross-checks: every closed form against an independent route.
 
 Each suite pits a closed-form implementation against a brute-force or
-dual-route computation that shares no derivation with it: matrix
-exponential vs the closed unitary, RK4 integration vs the decay solutions,
-entropy formula vs eigenvalue route, constructed degrading map vs direct
-composition.
+dual-route computation that shares no derivation with it: expm_taylor of
+the Hamiltonian vs the closed unitary and of the Liouvillian vs the decay
+solutions, entropy formula vs eigenvalue route, constructed degrading map
+vs direct composition.
 
 A suite only computes: it yields its checks, each as (tolerance name,
 deviations over the check's points, describe(*index) naming a point), and
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import capacity as cap
 from . import channels, jc, lindblad
-from .qmat import QubitInput, hermitian_eigenvalues, trace_distance, von_neumann_entropy
+from .qmat import QubitInput, expm_taylor, hermitian_eigenvalues, trace_distance, von_neumann_entropy
 
 # Exhaustive p-grid maxima of H2(a p) - H2((1-a) p) at step 1e-5,
 # computed once with capacity_grid_oracle and frozen.
@@ -88,50 +88,6 @@ class VerifyReport:
         verdict = "all suites passed" if self.passed else "SUITE FAILURES PRESENT"
         lines.append(f"level={self.level}: {verdict}")
         return "\n".join(lines)
-
-
-def expm_taylor(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a plain Taylor core.
-
-    The argument is scaled by 2^-k, the fewest halvings that take its
-    max-column-sum norm to at most 1/4, the series is summed until the next
-    term falls below 1e-13 relative to the running sum, and the result is
-    squared k times.  Deliberately independent of any spectral
-    decomposition.  In a stack (..., n, n) each matrix has its own k, terms
-    and squarings: the floats it gives alone.  A non-finite entry, norm or
-    result raises ValueError.
-    """
-    a = np.asarray(m, dtype=complex)
-    if not np.isfinite(a).all():
-        raise ValueError("expm_taylor needs finite entries")
-    stack = a.reshape((-1,) + a.shape[-2:])
-    norm = np.max(np.sum(np.abs(stack), axis=1), axis=1)
-    if not np.isfinite(norm).all():
-        raise ValueError("expm_taylor needs a finite max-column-sum norm")
-    # norm = mant * 2**e, mant in [1/2, 1): norm / 2**k <= 1/4 from k = e + 2, or e + 1 at mant = 1/2
-    mant, e = np.frexp(norm)
-    k = np.where(norm > 0.25, e + 2 - (mant == 0.5), 0)
-    stack = stack / np.ldexp(1.0, np.minimum(k, 1023))[:, None, None]
-    over = k > 1023  # 2**k is past the float range: divide by the rest apart
-    stack[over] /= np.ldexp(1.0, k[over] - 1023)[:, None, None]
-    total = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), stack.shape).copy()
-    term = total.copy()
-    for j in range(1, 40):
-        term = term @ stack
-        term /= j
-        total += term
-        # a matrix whose term fell below 1e-13 of its sum adds only zeros from here on
-        top = np.max(np.abs(total), axis=(1, 2))
-        term[np.max(np.abs(term), axis=(1, 2)) < 1e-13 * np.maximum(1.0, top)] = 0.0
-        if not term.any():
-            break
-    for s in range(int(np.max(k, initial=0))):
-        sq = np.flatnonzero(k > s)
-        part = total[sq]
-        total[sq] = part @ part
-    if not np.isfinite(total).all():
-        raise ValueError("expm_taylor's result leaves the float range")
-    return total.reshape(a.shape)
 
 
 # bounds of one seeded draw of from_detuning's (g, delta, t, nu)

@@ -509,6 +509,20 @@ def test_values_beyond_float_range_exit_2_with_one_error_line(args, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args, t", [
+    (["capacity", "--g", "1e-300", "--t", "1e299"], 1e299),
+    (["capacity", "--g", "1e-160", "--t", "1e159"], 1e159),
+    (["capacity", "--g", "1e-200", "--delta", "1", "--t", "1"], 1.0),
+    (["sweep", "--t", "1e299", "--sweep", "g:1e-300:1e-299:3"], 1e299),
+])
+def test_a_coupling_whose_square_underflows_is_out_of_range(args, t, capsys):
+    # g * g below the normal floats would drop out of the Rabi frequency: at g t = 0.1
+    # the transfer probability would read (g t)^2 + 1, not sin^2(0.1)
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, CSV_HEADER + "\n" if args[0] == "sweep" else "")
+    assert err == f"error: the propagator leaves the float range at t = {t!r}\n"
+
+
 def test_sweep_repeat_determinism_and_stamp(tmp_path):
     args = ["sweep", "--mode", "conversion", "--g", "1", "--sweep", "t:0:2:9"]
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"

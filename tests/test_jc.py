@@ -207,8 +207,12 @@ def test_block_amplitude_columns_equal_scalar_bit_for_bit():
         g[5 + i::41], delta[5 + i::41], kappa[5 + i::41], gamma[5 + i::41] = gg, dd, kk, 0.0
     # |Im(mu t)| on both sides of log(DBL_MAX / 4), where the range ends
     kappa[7::29], gamma[7::29], t[7::29] = rng.uniform(2820.0, 2850.0, len(t[7::29])), 0.0, 1.0
+    # g^2 below the normal floats, at g t = 0.1: out of range, where mu would lose g
+    tiny = np.zeros(n, dtype=bool)
+    for i, small_g in enumerate((1e-160, 1e-300)):
+        g[11 + i::97], t[11 + i::97], tiny[11 + i::97] = small_g, 0.1 / small_g, True
     columns = block_amplitude_columns(g, delta, nu, t, kappa, gamma)
-    rejected = 0
+    rejected = []
     points = zip(*(x.tolist() for x in (g, delta, nu, t, kappa, gamma)))
     for i, (gi, di, nui, ti, ki, ci) in enumerate(points):
         params = JCParams.from_detuning(g=gi, delta=di, t=ti, nu=nui)
@@ -216,11 +220,12 @@ def test_block_amplitude_columns_equal_scalar_bit_for_bit():
         try:
             want = block_amplitudes(params, ti, ki, ci)
         except ValueError:
-            rejected += 1
+            rejected.append(i)
             assert all(math.isnan(z.real) and math.isnan(z.imag) for z in got), i
             continue
         assert repr(got) == repr(want), i  # repr tells -0.0 from 0.0
-    assert 0 < rejected < n // 5
+    assert 0 < len(rejected) < n // 5
+    assert set(np.flatnonzero(tiny).tolist()) <= set(rejected)
 
 
 def _column_grid():

@@ -1,18 +1,18 @@
-"""Decaying transfer: closed-form state vs RK4, derived constants, channel."""
+"""Decaying transfer: closed-form state vs the exp(tL) master-equation oracle, derived constants, channel."""
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jcchannel import jc as jc_module
 from jcchannel import lindblad
 from jcchannel.jc import JCParams, block_propagator, joint_unitary, transfer_amplitude
 from jcchannel.lindblad import (
-    ORACLE_ATOL,
     DecayParams,
-    StepFailure,
     closed_form_columns,
     closed_form_state,
     decay_degradability,
@@ -26,7 +26,7 @@ from jcchannel.lindblad import (
 from jcchannel.qmat import QubitInput, check_state
 
 # Atom population after a resonant half period with kappa = 0.2 and no
-# atomic decay; pinned by the RK4 integrator (agreement 2.3e-13).
+# atomic decay; pinned by an RK4 integrator (agreement 2.3e-13).
 DECAYED_KEEP_075PI = 0.8567746367339336
 
 _REF_INPUT = QubitInput(p=0.6, r=0.25 + 0.31j)
@@ -139,42 +139,24 @@ def test_integrator_preserves_trace_and_positivity():
     check_state(out)
 
 
-def _recorded_ladders(monkeypatch):
-    """Patch lindblad._rk4_run to record, as ints, the step count of every point of every run."""
-    ladder = []
-    real = lindblad._rk4_run
-
-    def recording(sup, init, t, steps):
-        ladder.extend(int(n) for n in steps)
-        return real(sup, init, t, steps)
-
-    monkeypatch.setattr(lindblad, "_rk4_run", recording)
-    return ladder
-
-
 def _sequential_rk4(jc, d, init, t):
-    """Reference: one RK4 step at a time, halving until two runs agree.
-
-    Returns the state and the ladder of step counts it ran.
-    """
+    """Reference: fixed-step RK4, one step at a time, doubling the steps until two runs agree within 1e-10."""
     sup = lindblad._liouvillians([(jc, d, t)])[0]
     scale = max(1.0, jc.rabi, abs(jc.nu), abs(jc.delta), d.kappa, d.gamma_at)
-    steps = max(16, math.ceil(4.0 * t * scale))
-    ladder, prev = [], None
+    steps, prev = max(16, math.ceil(4.0 * t * scale)), None
     while True:
         hl = (t / steps) * sup
         step = np.eye(16) + hl @ (np.eye(16) + hl @ (np.eye(16) / 2 + hl @ (np.eye(16) / 6 + hl / 24)))
         y = init.reshape(16).astype(complex)
         for _ in range(steps):
             y = step @ y
-        ladder.append(steps)
-        if prev is not None and np.max(np.abs(y - prev)) < ORACLE_ATOL:
-            return y.reshape(4, 4), ladder
+        if prev is not None and np.max(np.abs(y - prev)) < 1e-10:
+            return y.reshape(4, 4)
         prev, steps = y, steps * 2
 
 
 def _wide_points():
-    """Four seeded (jc, d, t) points with t up to 30, whose ladders climb past the grid's."""
+    """Four seeded (jc, d, t) points with t up to 30, well past the grid's times."""
     rng = np.random.default_rng(808)
     wide = []
     for _ in range(4):
@@ -186,92 +168,94 @@ def _wide_points():
     return wide
 
 
-def test_integrator_power_matches_sequential_steps(monkeypatch):
+def test_oracle_matches_sequential_rk4_steps():
+    # an independent time-stepping method checks the matrix exponential
     init = _joint_init(_REF_INPUT)
-    ladder = _recorded_ladders(monkeypatch)
     for jc, d, t in oracle_grid()[::11] + _wide_points():
-        ladder.clear()
-        powered = integrate_master_equation(jc, d, init, t)
+        oracle = integrate_master_equation(jc, d, init, t)
         if t == 0.0:
-            assert ladder == [] and np.array_equal(powered, init)
+            assert np.array_equal(oracle, init)
             continue
-        reference, ref_ladder = _sequential_rk4(jc, d, init, t)
-        assert ladder == ref_ladder
-        assert np.max(np.abs(powered - reference)) < 1e-12
+        assert np.max(np.abs(oracle - _sequential_rk4(jc, d, init, t))) < 1e-9
 
 
-def test_integrator_step_cap_raises_before_running_past_it(monkeypatch):
-    ladder = _recorded_ladders(monkeypatch)
-    jc = JCParams.resonant(g=1.0, t=1.0)
-    init = _joint_init(_REF_INPUT)
-    # the first run alone would pass the cap: no run at all
-    with pytest.raises(StepFailure):
-        integrate_master_equation(jc, DecayParams(0.1, 0.0), init, 6e5)
-    assert ladder == []
-    # the first run fits, its doubling would not: one run, then the error
-    t = 0.75 * lindblad._MAX_STEPS / 4.0
-    with pytest.raises(StepFailure):
-        integrate_master_equation(jc, DecayParams(0.1, 0.0), init, t)
-    assert len(ladder) == 1 and ladder[0] <= lindblad._MAX_STEPS < 2 * ladder[0]
-
-
-def test_stacked_powers_equal_matrix_power():
-    rng = np.random.default_rng(17)
-    a = (rng.normal(size=(6, 16, 16)) + 1j * rng.normal(size=(6, 16, 16))) / 8.0
-    n = np.array([16, 17, 255, 1 << 12, 3000, 16])
-    powered = lindblad._powers(a, n)
-    for m, k, p in zip(a, n, powered):
-        assert np.array_equal(p, np.linalg.matrix_power(m, int(k)))
-
-
-def test_stacked_integrator_equals_one_point_calls(monkeypatch):
-    # points with t > 0 run in blocks: the wide points go in at those live
-    # indices, so blocks climb mixed ladders and a boundary falls between two
+def test_stacked_integrator_equals_one_point_calls():
+    # the wide points go in among the grid's, so a block boundary falls between two
     points = oracle_grid()
     block = lindblad._ORACLE_BLOCK
     for k, point in zip((3, block - 1, block, 2 * block + 5), _wide_points()):
-        points.insert([i for i, (_, _, t) in enumerate(points) if t > 0.0][k], point)
+        points.insert(k, point)
     init = _joint_init(_REF_INPUT)
-    ladder = _recorded_ladders(monkeypatch)
     stacked = integrate_master_equations(points, init)
-    assert len(set(ladder[:block])) > 1  # the first block's first rung
     assert stacked.shape == (len(points), 4, 4)
     for (jc, d, t), state in zip(points, stacked):
         assert np.array_equal(state, integrate_master_equation(jc, d, init, t))
 
 
-def test_stacked_integrator_empty_and_zero_times(monkeypatch):
+def test_stacked_integrator_empty_and_zero_times():
     init = _joint_init(_REF_INPUT)
     assert integrate_master_equations([], init).shape == (0, 4, 4)
-    ladder = _recorded_ladders(monkeypatch)
     jc = JCParams.resonant(g=1.0, t=1.0)
     d = DecayParams(0.1, 0.0)
     out = integrate_master_equations([(jc, d, 0.0), (jc, d, 1.0), (jc, d, 0.0)], init)
     assert np.array_equal(out[0], init) and np.array_equal(out[2], init)
     assert not np.shares_memory(out, init)
     assert np.array_equal(out[1], integrate_master_equation(jc, d, init, 1.0))
-    ladder.clear()
-    integrate_master_equations([(jc, d, 0.0)] * 3, init)
-    assert ladder == []
 
 
-def test_stacked_step_cap_raises_before_the_rung_of_one_point(monkeypatch):
-    ladder = _recorded_ladders(monkeypatch)
+@pytest.mark.parametrize("kappa", [0.1, 0.0])
+def test_oracle_reaches_long_times_quickly(kappa):
+    # about 2^22 times the Liouvillian's norm: 23 squarings, no stepping
+    jc, d = JCParams.resonant(g=1.0, t=1.0), DecayParams(kappa, 0.0)
+    start = time.perf_counter()
+    out = integrate_master_equation(jc, d, _joint_init(_REF_INPUT), 6e5)
+    assert time.perf_counter() - start < 1.0
+    assert np.max(np.abs(out - closed_form_state(jc, d, _REF_INPUT, 6e5))) < 1e-6
+
+
+def test_oracle_past_the_float_range_raises_value_error():
     jc = JCParams.resonant(g=1.0, t=1.0)
     d = DecayParams(0.1, 0.0)
+    for points in ([(jc, d, 1e308)], [(jc, d, 1.0), (jc, d, 1e308)]):
+        with pytest.raises(ValueError, match="expm_taylor"):
+            integrate_master_equations(points, _joint_init(_REF_INPUT))
+
+
+def _overdamped_points():
+    """(jc, d, t) beyond the grid's kappa <= 0.5: overdamped and at the exceptional point mu = 0."""
+    points = [
+        (JCParams.from_detuning(g=1.0, delta=delta, t=t, nu=0.25), DecayParams(kappa, gamma_at), t)
+        for kappa, gamma_at, delta, t in itertools.product((4.0, 4.5, 8.0, 20.0), (0.0, 0.5), (0.0, 1.0, -2.0),
+                                                           (0.3, 1.0, 3.0, 10.0))
+    ]
+    # kappa - gamma_at = 4 g at delta = 0: the closed form's series branch
+    return points + [
+        (JCParams.from_detuning(g=g, delta=0.0, t=t, nu=0.25), DecayParams(gamma_at + 4.0 * g, gamma_at), t)
+        for g, gamma_at, t in itertools.product((0.5, 1.0, 2.0), (0.0, 0.5), (0.3, 1.0, 3.0, 10.0))
+    ]
+
+
+def test_closed_form_matches_the_oracle_overdamped_and_at_the_exceptional_point():
+    points = _overdamped_points()
+    numeric = integrate_master_equations(points, _joint_init(_REF_INPUT))
+    for (jc, d, t), state in zip(points, numeric):
+        assert np.max(np.abs(closed_form_state(jc, d, _REF_INPUT, t) - state)) < 1e-9, (jc, d, t)
+
+
+def test_oracle_shares_no_code_with_the_closed_form(monkeypatch):
     init = _joint_init(_REF_INPUT)
-    # one point's first run would pass the cap, even past the float range:
-    # the other's fits, yet nothing runs
-    for long_t in (6e5, 1e308):
-        with pytest.raises(StepFailure):
-            integrate_master_equations([(jc, d, 1.0), (jc, d, long_t)], init)
-        assert ladder == []
-    # both first runs fit and the short point still needs a second; the long
-    # point's doubling would not fit, so the second rung never runs
-    t = 0.75 * lindblad._MAX_STEPS / 4.0
-    with pytest.raises(StepFailure):
-        integrate_master_equations([(jc, d, 1.0), (jc, d, t)], init)
-    assert len(ladder) == 2 and ladder[1] <= lindblad._MAX_STEPS < 2 * ladder[1]
+    plain = integrate_master_equations(oracle_grid(), init)
+
+    def closed_form_code(*args, **kwargs):
+        raise AssertionError("the oracle called the closed form's propagator")
+
+    for module in (jc_module, lindblad):
+        for name in ("_block", "propagator_columns", "block_propagator"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, closed_form_code)
+    with pytest.raises(AssertionError):  # the patch reaches the closed form
+        closed_form_state(*oracle_grid()[1][:2], _REF_INPUT, 1.0)
+    assert np.array_equal(integrate_master_equations(oracle_grid(), init), plain)
 
 
 def test_integrator_rejects_bad_shape():
@@ -297,7 +281,7 @@ def test_decayed_conversion_reduces_to_ideal_transfer():
 def test_decayed_conversion_matches_integrator_coherences():
     # a p = r = 1/2 photon leaves r h_keep on <down,0|up,0> and r h_env on
     # <down,0|down,1>, so both amplitudes, magnitude and phase, are pinned
-    # to the RK4 oracle
+    # to the master-equation oracle
     init = _joint_init(QubitInput(p=0.5, r=0.5))
     for jc, d, t in oracle_grid()[::11]:
         conv = decayed_conversion(jc, d, t)
