@@ -517,7 +517,7 @@ def test_values_beyond_float_range_exit_2_with_one_error_line(args, capsys):
 ])
 def test_a_coupling_whose_square_underflows_is_out_of_range(args, t, capsys):
     # g * g below the normal floats would drop out of the Rabi frequency: at g t = 0.1
-    # the transfer probability would read (g t)^2 + 1, not sin^2(0.1)
+    # the two populations would sum to (g t)^2 + 1, not 1
     code, out, err = run_cli(args, capsys)
     assert (code, out) == (2, CSV_HEADER + "\n" if args[0] == "sweep" else "")
     assert err == f"error: the propagator leaves the float range at t = {t!r}\n"
