@@ -634,7 +634,3 @@ def main(argv=None) -> int:
         # stdout goes to devnull so the flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -235,14 +235,16 @@ def _block(m, g, delta, nu, t, kappa, gamma) -> tuple:
 def block_propagator(params: JCParams, t: float, kappa: float = 0.0, gamma: float = 0.0) -> tuple[complex, ...]:
     """(e^{i delta t/2}; G00, G01 = G10, G11) at time t: see _block.
 
-    Raises ValueError where they are out of range or not finite.
+    Raises ValueError where they are out of range or not finite, naming g
+    where g^2 underflows and t otherwise.
     """
     try:
         in_range, *out = _block(SCALARS, params.g, params.delta, params.nu, t, kappa, gamma)
     except (OverflowError, ValueError):  # where cmath raises, numpy gives inf or NaN
         in_range = False
     if not (in_range and all(map(cmath.isfinite, out))):
-        raise ValueError(f"the propagator leaves the float range at t = {t!r}")
+        at = f"g = {params.g!r}, whose square underflows" if params.g * params.g < sys.float_info.min else f"t = {t!r}"
+        raise ValueError(f"the propagator leaves the float range at {at}")
     return tuple(out)
 
 

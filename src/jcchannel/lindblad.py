@@ -13,17 +13,8 @@ closed-form state and the decayed conversion raise ValueError unless
 their time t is finite and nonnegative.
 
 derive_constants supplies the constants of the paper's separate sign
-expression for degradability.  Their conventions are fixed against the
-oracle and the zero-decay limit (each choice changes observable
-values, so both are pinned):
-
-* x uses the minus branch and y the plus branch of the shared radical,
-  sqrt((R -+ z)/2) with R = sqrt(z^2 + 4 k2^2 delta^2); the zero-decay
-  resonant limit (x=0, y=2g, giving sin^2(gt) transfer) selects them.
-* y carries the sign of k2*delta, because the pair must satisfy
-  x*y = k2*delta; y < 0 happens only for gamma_at > kappa with delta > 0.
-  All formulas are even under (x, y) -> (-x, -y), so this is the whole
-  convention freedom.
+expression for degradability: x + iy is cmath.sqrt of -z + 2i k2 delta, so
+x >= 0 and y takes the sign of k2*delta, including the sign of a zero.
 
 Initial states here are |down><down| (x) rho_photon: the qubit arrives on
 the field and is transferred to the atom.  The opposite transfer direction
@@ -33,6 +24,7 @@ implemented separately.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -91,18 +83,8 @@ def derive_constants(jc: JCParams, d: DecayParams) -> DecayConstants:
     k2 = 0.5 * (d.kappa - d.gamma_at)
     delta = jc.delta
     z = 4.0 * jc.g**2 + delta**2 - k2**2
-    radical = math.hypot(z, 2.0 * k2 * delta)
-    # stable complex-sqrt split: take the well-conditioned radical branch
-    # and recover the other factor through x y = k2 delta, avoiding the
-    # cancellation in sqrt((radical - |z|)/2)
-    if z >= 0.0:
-        y_mag = math.sqrt(0.5 * (radical + z))
-        x = abs(k2 * delta) / y_mag if y_mag > 0.0 else 0.0
-    else:
-        x = math.sqrt(0.5 * (radical - z))
-        y_mag = abs(k2 * delta) / x if x > 0.0 else 0.0
-    y = -y_mag if k2 * delta < 0.0 else y_mag
-    return DecayConstants(k1=k1, k2=k2, z=z, x=x, y=y)
+    root = cmath.sqrt(complex(-z, 2.0 * k2 * delta))
+    return DecayConstants(k1=k1, k2=k2, z=z, x=root.real, y=root.imag)
 
 
 def _closed_form(m, init: QubitInput, phase, keep_photon, to_atom) -> np.ndarray:

@@ -94,11 +94,6 @@ class VerifyReport:
 _PARAM_BOUNDS = ((0.1, -4.0, 0.0, -2.0), (3.0, 4.0, 8.0, 2.0))
 
 
-def _random_params(rng: np.random.Generator, n: int) -> list[jc.JCParams]:
-    """n seeded JCParams from one (n, 4) block of draws."""
-    return [jc.JCParams.from_detuning(*row) for row in rng.uniform(*_PARAM_BOUNDS, size=(n, 4)).tolist()]
-
-
 # bounds of one seeded draw of a qubit input: p, the share of the largest |r| and its phase
 _INPUT_BOUNDS = ((0.0, 0.0, 0.0), (1.0, 1.0, 2.0 * math.pi))
 
@@ -131,7 +126,6 @@ def _suite(name, fn, level):
 
 def _kraus_completeness(level: str):
     rng = np.random.default_rng(_SEED)
-    # _random_params's draws: each row is from_detuning's (g, delta, t, nu)
     draws = rng.uniform(*_PARAM_BOUNDS, size=(1000 if level == "full" else 150, 4))
     g, delta, t, nu = draws.T
     a1, a2 = jc.kraus_operator_columns(g, nu, nu + delta, t).swapaxes(0, 1)

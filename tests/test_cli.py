@@ -517,10 +517,13 @@ def test_values_beyond_float_range_exit_2_with_one_error_line(args, capsys):
 ])
 def test_a_coupling_whose_square_underflows_is_out_of_range(args, t, capsys):
     # g * g below the normal floats would drop out of the Rabi frequency: at g t = 0.1
-    # the two populations would sum to (g t)^2 + 1, not 1
+    # the two populations would sum to (g t)^2 + 1, not 1; the error names the first
+    # point's g, not its time t
     code, out, err = run_cli(args, capsys)
     assert (code, out) == (2, CSV_HEADER + "\n" if args[0] == "sweep" else "")
-    assert err == f"error: the propagator leaves the float range at t = {t!r}\n"
+    g = 1e-300 if args[0] == "sweep" else float(args[2])
+    assert err == f"error: the propagator leaves the float range at g = {g!r}, whose square underflows\n"
+    assert f"t = {t!r}" not in err
 
 
 def test_sweep_repeat_determinism_and_stamp(tmp_path):

@@ -91,6 +91,15 @@ def test_y_sign_follows_decay_asymmetry():
     stronger_atom = derive_constants(jc, DecayParams(kappa=0.0, gamma_at=0.4))
     assert stronger_cavity.y > 0.0
     assert stronger_atom.y < 0.0  # k2 < 0 with positive detuning
+    # k2 > 0 with negative detuning: y takes the sign of k2*delta
+    below = derive_constants(JCParams.from_detuning(g=1.0, delta=-1.0, t=1.0), DecayParams(kappa=0.5, gamma_at=0.0))
+    assert below.y < 0.0 < below.x
+    # equal rates: k2*delta is a signed zero, x = 0 and y takes the zero's sign, which the sign expression cannot see
+    equal = DecayParams(kappa=0.3, gamma_at=0.3)
+    minus, plus = (decayed_conversion(JCParams.from_detuning(g=1.0, delta=dl, t=1.0), equal, 1.7) for dl in (-0.8, 0.8))
+    assert minus.constants.x == plus.constants.x == 0.0
+    assert minus.constants.y == -plus.constants.y < 0.0
+    assert degradability_expression(minus).hex() == degradability_expression(plus).hex()
 
 
 def test_closed_form_zero_decay_equals_unitary_evolution():

@@ -93,9 +93,12 @@ def test_scripts_reject_invalid_arguments_with_a_usage_error(script, argv, messa
 @pytest.mark.parametrize("script, argv, message", [
     ("decay_boundary", ["--g", "1e300"], "error: the propagator leaves the float range at t = 2.356194490192345"),
     # g * g underflows: the Rabi frequency would lose g
-    ("decay_boundary", ["--g", "1e-300"], "error: the propagator leaves the float range at t = 2.356194490192345"),
-    ("capacity_window", ["--g", "1e-300"], "error: the propagator leaves the float range at t = 0.0"),
-    ("capacity_window", ["--g", "1e-160"], "error: the propagator leaves the float range at t = 0.0"),
+    ("decay_boundary", ["--g", "1e-300"],
+     "error: the propagator leaves the float range at g = 1e-300, whose square underflows"),
+    ("capacity_window", ["--g", "1e-300"],
+     "error: the propagator leaves the float range at g = 1e-300, whose square underflows"),
+    ("capacity_window", ["--g", "1e-160"],
+     "error: the propagator leaves the float range at g = 1e-160, whose square underflows"),
 ])
 def test_scripts_report_a_value_the_model_cannot_evaluate(script, argv, message):
     proc = _proc(f"scripts/{script}.py", *argv)

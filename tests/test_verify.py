@@ -33,7 +33,8 @@ def test_stacked_expm_equals_single_calls():
 def test_stacked_kraus_completeness_equals_the_per_sample_expression():
     (_, devs, _), = verify._kraus_completeness("full")
     devs = np.asarray(devs)
-    samples = verify._random_params(np.random.default_rng(verify._SEED), 1000)
+    draws = np.random.default_rng(verify._SEED).uniform(*verify._PARAM_BOUNDS, size=(1000, 4))
+    samples = [jc.JCParams.from_detuning(*row) for row in draws.tolist()]
     per_sample = np.array([
         np.max(np.abs(a1.conj().T @ a1 + a2.conj().T @ a2 - np.eye(2)))
         for a1, a2 in map(jc.kraus_operators, samples)
