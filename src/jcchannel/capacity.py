@@ -8,12 +8,13 @@ have capacity
 
 (the amplitude-damping capacity).  The objective is strictly concave in p
 when |h_keep|^2 > 1/2, and capacity_root finds its maximum as the root of
-its derivative by a fixed number of Newton steps, with the same
-operations on one keep share (quantum_capacity) and on a column of them
-(capacity_columns).  golden_section_lanes stays as an independent maximizer
-for the checks: a golden-section search per lane over a column of
-objectives, each lane with its own bracket, branches and stop, so
-golden_section_max is its one-lane view.  Channels that are not degradable
+its derivative by a fixed number of Newton steps: one Newton body, run
+in Python floats on one keep share (quantum_capacity) and in numpy
+columns on many (capacity_columns), with the same floats on each share.
+golden_section_lanes stays as an independent maximizer for the checks: a
+golden-section search per lane over a column of objectives, each lane
+with its own bracket, branches and stop, so golden_section_max is its
+one-lane view.  Channels that are not degradable
 are assigned Q = 0; for channels with decay leakage this follows the same
 amplitude comparison, with the decay environment not modeled as an extra
 output.
@@ -37,6 +38,10 @@ _ORACLE_BLOCK = 4096  # grid points per array expression in capacity_grid_oracle
 NEWTON_STEPS = 6  # capacity_root's steps: 4 reach every root to rounding
 P_FLOOR = 0.43  # below every optimum p*, which is 0.4356 at least
 _LN2 = math.log(2.0)
+# capacity_root's log and clamp to [P_FLOOR, 1/2] on one share and on a column: numpy's log on both
+# (libm's rounds differently), a share's as a Python float, which spares numpy's scalar overhead
+_FLOATS = (lambda x: float(np.log(x)), lambda p: min(max(p, P_FLOOR), 0.5))
+_LANES = (np.log, lambda p: np.minimum(np.maximum(p, P_FLOOR), 0.5))
 
 
 class NotDegradable(ValueError):
@@ -183,9 +188,10 @@ def capacity_grid_oracle(keep_prob: float, step: float = 1e-5) -> tuple[float, f
 def capacity_root(a):
     """(p_star, Q) of H2(a p) - H2((1 - a) p) for keep shares 1/2 < a < 1.
 
-    Takes a float or an array of shares, with the same operations on
-    either, so a share gives the same floats alone or in a column.  The
-    objective is strictly concave, and its maximum is the root of
+    Takes a float or an array of shares and runs one Newton body on
+    either, in Python floats or in numpy columns (_FLOATS or _LANES), with
+    numpy's log on both, so a share gives the same floats alone or in a
+    column.  The objective is strictly concave, and its maximum is the root of
 
         f'(p) ln 2 = a ln((1 - ap) / (ap)) - (1 - a) ln((1 - (1 - a) p) / ((1 - a) p))
 
@@ -194,15 +200,16 @@ def capacity_root(a):
     NEWTON_STEPS steps from p = 1/2, each clamped to [P_FLOOR, 1/2], which
     holds every root: p* rises from 0.4356 as a -> 1/2 to 1/2 as a -> 1.
     """
+    log, clamp = _LANES if isinstance(a, np.ndarray) else _FLOATS
     b = 1.0 - a
     p = 0.5
     for _ in range(NEWTON_STEPS):
         ap, bp = a * p, b * p
-        slope = a * np.log((1.0 - ap) / ap) - b * np.log((1.0 - bp) / bp)
+        slope = a * log((1.0 - ap) / ap) - b * log((1.0 - bp) / bp)
         curvature = (b - a) / (p * (1.0 - ap) * (1.0 - bp))
-        p = np.minimum(np.maximum(p - slope / curvature, P_FLOOR), 0.5)
+        p = clamp(p - slope / curvature)
     ap, bp = a * p, b * p
-    q = bp * np.log(bp) + (1.0 - bp) * np.log(1.0 - bp) - ap * np.log(ap) - (1.0 - ap) * np.log(1.0 - ap)
+    q = bp * log(bp) + (1.0 - bp) * log(1.0 - bp) - ap * log(ap) - (1.0 - ap) * log(1.0 - ap)
     return p, q / _LN2
 
 

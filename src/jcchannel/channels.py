@@ -75,11 +75,15 @@ class TransferChannel:
         trace-preserving even for channels with decay leakage (whose
         physical h_env describes a larger environment).
         """
-        h = complex(self.h_keep)
-        a1 = np.array([[1.0, 0.0], [0.0, np.conj(h)]], dtype=complex)
-        a2 = np.zeros((2, 2), dtype=complex)
-        a2[0, 1] = np.sqrt(max(0.0, 1.0 - abs(h) ** 2))
-        return a1, a2
+        return tuple(_kraus(jc.SCALARS, complex(self.h_keep)))
+
+
+def _kraus(m, h_keep) -> np.ndarray:
+    """Kraus pairs [A1, A2] (..., 2, 2, 2) of amplitudes h_keep in m's arithmetic: see TransferChannel.kraus."""
+    a = np.zeros(np.shape(h_keep.real) + (2, 2, 2), dtype=complex)
+    a[..., 0, 0, 0], a[..., 0, 1, 1] = 1.0, m.values(h_keep.conjugate())
+    a[..., 1, 0, 1] = np.sqrt(np.maximum(0.0, 1.0 - m.square(abs(h_keep))))
+    return a
 
 
 def channel_outputs(h_keep, keep_sq, p, r) -> np.ndarray:
@@ -162,18 +166,29 @@ def extended_state(ch: TransferChannel, inp: QubitInput) -> np.ndarray:
     if abs(inp.r) == 0.0:
         return extended_apply(ch, inp.p)
     lam, v = np.linalg.eigh(inp.matrix)  # columns of v are eigenvectors
-    return _extended(ch, v * np.sqrt(np.clip(lam, 0.0, None)))
+    return _extended(_kraus(jc.SCALARS, complex(ch.h_keep)), v * np.sqrt(np.clip(lam, 0.0, None)))
 
 
 def extended_apply(ch: TransferChannel, p) -> np.ndarray:
     """Extended channel on the canonical purification of diag(1-p, p), stacked for an array p."""
+    return _extended(_kraus(jc.SCALARS, complex(ch.h_keep)), _purification(p))
+
+
+def extended_columns(h_keep: jc.CArray, p) -> np.ndarray:
+    """extended_apply of the channels with amplitudes h_keep on populations p, all broadcast, bit for bit."""
+    return _extended(_kraus(jc.COLUMNS, h_keep), _purification(p))
+
+
+def _purification(p) -> np.ndarray:
+    """psi of the canonical purification sqrt(1-p)|0,0> + sqrt(p)|1,1> of diag(1-p, p): see _extended."""
     if not np.all((-STATE_TOL <= np.asarray(p)) & (np.asarray(p) <= 1.0 + STATE_TOL)):
         raise ValueError(f"population {p} outside [0, 1]")
-    return _extended(ch, np.eye(2) * np.sqrt(np.stack([1.0 - p, p], axis=-1))[..., None, :])
+    return np.eye(2) * np.sqrt(np.stack([1.0 - p, p], axis=-1))[..., None, :]
 
 
-def _extended(ch: TransferChannel, psi: np.ndarray) -> np.ndarray:
+def _extended(kraus: np.ndarray, psi: np.ndarray) -> np.ndarray:
     # psi[..., i, k] = sqrt(lam_k) <i|u_k>; row k of j is (K_k (x) I) |psi> with
     # |psi> = sum_k sqrt(lam_k) |u_k>|k>, output index major, reference index minor
-    j = (np.stack(ch.kraus()) @ psi[..., None, :, :]).reshape(psi.shape[:-2] + (2, 4))
+    j = kraus @ psi[..., None, :, :]
+    j = j.reshape(j.shape[:-3] + (2, 4))
     return j.swapaxes(-1, -2) @ j.conj()

@@ -7,7 +7,8 @@ block (|down,1>, |up,0>) evolves under the jc propagator with both rates
 passed in; the closed-form state (one point, or closed_form_columns) and
 the decayed channel amplitudes are read off its entries.  The oracle for
 those closed forms is exp(tL) vec(rho) on the full 16x16 Liouvillian L,
-by qmat.expm_taylor and none of the propagator's derivation;
+built once per distinct setting (g, nu, omega, kappa, gamma_at), by
+qmat.expm_taylor and none of the propagator's derivation;
 integrate_master_equation is its one-point view.  The oracle, the
 closed-form state and the decayed conversion raise ValueError unless
 their time t is finite and nonnegative.
@@ -122,7 +123,7 @@ def closed_form_columns(init: QubitInput, g, nu, omega, t, kappa=0.0, gamma=0.0)
 
 
 def _liouvillians(points) -> np.ndarray:
-    """(n, 16, 16) master-equation superoperators over row-major vec(rho), one per (jc, d, t)."""
+    """(n, 16, 16) master-equation superoperators over row-major vec(rho), one per (jc, d, t); t is not read."""
     h = hamiltonian_columns(*np.array([(jc.g, jc.nu, jc.omega) for jc, _, _ in points]).T)
     rates = np.array([(d.kappa, d.gamma_at) for _, d, _ in points])[:, :, None, None]
     lower, eye2, eye4 = np.array([[0, 1], [0, 0]], dtype=complex), np.eye(2), np.eye(4)
@@ -143,8 +144,9 @@ def integrate_master_equations(points, init: np.ndarray) -> np.ndarray:
     """Brute-force master-equation solutions: exp(tL) vec(init) at each point.
 
     The (n, 4, 4) states init reaches at each (jc, d, t) of points, L the
-    point's Liouvillian over row-major vec(rho), exp by expm_taylor in
-    stacks of _ORACLE_BLOCK, which give each point its floats alone.
+    Liouvillian over row-major vec(rho) of the point's setting, one per
+    distinct setting, exp by expm_taylor in stacks of _ORACLE_BLOCK, which
+    give each point its floats alone.
     ValueError where exp(tL) leaves the float range.  This is the oracle
     for closed_form_state and shares none of its derivation.
     """
@@ -154,11 +156,18 @@ def integrate_master_equations(points, init: np.ndarray) -> np.ndarray:
     if init.shape != (4, 4):
         raise ValueError("initial state must be 4x4 over the joint basis")
     out = np.empty((len(points), 4, 4), dtype=complex)
+    if not len(points):
+        return out
+    settings = np.array([(jc.g, jc.nu, jc.omega, d.kappa, d.gamma_at) for jc, d, _ in points])
+    # one Liouvillian per setting, settings told apart by their bits (0.0 from -0.0 too)
+    _, first, slot = np.unique(settings.view(np.int64), axis=0, return_index=True, return_inverse=True)
+    liouvillians, slot = _liouvillians([points[i] for i in first]), slot.reshape(-1)
+    times = np.array([t for _, _, t in points])
     for start in range(0, len(points), _ORACLE_BLOCK):
-        block = points[start:start + _ORACLE_BLOCK]
+        block = slice(start, start + _ORACLE_BLOCK)
         with np.errstate(over="ignore"):  # a generator past the float range: expm_taylor's ValueError
-            generators = np.array([t for _, _, t in block])[:, None, None] * _liouvillians(block)
-        out[start:start + len(block)] = (expm_taylor(generators) @ init.reshape(16)).reshape(-1, 4, 4)
+            generators = times[block, None, None] * liouvillians[slot[block]]
+        out[block] = (expm_taylor(generators) @ init.reshape(16)).reshape(-1, 4, 4)
     return out
 
 

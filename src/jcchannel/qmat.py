@@ -13,6 +13,7 @@ stack raises the error its first bad member raises alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-9
 STATE_TOL = 1e-12
 EIG_FLOOR = -1e-10
+_TAYLOR = tuple(1.0 / math.factorial(j) for j in range(13))  # expm_taylor's coefficients 1/j!
 
 
 class NonHermitianInput(ValueError):
@@ -70,13 +72,17 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 
 
 def von_neumann_entropy(m) -> float:
-    """S(m) = -Tr m log2 m in bits, with the 0 log 0 := 0 convention.
+    """S(m) = -Tr m log2 m in bits, with the 0 log 0 := 0 convention: eigenvalue_entropy of its eigenvalues."""
+    return eigenvalue_entropy(hermitian_eigenvalues(m))
+
+
+def eigenvalue_entropy(lam) -> float:
+    """-sum lam log2 lam in bits over eigenvalues lam, descending on the last axis as hermitian_eigenvalues gives them.
 
     Eigenvalues in [-1e-10, 0) are treated as rounding noise and clamped
     to zero.  Anything more negative means the caller produced a state
     that is not positive semidefinite, which is a bug, so raise.
     """
-    lam = hermitian_eigenvalues(m)
     low = lam[..., -1][lam[..., -1] < EIG_FLOOR]
     if low.size:
         raise ValueError(f"eigenvalue {low[0]} below the -1e-10 noise floor")
@@ -142,15 +148,16 @@ def trace_distance(a, b) -> float:
 
 
 def expm_taylor(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a plain Taylor core.
+    """Matrix exponential by scaling-and-squaring with a degree-12 Taylor core.
 
     The argument is scaled by 2^-k, the fewest halvings that take its
-    max-column-sum norm to at most 1/4, the series is summed until the next
-    term falls below 1e-13 relative to the running sum, and the result is
-    squared k times.  Deliberately independent of any spectral
-    decomposition.  In a stack (..., n, n) each matrix has its own k, terms
-    and squarings: the floats it gives alone.  A non-finite entry, norm or
-    result raises ValueError.
+    max-column-sum norm to at most 1/4, the Taylor polynomial of degree 12
+    is taken in 5 products by Paterson and Stockmeyer's split (A^2, A^3,
+    A^4, then Horner in A^4), and the result is squared k times.  The
+    terms it drops stay below 2.4e-18 at norm 1/4.  Deliberately
+    independent of any spectral decomposition.  In a stack (..., n, n)
+    each matrix has its own k and squarings: the floats it gives alone.  A
+    non-finite entry, norm or result raises ValueError.
     """
     a = np.asarray(m, dtype=complex)
     if not np.isfinite(a).all():
@@ -163,28 +170,30 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
     # norm = mant * 2**e, mant in [1/2, 1): norm / 2**k <= 1/4 from k = e + 2, or e + 1 at mant = 1/2
     mant, e = np.frexp(norm)
     k = np.where(norm > 0.25, e + 2 - (mant == 0.5), 0)
-    stack = stack / np.ldexp(1.0, np.minimum(k, 1023))[:, None, None]
+    # most halvings first, so the matrices each squaring takes are a prefix
+    order = np.argsort(-k, kind="stable")
+    k = k[order]
+    x = stack[order] / np.ldexp(1.0, np.minimum(k, 1023))[:, None, None]
     over = k > 1023  # 2**k is past the float range: divide by the rest apart
-    stack[over] /= np.ldexp(1.0, k[over] - 1023)[:, None, None]
-    total = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), stack.shape).copy()
-    term = total.copy()
-    for j in range(1, 40):
-        term = term @ stack
-        term /= j
-        total += term
-        # a matrix whose term fell below 1e-13 of its sum adds only zeros from here on
-        top = np.max(np.abs(total), axis=(1, 2))
-        term[np.max(np.abs(term), axis=(1, 2)) < 1e-13 * np.maximum(1.0, top)] = 0.0
-        if not term.any():
-            break
+    x[over] /= np.ldexp(1.0, k[over] - 1023)[:, None, None]
+    n, x2 = a.shape[-1], x @ x
+    powers, x4 = (x, x2, x2 @ x), x2 @ x2
+    total = x4 * _TAYLOR[12]
+    for top in (8, 4, 0):  # Horner in x4, adding c_top I + c_(top+1) x + c_(top+2) x^2 + c_(top+3) x^3 each step
+        for j, power in enumerate(powers, 1):
+            total += power * _TAYLOR[top + j]
+        total.reshape(-1, n * n)[:, :: n + 1] += _TAYLOR[top]  # the diagonal, in place
+        if top:
+            total = total @ x4
     with np.errstate(over="ignore", invalid="ignore"):  # a square past the float range: the ValueError below
         for s in range(int(np.max(k, initial=0))):
-            sq = np.flatnonzero(k > s)
-            part = total[sq]
-            total[sq] = part @ part
+            c = int(np.count_nonzero(k > s))
+            total[:c] = total[:c] @ total[:c]
     if not np.isfinite(total).all():
         raise ValueError("expm_taylor's result leaves the float range")
-    return total.reshape(a.shape)
+    out = np.empty_like(total)
+    out[order] = total
+    return out.reshape(a.shape)
 
 
 @dataclass(frozen=True)

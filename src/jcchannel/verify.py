@@ -32,7 +32,8 @@ import numpy as np
 
 from . import capacity as cap
 from . import channels, jc, lindblad
-from .qmat import QubitInput, expm_taylor, hermitian_eigenvalues, trace_distance, von_neumann_entropy
+from .qmat import (QubitInput, eigenvalue_entropy, expm_taylor, hermitian_eigenvalues, trace_distance,
+                   von_neumann_entropy)
 
 # Exhaustive p-grid maxima of H2(a p) - H2((1-a) p) at step 1e-5,
 # computed once with capacity_grid_oracle and frozen.
@@ -233,17 +234,15 @@ def _capacity_goldens(level: str):
 
 def _coherent_info_two_route(level: str):
     grid = np.linspace(0.0, 1.0, 51 if level == "full" else 11)
-    outputs = np.empty((len(grid), len(grid), 2, 2), dtype=complex)
-    extended = np.empty((len(grid), len(grid), 4, 4), dtype=complex)
-    for i, a in enumerate(grid):
-        ph = complex(math.cos(0.3 * math.pi * a), math.sin(0.3 * math.pi * a))
-        ch = channels.TransferChannel(h_keep=math.sqrt(float(a)) * ph, h_env=math.sqrt(1.0 - float(a)))
-        outputs[i], extended[i] = ch.outputs(grid, 0.0), channels.extended_apply(ch, grid)
-    closed = cap.coherent_information_columns(grid[:, None], grid)
+    a = grid[:, None]  # a channel per row, an input population per column
+    h_keep = _amplitudes(a, 0.3 * math.pi * a)
+    outputs = channels.channel_outputs(h_keep, jc.squares(abs(h_keep)), grid, 0.0)
+    extended = hermitian_eigenvalues(channels.extended_columns(h_keep, grid))  # read by both checks
+    closed = cap.coherent_information_columns(a, grid)
     # the eigenvalue route of capacity.coherent_information, over the whole (a, p) grid
-    devs = np.abs(closed - (von_neumann_entropy(outputs) - von_neumann_entropy(extended)))
+    devs = np.abs(closed - (von_neumann_entropy(outputs) - eigenvalue_entropy(extended)))
     yield "route", devs, lambda i, j: f"route mismatch at a={grid[i]} p={grid[j]}"
-    rank_devs = np.max(np.abs(hermitian_eigenvalues(extended)[..., 2:]), axis=-1)
+    rank_devs = np.max(np.abs(extended[..., 2:]), axis=-1)
     yield "rank", rank_devs, lambda i, j: f"extended state exceeds rank 2 at a={grid[i]} p={grid[j]}"
 
 

@@ -201,6 +201,18 @@ def test_stacked_integrator_equals_one_point_calls():
         assert np.array_equal(state, integrate_master_equation(jc, d, init, t))
 
 
+def test_the_oracle_builds_one_liouvillian_per_setting(monkeypatch):
+    built, liouvillians = [], lindblad._liouvillians
+    monkeypatch.setattr(lindblad, "_liouvillians", lambda points: built.append(len(points)) or liouvillians(points))
+    points, init = oracle_grid(), _joint_init(_REF_INPUT)
+    stacked = integrate_master_equations(points, init)
+    assert built == [24]  # 4 detunings, 3 cavity and 2 atomic decays: 9 times each
+    built.clear()
+    for (jc, d, t), state in zip(points, stacked):
+        assert state.tobytes() == integrate_master_equation(jc, d, init, t).tobytes()
+    assert built == [1] * len(points)
+
+
 def test_stacked_integrator_empty_and_zero_times():
     init = _joint_init(_REF_INPUT)
     assert integrate_master_equations([], init).shape == (0, 4, 4)

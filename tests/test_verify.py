@@ -152,6 +152,62 @@ def test_expm_scales_a_norm_past_two_to_the_1021_exactly():
     assert decaying.tolist() == [[0.0, 0.0], [0.0, 1.0]]
 
 
+@pytest.mark.parametrize("x", [0.1, 0.25, 3.0, -7.5 + 2.0j, 1e5])
+def test_expm_of_a_nilpotent_matrix_is_exactly_one_plus_it(x):
+    # every power past the first is zero, so only the 1 and the 1/1! of the core reach the result
+    a = np.array([[0.0, x], [0.0, 0.0]], dtype=complex)
+    assert np.array_equal(expm_taylor(a), np.eye(2) + a)
+
+
+def test_expm_of_a_quarter_shift_holds_each_taylor_coefficient_exactly():
+    # N^j is the j-th superdiagonal up to N^12, and N^13 = 0; at norm 1/4 there is no
+    # squaring, so entry [0, j] is 4^-j / j! to the last bit: every coefficient, even those below rounding
+    out = expm_taylor(np.eye(13, k=1) / 4.0)
+    assert out[0].tolist() == [4.0 ** -j / math.factorial(j) for j in range(13)]
+    assert np.array_equal(np.triu(out), out) and np.array_equal(np.diag(out), np.ones(13))
+
+
+@pytest.mark.parametrize("theta", [0.1, 1.0, 10.0, 100.0])
+def test_expm_of_a_rotation_generator_is_the_rotation(theta):
+    # the odd coefficients of the core give the sine, the even ones the cosine
+    c, s = math.cos(theta), math.sin(theta)
+    out = expm_taylor(np.array([[0.0, -theta], [theta, 0.0]]))
+    assert np.max(np.abs(out - np.array([[c, -s], [s, c]]))) <= 1e-13 * max(1.0, theta)
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_expm_of_minus_a_inverts_expm_of_a(n):
+    rng = np.random.default_rng(20261020 + n)
+    norms = (0.0, 0.1, 0.25, 0.4, 0.9, 1.7, 3.5, 7.0, 30.0, 200.0)  # k = 0 up to 10, as above
+    mats = []
+    for norm in norms:
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        m -= m.conj().T  # anti-Hermitian: exp(A) is unitary, so the product is well conditioned
+        mats.append(m * norm / max(np.max(np.sum(np.abs(m), axis=0)), 1.0))
+    a = np.array(mats)
+    assert np.max(np.abs(np.max(np.sum(np.abs(a), axis=1), axis=1) - np.array(norms))) < 1e-12
+    product = expm_taylor(a) @ expm_taylor(-a)
+    assert np.max(np.abs(product - np.eye(n))) <= 1e-12
+
+
+def test_coherent_info_columns_equal_each_channels_outputs(monkeypatch):
+    grid = np.linspace(0.0, 1.0, 51)
+    seen, eigenvalues = [], qmat.hermitian_eigenvalues
+    monkeypatch.setattr(verify, "hermitian_eigenvalues", lambda m: seen.append(np.shape(m)) or eigenvalues(m))
+    built = {}
+    for name in ("channel_outputs", "extended_columns"):
+        monkeypatch.setattr(channels, name, lambda *args, f=getattr(channels, name), name=name: built.setdefault(name, f(*args)))
+    for _ in verify._coherent_info_two_route("full"):
+        pass
+    monkeypatch.undo()  # TransferChannel.outputs calls channel_outputs too
+    assert seen.count((51, 51, 4, 4)) == 1
+    for i, a in enumerate(grid.tolist()):
+        ph = complex(math.cos(0.3 * math.pi * a), math.sin(0.3 * math.pi * a))
+        ch = channels.TransferChannel(h_keep=math.sqrt(a) * ph, h_env=math.sqrt(1.0 - a))
+        assert built["channel_outputs"][i].tobytes() == ch.outputs(grid, 0.0).tobytes()
+        assert built["extended_columns"][i].tobytes() == channels.extended_apply(ch, grid).tobytes()
+
+
 @pytest.mark.parametrize("level", ["medium", "Quick", ""])
 def test_run_verify_rejects_an_unknown_level(level):
     with pytest.raises(ValueError, match=r"^level must be 'quick' or 'full'$"):
@@ -272,25 +328,25 @@ def test_stacked_unitary_oracle_equals_the_per_point_maxima():
 MAX_DEVS = {
     "quick": {
         "kraus-completeness": "4.442484442825191e-16",
-        "unitary-oracle": "1.7763057938883325e-13",
+        "unitary-oracle": "9.619939965703525e-15",
         "amplitude-completeness": "6.661338147750939e-16",
         "degrading-composition": "2.2887833992611187e-16",
         "capacity-goldens": "2.7050472972689477e-11",
         "coherent-info-two-route": "4.440892098500626e-16",
         "concatenation-law": "1.2906342661267445e-15",
-        "lindblad-closed-form": "1.759703494030873e-14",
+        "lindblad-closed-form": "3.7811833579669325e-15",
         "degradability-equivalence": "1.0824674490095276e-15",
         "capacity-monotonicity": "1.6069576597205894e-06",
     },
     "full": {
         "kraus-completeness": "5.556232815031838e-16",
-        "unitary-oracle": "2.5787519938034066e-13",
+        "unitary-oracle": "2.3063864607644457e-14",
         "amplitude-completeness": "8.881784197001252e-16",
         "degrading-composition": "2.3633021048361517e-16",
         "capacity-goldens": "2.7050472972689477e-11",
         "coherent-info-two-route": "1.1102230246251565e-15",
         "concatenation-law": "2.6645352591003757e-15",
-        "lindblad-closed-form": "3.486110802959473e-14",
+        "lindblad-closed-form": "5.635795333308709e-15",
         "degradability-equivalence": "1.9984014443252818e-15",
         "capacity-monotonicity": "1.6069576597205894e-06",
     },
