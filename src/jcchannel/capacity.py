@@ -168,8 +168,11 @@ def capacity_grid_oracle(keep_prob: float, step: float = 1e-5) -> tuple[float, f
     """Exhaustive p-grid maximization of the diagonal coherent information.
 
     Brute-force reference for capacity_root; returns
-    (Q, p_star) at the stated grid resolution, a step in (0, 1].
+    (Q, p_star) at the stated grid resolution, a step in (0, 1], for a
+    keep share in [0, 1].
     """
+    if not 0 <= keep_prob <= 1:  # also rejects NaN and inf
+        raise ValueError(f"keep share must lie in [0, 1], got {keep_prob!r}")
     if not 0 < step <= 1:  # also rejects NaN and inf
         raise ValueError(f"step must lie in (0, 1], got {step!r}")
     n = int(round(1.0 / step))

@@ -49,7 +49,7 @@ from .channels import (LossChannel, TransferChannel, compose, concatenate, conca
 from .jc import JCParams, block_amplitude_columns, squares
 from .lindblad import DecayParams, closed_form_columns, closed_form_state, decayed_conversion
 from .qmat import QubitInput, trace_distance
-from .verify import random_inputs, run_verify
+from .verify import Draws, random_inputs, run_verify
 
 # Every model parameter once, in CSV column order, then nu (not a column):
 # name -> (test a value must pass, the rule it states).  Every value must
@@ -582,7 +582,7 @@ def _cmd_degrade(args, parser) -> int:
         return 1
     composed = compose(ch, reception_channel(second))
     target = ch.complement()
-    p, r = random_inputs(np.random.default_rng(7), 20)
+    p, r = random_inputs(Draws(7), 20)
     dist = float(np.max(trace_distance(composed.outputs(p, r), target.outputs(p, r))))
     if args.json:
         cells = dict.fromkeys(("g2", "t2", "nu2", "max_composition_distance"), "%r")

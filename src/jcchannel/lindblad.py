@@ -7,8 +7,9 @@ block (|down,1>, |up,0>) evolves under the jc propagator with both rates
 passed in; the closed-form state (one point, or closed_form_columns) and
 the decayed channel amplitudes are read off its entries.  The oracle for
 those closed forms is exp(tL) vec(rho) on the full 16x16 Liouvillian L,
-built once per distinct setting (g, nu, omega, kappa, gamma_at), by
-qmat.expm_taylor and none of the propagator's derivation;
+built once per distinct setting (g, nu, omega, kappa, gamma_at), real over
+the real coordinates of a Hermitian rho, by qmat.expm_taylor in real
+arithmetic and none of the propagator's derivation;
 integrate_master_equation is its one-point view.  The oracle, the
 closed-form state and the decayed conversion raise ValueError unless
 their time t is finite and nonnegative.
@@ -36,6 +37,8 @@ from .jc import COLUMNS, SCALARS, JCParams, block_amplitudes, block_propagator, 
 from .qmat import QubitInput, expm_taylor
 
 _ORACLE_BLOCK = 32  # points per stack in integrate_master_equations
+# where a 4x4's diagonal, upper (i < j, row by row) and mirrored lower entries sit in row-major vec(rho)
+_DIAG, _UPPER, _LOWER = [0, 5, 10, 15], [1, 2, 3, 6, 7, 11], [4, 8, 12, 9, 13, 14]
 
 
 def _check_time(t: float) -> None:
@@ -135,6 +138,20 @@ def _liouvillians(points) -> np.ndarray:
     return sup
 
 
+def _to_coordinates(vec: np.ndarray) -> np.ndarray:
+    """The 16 real coordinates of Hermitian vec(rho) on the last axis: diagonal, then upper real and imaginary parts."""
+    return np.concatenate([vec[..., _DIAG].real, vec[..., _UPPER].real, vec[..., _UPPER].imag], axis=-1)
+
+
+def _from_coordinates(coords: np.ndarray) -> np.ndarray:
+    """vec(rho) of the Hermitian rho with these real coordinates on the last axis: a + ib above, a - ib below."""
+    vec = np.zeros(coords.shape, dtype=complex)
+    vec.real[..., _DIAG] = coords[..., :4]
+    vec.real[..., _UPPER] = vec.real[..., _LOWER] = coords[..., 4:10]
+    vec.imag[..., _UPPER], vec.imag[..., _LOWER] = coords[..., 10:], -coords[..., 10:]
+    return vec
+
+
 def integrate_master_equation(jc: JCParams, d: DecayParams, init: np.ndarray, t: float) -> np.ndarray:
     """The one-point view of integrate_master_equations: the state at time t."""
     return integrate_master_equations([(jc, d, t)], init)[0]
@@ -143,10 +160,13 @@ def integrate_master_equation(jc: JCParams, d: DecayParams, init: np.ndarray, t:
 def integrate_master_equations(points, init: np.ndarray) -> np.ndarray:
     """Brute-force master-equation solutions: exp(tL) vec(init) at each point.
 
-    The (n, 4, 4) states init reaches at each (jc, d, t) of points, L the
-    Liouvillian over row-major vec(rho) of the point's setting, one per
-    distinct setting, exp by expm_taylor in stacks of _ORACLE_BLOCK, which
-    give each point its floats alone.
+    The (n, 4, 4) states the Hermitian init reaches at each (jc, d, t) of
+    points, L the Liouvillian of the point's setting, one per distinct
+    setting, as a real matrix over the 16 real coordinates of a Hermitian
+    4x4: its diagonal, then the real and the imaginary parts of its upper
+    entries.  exp by expm_taylor in real stacks of _ORACLE_BLOCK, each
+    applied to init's coordinates alone: each point gets its floats alone,
+    and t = 0 gives init exactly.
     ValueError where exp(tL) leaves the float range.  This is the oracle
     for closed_form_state and shares none of its derivation.
     """
@@ -155,19 +175,23 @@ def integrate_master_equations(points, init: np.ndarray) -> np.ndarray:
     init = np.asarray(init, dtype=complex)
     if init.shape != (4, 4):
         raise ValueError("initial state must be 4x4 over the joint basis")
+    if not np.array_equal(init, init.conj().T):
+        raise ValueError("initial state must be Hermitian")
     out = np.empty((len(points), 4, 4), dtype=complex)
     if not len(points):
         return out
     settings = np.array([(jc.g, jc.nu, jc.omega, d.kappa, d.gamma_at) for jc, d, _ in points])
     # one Liouvillian per setting, settings told apart by their bits (0.0 from -0.0 too)
     _, first, slot = np.unique(settings.view(np.int64), axis=0, return_index=True, return_inverse=True)
-    liouvillians, slot = _liouvillians([points[i] for i in first]), slot.reshape(-1)
-    times = np.array([t for _, _, t in points])
+    # each L over the coordinates: L maps basis matrix k (coordinate k 1, the rest 0) to a Hermitian matrix, exactly
+    images = _liouvillians([points[i] for i in first]) @ _from_coordinates(np.eye(16)).T
+    generators, slot = _to_coordinates(images.swapaxes(1, 2)).swapaxes(1, 2), slot.reshape(-1)
+    times, coords = np.array([t for _, _, t in points]), _to_coordinates(init.reshape(16))
     for start in range(0, len(points), _ORACLE_BLOCK):
         block = slice(start, start + _ORACLE_BLOCK)
         with np.errstate(over="ignore"):  # a generator past the float range: expm_taylor's ValueError
-            generators = times[block, None, None] * liouvillians[slot[block]]
-        out[block] = (expm_taylor(generators) @ init.reshape(16)).reshape(-1, 4, 4)
+            stack = times[block, None, None] * generators[slot[block]]
+        out[block] = _from_coordinates(expm_taylor(stack) @ coords).reshape(-1, 4, 4)
     return out
 
 
@@ -240,11 +264,7 @@ def oracle_grid(points_per_combo: int = 9):
     decays {0, 0.1, 0.5}, atomic decays {0, 0.05}.  The field frequency
     is fixed at an arbitrary nonzero value so phase factors are exercised.
     """
-    grid = []
-    for delta in (0.0, 0.5, 1.0, 2.0):
-        for kappa in (0.0, 0.1, 0.5):
-            for gamma_at in (0.0, 0.05):
-                for gt in np.linspace(0.0, 2.0 * math.pi, points_per_combo):
-                    jc = JCParams.from_detuning(g=1.0, delta=delta, t=float(gt), nu=0.25)
-                    grid.append((jc, DecayParams(kappa=kappa, gamma_at=gamma_at), float(gt)))
-    return grid
+    gts = np.linspace(0.0, 2.0 * math.pi, points_per_combo).tolist()
+    decays = [DecayParams(kappa=kappa, gamma_at=gamma_at) for kappa in (0.0, 0.1, 0.5) for gamma_at in (0.0, 0.05)]
+    return [(JCParams.from_detuning(g=1.0, delta=delta, t=gt, nu=0.25), decay, gt)
+            for delta in (0.0, 0.5, 1.0, 2.0) for decay in decays for gt in gts]

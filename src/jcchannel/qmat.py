@@ -157,9 +157,11 @@ def expm_taylor(m: np.ndarray) -> np.ndarray:
     terms it drops stay below 2.4e-18 at norm 1/4.  Deliberately
     independent of any spectral decomposition.  In a stack (..., n, n)
     each matrix has its own k and squarings: the floats it gives alone.  A
-    non-finite entry, norm or result raises ValueError.
+    non-finite entry, norm or result raises ValueError.  A real stack stays
+    real: it returns float64, in real products.
     """
-    a = np.asarray(m, dtype=complex)
+    a = np.asarray(m)
+    a = np.asarray(a, dtype=complex if np.iscomplexobj(a) else float)
     if not np.isfinite(a).all():
         raise ValueError("expm_taylor needs finite entries")
     stack = a.reshape((-1,) + a.shape[-2:])

@@ -25,6 +25,7 @@ Levels: "quick" runs reduced point counts for a fast smoke check,
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass
 
@@ -99,9 +100,31 @@ _PARAM_BOUNDS = ((0.1, -4.0, 0.0, -2.0), (3.0, 4.0, 8.0, 2.0))
 _INPUT_BOUNDS = ((0.0, 0.0, 0.0), (1.0, 1.0, 2.0 * math.pi))
 
 
-def random_inputs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (p, r) of n qubit inputs, drawing p, the share of the largest |r| and its phase in turn."""
-    return _inputs(rng.uniform(*_INPUT_BOUNDS, size=(n, 3)))
+class Draws:
+    """Seeded uniform draws: random.Random(seed)'s random() sequence, taken in C order.
+
+    uniform has numpy's Generator.uniform signature and broadcasting, and
+    each draw is low + (high - low) * u.  A block of n draws reads the
+    bytes of one getrandbits(64 n) call as little-endian 32-bit pairs
+    (a, b) and takes u = ((a >> 5) 2^26 + (b >> 6)) 2^-53, as random() does.
+    """
+
+    def __init__(self, seed: int):
+        self._gen = random.Random(seed)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        low, high = np.asarray(low, dtype=float), np.asarray(high, dtype=float)
+        shape = np.broadcast_shapes(low.shape, high.shape) if size is None else np.broadcast_shapes(size)
+        n = math.prod(shape)
+        words = np.frombuffer(self._gen.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
+        a, b = words.astype(np.uint64).reshape(n, 2).T
+        out = low + (high - low) * ((((a >> 5) << 26) + (b >> 6)) * 2.0**-53).reshape(shape)
+        return float(out) if out.ndim == 0 else out
+
+
+def random_inputs(draws: Draws, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (p, r) of n qubit inputs from draws, drawing p, the share of the largest |r| and its phase in turn."""
+    return _inputs(draws.uniform(*_INPUT_BOUNDS, size=(n, 3)))
 
 
 def _inputs(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,8 +149,7 @@ def _suite(name, fn, level):
 
 
 def _kraus_completeness(level: str):
-    rng = np.random.default_rng(_SEED)
-    draws = rng.uniform(*_PARAM_BOUNDS, size=(1000 if level == "full" else 150, 4))
+    draws = Draws(_SEED).uniform(*_PARAM_BOUNDS, size=(1000 if level == "full" else 150, 4))
     g, delta, t, nu = draws.T
     a1, a2 = jc.kraus_operator_columns(g, nu, nu + delta, t).swapaxes(0, 1)
     gram = a1.conj().swapaxes(-1, -2) @ a1 + a2.conj().swapaxes(-1, -2) @ a2
@@ -151,8 +173,7 @@ def _unitary_oracle(level: str):
 
 
 def _amplitude_completeness(level: str):
-    rng = np.random.default_rng(_SEED + 1)
-    draws = rng.uniform(*_PARAM_BOUNDS, size=(1000 if level == "full" else 150, 4))
+    draws = Draws(_SEED + 1).uniform(*_PARAM_BOUNDS, size=(1000 if level == "full" else 150, 4))
     # (reception residual, transfer, residual) of each (g, delta, nu, t), NaN where the scalar call raises
     back, moved, left = (jc.squares(abs(h)) for h in jc.block_amplitude_columns(*draws.T[[0, 1, 3, 2]]))
     devs = np.maximum(np.abs(moved + left - 1.0), np.abs(moved + back - 1.0))
@@ -165,7 +186,7 @@ def _amplitudes(share, phase) -> jc.CArray:
 
 
 def _degrading_composition(level: str):
-    rng = np.random.default_rng(_SEED + 2)
+    rng = Draws(_SEED + 2)
     n_ch, n_in = (100, 20) if level == "full" else (10, 5)
     (in_low, in_high), sides = _INPUT_BOUNDS, (("degradable", 0.5, 1.0), ("anti-degradable", 0.0, 0.5))
     # a row per channel, a side at a time: its keep share and two phases, then its inputs', as drawn one by one
@@ -192,8 +213,7 @@ def _degrading_composition(level: str):
 
 def _capacity_goldens(level: str):
     goldens = ((0.75, GRID_ORACLE_Q_075), (0.9, GRID_ORACLE_Q_090))
-    rng = np.random.default_rng(_SEED + 4)
-    seeded = rng.uniform(0.5, 1.0, 200 if level == "full" else 20).tolist()
+    seeded = Draws(_SEED + 4).uniform(0.5, 1.0, 200 if level == "full" else 20).tolist()
     shares = (0.5, 0.3, 0.1) + tuple(a for a, _ in goldens) + tuple(seeded)
     chs = [channels.TransferChannel(h_keep=1.0, h_env=0.0)] + [
         channels.TransferChannel(h_keep=math.sqrt(a), h_env=math.sqrt(1.0 - a))
@@ -247,10 +267,9 @@ def _coherent_info_two_route(level: str):
 
 
 def _concatenation_law(level: str):
-    rng = np.random.default_rng(_SEED + 3)
     (low, high), n = _PARAM_BOUNDS, 1000 if level == "full" else 100
     # one row per sample: e1 and e2 as (g, delta, t, nu), then T; each stage goes on as (g, delta, nu, t)
-    draws = rng.uniform(low + low + (0.0,), high + high + (1.0,), size=(n, 9))
+    draws = Draws(_SEED + 3).uniform(low + low + (0.0,), high + high + (1.0,), size=(n, 9))
     e1, e2, tr = draws[:, [0, 1, 3, 2]].T, draws[:, [4, 5, 7, 6]].T, draws[:, 8]
     h_keep, h_env = channels.concatenate_columns(e1, tr, e2)
     keep = np.minimum(jc.squares(abs(h_keep)), 1.0)

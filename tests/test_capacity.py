@@ -1,6 +1,7 @@
 """Degradability classification, degrading-map construction, capacity."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -134,6 +135,12 @@ def test_grid_oracle_frozen_value():
 def test_grid_oracle_rejects_a_step_outside_0_1(step):
     with pytest.raises(ValueError, match=r"step must lie in \(0, 1\], got"):
         capacity_grid_oracle(0.75, step=step)
+
+
+@pytest.mark.parametrize("keep", [math.nan, math.inf, -math.inf, -0.2, 1.5])
+def test_grid_oracle_rejects_a_keep_share_outside_0_1(keep):
+    with pytest.raises(ValueError, match=r"keep share must lie in \[0, 1\], got " + re.escape(repr(keep))):
+        capacity_grid_oracle(keep, step=1e-3)
 
 
 def test_grid_oracle_takes_the_whole_interval_as_one_step():

@@ -1058,23 +1058,24 @@ def test_calls_sharing_the_parser_leak_nothing(tmp_path, capsys):
     assert not args.json and not args.stamp
 
 
-# stdout of degrade before its probe loop became one stacked trace distance
+# stdout of degrade: t' and nu' as before its probe loop became one stacked trace distance, the distance over
+# the 20 probe inputs of verify.Draws(7)
 _DEGRADE_BYTES = [
     (
         ["degrade", "--mode", "conversion", "--g", "1", "--delta", "0.3", "--t", "1.2"],
         "degrading stage: g' = 1.0, t' = 0.418385845687295, nu' = -6.605019686229686\n"
-        "max composition distance over 20 inputs: 6.594e-17\n",
+        "max composition distance over 20 inputs: 7.666e-17\n",
     ),
     (
         ["degrade", "--mode", "conversion", "--g", "0.7", "--delta", "-0.4", "--t", "2.0", "--nu", "0.3", "--json"],
         '{"g2": 1.0, "t2": 0.31503562627964793, "nu2": 6.247258682887313, '
-        '"max_composition_distance": 1.1188630228279524e-16}\n',
+        '"max_composition_distance": 9.020562075079397e-17}\n',
     ),
     (
         ["degrade", "--mode", "concat", "--g", "1", "--t", "1.4", "--delta", "0.2", "--g2", "1.1", "--t2", "1.5",
          "--T", "0.9", "--json"],
         '{"g2": 1.0, "t2": 0.4117168904683477, "nu2": 3.4751946299004093, '
-        '"max_composition_distance": 5.003707553108401e-17}\n',
+        '"max_composition_distance": 3.925231146709438e-17}\n',
     ),
 ]
 

@@ -230,7 +230,7 @@ def test_block_amplitude_columns_equal_scalar_bit_for_bit():
 
 def _column_grid():
     """(g, delta, t, nu) rows: kraus-completeness's full sample, the unitary-oracle grid, t = 0, then g = 1e200."""
-    sample = np.random.default_rng(verify._SEED).uniform(*verify._PARAM_BOUNDS, size=(1000, 4))
+    sample = verify.Draws(verify._SEED).uniform(*verify._PARAM_BOUNDS, size=(1000, 4))
     axes = np.linspace(0.0, 2.0 * math.pi, 10), np.linspace(-3.0, 3.0, 10), np.linspace(-2.0, 2.0, 10)
     t, delta, nu = (x.ravel() for x in np.meshgrid(*axes, indexing="ij"))
     grid = np.stack([np.ones_like(t), delta, t, nu], axis=1)

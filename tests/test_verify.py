@@ -1,6 +1,7 @@
 """The verify oracles: stacked matrix exponentials, the one verdict every suite's checks get, the tolerance table."""
 
 import math
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -22,18 +23,62 @@ def test_stacked_expm_equals_single_calls():
     for norm in norms:
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         mats.append(m * norm / np.max(np.sum(np.abs(m), axis=0)))
-    stack = np.array(mats * 3).reshape(3, 10, 4, 4)
-    out = expm_taylor(stack)
-    assert out.shape == stack.shape
-    assert np.array_equal(out[0, 0], np.eye(4))
-    for i, j in np.ndindex(3, 10):
-        assert np.array_equal(out[i, j], expm_taylor(stack[i, j]))
+    # and their real parts, which stay real: the decay oracle's stacks
+    for stack in (np.array(mats * 3).reshape(3, 10, 4, 4), np.array(mats * 3).real.reshape(3, 10, 4, 4)):
+        out = expm_taylor(stack)
+        assert out.shape == stack.shape and out.dtype == np.result_type(stack, float)
+        assert np.array_equal(out[0, 0], np.eye(4))
+        for i, j in np.ndindex(3, 10):
+            assert out[i, j].tobytes() == expm_taylor(stack[i, j]).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, verify._SEED, 2**70 + 3])
+def test_draws_are_random_randoms_sequence_in_c_order(seed):
+    draws, plain = verify.Draws(seed), random.Random(seed)
+    got = draws.uniform(-1.5, 2.0, 7)
+    assert got.shape == (7,) and got.tolist() == [-1.5 + 3.5 * plain.random() for _ in range(7)]
+    low, high = np.array([0.0, -4.0, 0.1]), np.array([1.0, 4.0, 3.0])
+    got = draws.uniform(low, high, size=(5, 3))
+    want = [[lo + (hi - lo) * plain.random() for lo, hi in zip(low.tolist(), high.tolist())] for _ in range(5)]
+    assert got.shape == (5, 3) and got.tolist() == want
+    one = draws.uniform(0.5, 1.0)
+    assert type(one) is float and one == 0.5 + 0.5 * plain.random()
+    assert draws.uniform(size=0).shape == (0,) and draws.uniform(size=(0, 3)).shape == (0, 3)
+    assert draws.uniform() == plain.random()  # an empty block takes no draw
+
+
+def test_verify_and_degrade_never_load_numpy_random():
+    script = (
+        "import sys\n"
+        "from jcchannel.cli import main\n"
+        "main(['verify', 'quick'])\n"
+        "main(['degrade', '--mode', 'conversion', '--g', '1', '--delta', '0.3', '--t', '1.2'])\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.random' or m.startswith('numpy.random.')))\n"
+    )
+    src = str(Path(verify.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], cwd=src, timeout=60, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_real_coordinates_round_trip_and_hold_each_liouvillian_exactly():
+    rng = np.random.default_rng(20261021)
+    m = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
+    vec = (m + m.conj().swapaxes(-1, -2)).reshape(50, 16)
+    coords = lindblad._to_coordinates(vec)
+    assert coords.dtype == float and coords.shape == (50, 16)
+    assert lindblad._from_coordinates(coords).tobytes() == vec.tobytes()
+    # L of every grid setting takes each coordinate's basis matrix to a Hermitian one: the real form drops nothing
+    basis = lindblad._from_coordinates(np.eye(16))
+    images = (lindblad._liouvillians(lindblad.oracle_grid()) @ basis.T).swapaxes(1, 2)
+    assert np.array_equal(lindblad._from_coordinates(lindblad._to_coordinates(images)), images)
+    assert np.array_equal(lindblad._to_coordinates(basis), np.eye(16))
 
 
 def test_stacked_kraus_completeness_equals_the_per_sample_expression():
     (_, devs, _), = verify._kraus_completeness("full")
     devs = np.asarray(devs)
-    draws = np.random.default_rng(verify._SEED).uniform(*verify._PARAM_BOUNDS, size=(1000, 4))
+    draws = verify.Draws(verify._SEED).uniform(*verify._PARAM_BOUNDS, size=(1000, 4))
     samples = [jc.JCParams.from_detuning(*row) for row in draws.tolist()]
     per_sample = np.array([
         np.max(np.abs(a1.conj().T @ a1 + a2.conj().T @ a2 - np.eye(2)))
@@ -323,30 +368,30 @@ def test_stacked_unitary_oracle_equals_the_per_point_maxima():
     assert np.asarray(devs).tobytes() == per_point.tobytes()
 
 
-# every suite's max deviation, as repr: the floats the suites gave before they ran as columns,
-# except lindblad-closed-form's, which are those of its exp(tL) oracle
+# every suite's max deviation, as repr, on the samples of verify.Draws; lindblad-closed-form's are those of its
+# exp(tL) oracle over real coordinates
 MAX_DEVS = {
     "quick": {
-        "kraus-completeness": "4.442484442825191e-16",
+        "kraus-completeness": "4.447344674646146e-16",
         "unitary-oracle": "9.619939965703525e-15",
         "amplitude-completeness": "6.661338147750939e-16",
-        "degrading-composition": "2.2887833992611187e-16",
+        "degrading-composition": "1.967515994399625e-16",
         "capacity-goldens": "2.7050472972689477e-11",
         "coherent-info-two-route": "4.440892098500626e-16",
-        "concatenation-law": "1.2906342661267445e-15",
-        "lindblad-closed-form": "3.7811833579669325e-15",
+        "concatenation-law": "3.3306690738754696e-16",
+        "lindblad-closed-form": "4.829470157119431e-15",
         "degradability-equivalence": "1.0824674490095276e-15",
         "capacity-monotonicity": "1.6069576597205894e-06",
     },
     "full": {
-        "kraus-completeness": "5.556232815031838e-16",
+        "kraus-completeness": "5.551759735578066e-16",
         "unitary-oracle": "2.3063864607644457e-14",
         "amplitude-completeness": "8.881784197001252e-16",
-        "degrading-composition": "2.3633021048361517e-16",
+        "degrading-composition": "2.3714374201337736e-16",
         "capacity-goldens": "2.7050472972689477e-11",
         "coherent-info-two-route": "1.1102230246251565e-15",
-        "concatenation-law": "2.6645352591003757e-15",
-        "lindblad-closed-form": "5.635795333308709e-15",
+        "concatenation-law": "1.3461454173580023e-15",
+        "lindblad-closed-form": "6.375148188898431e-15",
         "degradability-equivalence": "1.9984014443252818e-15",
         "capacity-monotonicity": "1.6069576597205894e-06",
     },
@@ -379,7 +424,7 @@ def test_degradability_equivalence_fails_on_a_boolean_mismatch(monkeypatch):
 def test_degrading_composition_draws_each_side_as_one_block():
     # the block holds the draws one channel at a time made: its share and phases, then its inputs' (n, 3) block
     for level, n_ch, n_in in (("full", 100, 20), ("quick", 10, 5)):
-        one_by_one, block = np.random.default_rng(verify._SEED + 2), np.random.default_rng(verify._SEED + 2)
+        one_by_one, block = verify.Draws(verify._SEED + 2), verify.Draws(verify._SEED + 2)
         (_, _, describe), = verify._degrading_composition(level)
         for side, lo, hi in (("degradable", 0.5, 1.0), ("anti-degradable", 0.0, 0.5)):
             rows = []
