@@ -73,6 +73,9 @@ def test_real_coordinates_round_trip_and_hold_each_liouvillian_exactly():
     images = (lindblad._liouvillians(lindblad.oracle_grid()) @ basis.T).swapaxes(1, 2)
     assert np.array_equal(lindblad._from_coordinates(lindblad._to_coordinates(images)), images)
     assert np.array_equal(lindblad._to_coordinates(basis), np.eye(16))
+    # the coordinates hold a Hermitian state only, so the oracle takes no other
+    with pytest.raises(ValueError, match="initial state must be Hermitian"):
+        lindblad.integrate_master_equations(lindblad.oracle_grid()[:1], np.triu(np.ones((4, 4))))
 
 
 def test_stacked_kraus_completeness_equals_the_per_sample_expression():
