@@ -93,11 +93,14 @@ def main():
     print(f"degradable points: {n_deg}/{len(rows)}")
 
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "keep_prob", "status", "Q", "p_star"])
-            for r in rows:
-                w.writerow([repr(float(v)) if isinstance(v, float) else v for v in r])
+        try:
+            with open(args.csv, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["t", "keep_prob", "status", "Q", "p_star"])
+                for r in rows:
+                    w.writerow([repr(float(v)) if isinstance(v, float) else v for v in r])
+        except OSError as e:
+            raise ValueError(f"cannot write {args.csv}: {e.strerror or e}") from e
         print(f"wrote {args.csv}")
 
 

@@ -168,13 +168,16 @@ def capacity_grid_oracle(keep_prob: float, step: float = 1e-5) -> tuple[float, f
     """Exhaustive p-grid maximization of the diagonal coherent information.
 
     Brute-force reference for capacity_root; returns
-    (Q, p_star) at the stated grid resolution, a step in (0, 1], for a
+    (Q, p_star) at the stated grid resolution, a step in (0, 1] with
+    1/step at most 10**8 (10**8 + 1 grid points, seconds of work), for a
     keep share in [0, 1].
     """
     if not 0 <= keep_prob <= 1:  # also rejects NaN and inf
         raise ValueError(f"keep share must lie in [0, 1], got {keep_prob!r}")
     if not 0 < step <= 1:  # also rejects NaN and inf
         raise ValueError(f"step must lie in (0, 1], got {step!r}")
+    if 1.0 / step > 1e8:  # inf for the smallest subnormals
+        raise ValueError(f"step {step!r} is too fine: 1/step must be at most 1e8")
     n = int(round(1.0 / step))
     best_q, best_p = -math.inf, 0.0
     # the grid p = i * step, i = 0..n, in blocks to keep the arrays small;

@@ -16,8 +16,8 @@ more than one.  Every CSV or JSON-lines record prints through a row
 template, and the template's field names give the CSV header.  A sweep
 walks its grid, and evolve its times, a chunk of points at a time, as
 column arrays; each chunk's rows are formatted with one template % and
-written with one write.  capacity prints its one point's row, or a text
-table of it.
+written with one write, up to the first point the one-point path rejects,
+whose error ends the output.  capacity prints one point's row or its table.
 All numeric text uses shortest round-trip decimals so identical inputs
 produce byte-identical output (sweep accepts --threads, which changes nothing).
 A flat key=value config file can supply any flag; explicit flags win.
@@ -488,17 +488,10 @@ def _grid_chunks(axes):
         yield indices, [_axis_at(axis, index) for axis, index in zip(axes, indices)]
 
 
-def _axis_texts(cache: dict, index: np.ndarray, values: np.ndarray) -> list:
-    """repr of each value, made once per axis index while the cache holds it.
-
-    The cache keeps the indices of the last chunk, so an axis of up to a
-    chunk of values has each repr made once per sweep.
-    """
-    unique, first, inverse = np.unique(index, return_index=True, return_inverse=True)
-    texts = [cache.get(i) or repr(v) for i, v in zip(unique.tolist(), values[first].tolist())]
-    cache.clear()
-    cache.update(zip(unique.tolist(), texts))
-    return np.array(texts, dtype=object)[inverse].tolist()
+def _axis_texts(index: np.ndarray, values: np.ndarray) -> list:
+    """repr of each value, made once per distinct axis index in the chunk."""
+    _, first, inverse = np.unique(index, return_index=True, return_inverse=True)
+    return np.array([repr(v) for v in values[first].tolist()], dtype=object)[inverse].tolist()
 
 
 def _zero_texts(column: np.ndarray) -> list:
@@ -508,39 +501,44 @@ def _zero_texts(column: np.ndarray) -> list:
     return cells.tolist()
 
 
+def _rows_before_rejected(columns: list, ok: np.ndarray, one_point: Callable[[int], object]):
+    """A chunk's columns before its first point that ok rejects, whose error one_point(i) then raises:
+    the one place sweep and evolve decide where they stop, the same for every chunk size."""
+    stop = len(ok) if ok.all() else int(ok.argmin())
+    yield columns if stop == len(ok) else [column[:stop] for column in columns]
+    if stop < len(ok):
+        one_point(stop)
+        raise RuntimeError(f"the chunk check rejects point {stop} of its chunk, which the one-point path accepts")
+
+
 def _sweep_lines(mode: str, axes: tuple, fixed: dict, json_lines: bool):
     """The CSV or JSON-lines output of a sweep, made lazily one string per SWEEP_CHUNK grid points.
 
-    Each chunk is evaluated as columns: the mode's build_columns gives
-    (h_keep, h_env), one check rejects the chunk where build would raise
-    (build then raises that point's error), one capacity_columns call
-    settles every capacity, and the rows are formatted from the columns.
-    Every row has the bytes compute_record gives the point on its own.
+    Each chunk is evaluated as columns, the fixed values as scalars: the
+    mode's build_columns gives (h_keep, h_env), one capacity_columns call
+    settles every capacity, and the rows are formatted from the columns, up
+    to the first point build rejects (_rows_before_rejected).  Every row has
+    the bytes compute_record gives the point on its own.
     """
     entry = MODES[mode]
     names = [axis.name for axis in axes]
     in_columns = sorted(range(len(names)), key=lambda j: _PARAM_COLUMNS.index(names[j]))
-    caches = [{} for _ in names]
 
     def chunks():
         # the columns of each chunk: the swept cells in column order, then the outputs
         for indices, values in _grid_chunks(axes):
-            cols = {name: np.full(len(indices[0]), v) for name, v in fixed.items()}
-            cols.update(zip(names, values))
-            keep, env = (abs(h) for h in entry.build_columns(cols))
+            keep, env = (abs(h) for h in entry.build_columns({**fixed, **dict(zip(names, values))}))
             keep_sq, env_sq = squares(keep), squares(env)
-            ok = TransferChannel.accepts(keep, env, keep_sq, env_sq)
-            if not ok.all():
-                point = {name: float(col[ok.argmin()]) for name, col in cols.items()}
-                entry.build(point)  # raises the error of the first rejected point
-                raise RuntimeError(f"the chunk check rejects {point}, which build accepts")
             codes = status_codes(keep, env)
             keep_p, env_p = np.minimum(keep_sq, 1.0), np.minimum(env_sq, 1.0)
             q, p_star = capacity_columns(codes, keep_p)
-            texts = [_axis_texts(caches[j], indices[j], values[j]) for j in in_columns]
+            texts = [_axis_texts(indices[j], values[j]) for j in in_columns]
             status = _STATUS_VALUES[codes].tolist()
             q, p_star = _zero_texts(q), _zero_texts(p_star)
-            yield [*texts, keep_p.tolist(), env_p.tolist(), status, q, p_star]  # OUTPUTS order
+            yield from _rows_before_rejected(
+                [*texts, keep_p.tolist(), env_p.tolist(), status, q, p_star],  # OUTPUTS order
+                TransferChannel.accepts(keep, env, keep_sq, env_sq),
+                lambda i: entry.build({**fixed, **{name: float(v[i]) for name, v in zip(names, values)}}))
 
     return _records(_record_cells(mode, fixed, names), chunks(), json_lines)
 
@@ -560,12 +558,8 @@ def _cmd_evolve(args, parser) -> int:
             columns = [t] + [rho[:, i, i].real for i in range(3)]
             for i, j in ((0, 1), (0, 2), (1, 2)):
                 columns += [rho[:, i, j].real, rho[:, i, j].imag]
-            ok = np.isfinite(rho).all(axis=(1, 2))
-            good = len(ok) if ok.all() else int(ok.argmin())  # the rows before the first rejected time
-            yield [c[:good].tolist() for c in columns]
-            if good < len(ok):
-                closed_form_state(stage, decay, inp, float(t[good]))  # raises that time's error
-                raise RuntimeError(f"closed_form_columns and closed_form_state disagree at t = {float(t[good])!r}")
+            yield from _rows_before_rejected([c.tolist() for c in columns], np.isfinite(rho).all(axis=(1, 2)),
+                                             lambda i: closed_form_state(stage, decay, inp, float(t[i])))
 
     cells = dict.fromkeys(EVOLVE_HEADER.split(","), "%r")
     _emit(_records(cells, chunks(), args.json), args.out, _stamp(args))

@@ -2,6 +2,7 @@
 
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -135,6 +136,15 @@ def test_grid_oracle_frozen_value():
 def test_grid_oracle_rejects_a_step_outside_0_1(step):
     with pytest.raises(ValueError, match=r"step must lie in \(0, 1\], got"):
         capacity_grid_oracle(0.75, step=step)
+
+
+@pytest.mark.parametrize("step", [5e-324, 1e-12, 9e-9])
+def test_grid_oracle_rejects_a_step_too_fine_at_once(step):
+    # 1/5e-324 is inf, and 1e-12 would walk 10**12 grid points
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"step " + re.escape(repr(step)) + r" is too fine: 1/step must be at most 1e8"):
+        capacity_grid_oracle(0.75, step=step)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("keep", [math.nan, math.inf, -math.inf, -0.2, 1.5])

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jcchannel import cli
 from jcchannel.cli import (
     _STATUS_TEXT,
     CSV_HEADER,
@@ -398,7 +399,7 @@ _CHUNK_SWEEPS = {
 
 def _expected_sweep(mode, flags, sweeps):
     """The rows of the grid's points, each from its own compute_record, up to
-    the first point that raises; a sweep prints no row of that point's chunk.
+    the first point that raises.
 
     A row is a dict of its columns, built here from the point's values and
     the record's outputs, not by the CLI's row template.
@@ -414,7 +415,7 @@ def _expected_sweep(mode, flags, sweeps):
         try:
             rec = compute_record(mode, point)
         except ValueError as e:
-            return rows[: len(rows) - len(rows) % SWEEP_CHUNK], f"error: {e}\n"
+            return rows, f"error: {e}\n"
         params = {name: point[name] if name in _MODE_COLUMNS[mode] else None for name in _PARAM_COLUMNS}
         rows.append({"mode": mode, **params, **_outputs(rec)})
     return rows, ""
@@ -441,6 +442,33 @@ def test_batched_sweep_rows_equal_per_point_records(case, capsys):
         assert sum(searched[:SWEEP_CHUNK]) > 100 and all(searched[SWEEP_CHUNK:])
     else:
         assert len(rows) >= SWEEP_CHUNK
+
+
+def _sweep_argv(case: str) -> list:
+    mode, flags, sweeps = _CHUNK_SWEEPS[case]
+    return ["sweep", "--mode", mode, *flags, *(a for s in sweeps for a in ("--sweep", s))]
+
+
+# (argv, exit code, output lines, stderr): a sweep across a chunk boundary, then a sweep and an
+# evolve that stop at a point the one-point path rejects, after every row before it
+_CHUNK_SIZE_CASES = {
+    "conversion": (_sweep_argv("conversion"), 0, 1 + _N, ""),
+    "decay-out-of-range": (_sweep_argv("decay-out-of-range"), 2, 1 + 2176,
+                           "error: the propagator leaves the float range at t = 1.0\n"),
+    "evolve-out-of-range": (["evolve", "--g", "1", "--kappa", "1e4", "--sweep", f"t:0:0.5:{3 * SWEEP_CHUNK}"], 2,
+                            3483, "error: the propagator leaves the float range at t = 0.28341201367410057\n"),
+}
+
+
+@pytest.mark.parametrize("case", _CHUNK_SIZE_CASES)
+def test_the_output_is_the_same_for_every_chunk_size(case, monkeypatch, capsys):
+    argv, code, lines, err = _CHUNK_SIZE_CASES[case]
+    runs = []
+    for chunk in (7, 1024, 2048):
+        monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
+        runs.append(run_cli(argv, capsys))
+    assert runs[0] == runs[1] == runs[2]
+    assert (runs[0][0], len(runs[0][1].splitlines()), runs[0][2]) == (code, lines, err)
 
 
 # (mode, flags, the value the one-point sweep's t axis takes, Q's cell or None)

@@ -104,3 +104,10 @@ def test_scripts_report_a_value_the_model_cannot_evaluate(script, argv, message)
     proc = _proc(f"scripts/{script}.py", *argv)
     assert (proc.returncode, proc.stderr) == (2, message + "\n")
 
+
+
+def test_capacity_window_reports_a_csv_path_it_cannot_write(tmp_path):
+    target = tmp_path / "missing" / "window.csv"
+    proc = _proc("scripts/capacity_window.py", "--points", "3", "--csv", str(target))
+    assert (proc.returncode, proc.stderr) == (2, f"error: cannot write {target}: No such file or directory\n")
+    assert "Traceback" not in proc.stderr and not target.parent.exists()
