@@ -6,9 +6,9 @@ holding at least as much of the excitation as the field keeps.  The
 script scans kappa at fixed interaction time, evaluates the closed-form
 sign expression and the population gap |h_env|^2 - |h_keep|^2 side by
 side, then bisects each sign change of the gap and reports one critical
-rate per transition.  A scan point whose gap is within BOUNDARY of zero
-lies on the boundary and belongs to neither side; its degradable column
-reads "boundary".
+rate per transition.  A scan point that `jcchannel capacity` would call
+boundary (|h_keep| within its 1e-12 tie band of |h_env|) belongs to
+neither side; its degradable column reads "boundary".
 
 Usage:
     python3 scripts/decay_boundary.py --g 1 --t 2.3562 --kmax 2
@@ -16,19 +16,14 @@ Usage:
 """
 
 import argparse
-import math
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from jcchannel import (
-    DecayParams,
-    JCParams,
-    decayed_conversion,
-    degradability_expression,
-)
-
-BOUNDARY = 1e-12  # |gap| at most this: on the boundary, not on a side
+from jcchannel import DecayParams, JCParams, decayed_conversion, degradability_expression
+from jcchannel.capacity import status_codes
+from jcchannel.cli import check_values
 
 
 def gap(g, delta, t, kappa, gamma):
@@ -47,33 +42,30 @@ def main():
     ap.add_argument("--kmax", type=float, default=2.0)
     ap.add_argument("--points", type=int, default=21)
     args = ap.parse_args()
-    for name in ("g", "delta", "t", "gamma", "kmax"):
-        if not math.isfinite(getattr(args, name)):
-            ap.error(f"--{name} must be finite, got {getattr(args, name)}")
-    for name, ok, rule in (("g", args.g > 0, "must be positive"), ("t", args.t >= 0, "must be nonnegative"),
-                           ("gamma", args.gamma >= 0, "must be nonnegative"),
-                           ("kmax", args.kmax >= 0, "must be nonnegative"),
-                           ("points", args.points >= 2, "must be at least 2")):
-        if not ok:
-            ap.error(f"--{name} {rule}, got {getattr(args, name)}")
+    check_values(ap, [(flag, name, getattr(args, flag)) for flag, name in
+                      (("g", "g"), ("delta", "delta"), ("t", "t"), ("gamma", "gamma"), ("kmax", "kappa"))])
+    if args.points < 2:
+        ap.error(f"--points must be at least 2, got {args.points}")
 
     print(f"{'kappa':>8} {'|h_keep|^2':>12} {'|h_env|^2':>12} "
           f"{'pop gap':>12} {'sign expr':>12} {'degradable':>10}")
-    sides = []  # (kappa, gap > 0) of each scan point off the boundary
+    side = None  # (kappa, gap > 0) of the last scan point off the boundary
+    brackets = []  # (lo, hi) of each sign change of the gap between such points
     for i in range(args.points):
         kappa = args.kmax * i / (args.points - 1)
         g, conv = gap(args.g, args.delta, args.t, kappa, args.gamma)
         expr = degradability_expression(conv)
-        on_a_side = abs(g) > BOUNDARY
+        on_a_side = status_codes(abs(conv.h_keep), abs(conv.h_env)) != 0
         # on the boundary the sign expression has no precision left to pick a side
         verdict = str(expr <= 0.0) if on_a_side else "boundary"
         print(f"{kappa:8.4f} {abs(conv.h_keep) ** 2:12.8f} "
               f"{abs(conv.h_env) ** 2:12.8f} {g:12.4e} {expr:12.4e} "
               f"{verdict:>10}")
         if on_a_side:
-            sides.append((kappa, g > 0.0))
+            if side is not None and side[1] != (g > 0.0):
+                brackets.append((side[0], kappa))
+            side = (kappa, g > 0.0)
 
-    brackets = [(lo, hi) for (lo, above), (hi, now) in zip(sides, sides[1:]) if above != now]
     if not brackets:
         print("\nno degradability transition inside the scan range")
         return

@@ -378,13 +378,18 @@ def _gather_values(args, mode: str, parser, axes=()) -> dict:
             parser.error(f"--{name} is required for mode {mode} (or sweep it)")
         vals[name] = 0.0 if v is None else v
     ends = [(axis.name, end) for axis in axes for end in (axis.start, axis.stop)]
-    for name, v in [*ends, *vals.items()]:
+    check_values(parser, [(name, name, v) for name, v in [*ends, *vals.items()]])
+    return vals
+
+
+def check_values(parser, values) -> None:
+    """A usage error naming --flag at the first (flag, parameter, value) not finite or against its PARAMS rule."""
+    for flag, name, v in values:
         test, rule = PARAMS[name]
         if not math.isfinite(v):
-            parser.error(f"--{name} must be finite, got {v}")
+            parser.error(f"--{flag} must be finite, got {v}")
         if not test(v):
-            parser.error(f"--{name} {rule}, got {v}")
-    return vals
+            parser.error(f"--{flag} {rule}, got {v}")
 
 
 def _emit(blocks, out_path: str | None, stamp: str | None = None) -> None:

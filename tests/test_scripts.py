@@ -1,18 +1,28 @@
-"""The experiment scripts run from the repository root, warning-free, and print their summary lines."""
+"""The experiment scripts run from any directory, warning-free, print their summary lines and the CLI's
+numbers, and keep their memory flat in the point count."""
 
+import contextlib
+import csv
+import math
+import os
 import re
+import runpy
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from jcchannel import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _proc(*argv) -> subprocess.CompletedProcess:
+def _proc(*argv, cwd=ROOT, env=None) -> subprocess.CompletedProcess:
     # -W error turns any warning, such as numpy's RuntimeWarning, into a failing exit
-    return subprocess.run([sys.executable, "-W", "error", *argv], cwd=ROOT, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-W", "error", *argv], cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=120)
 
 
 def _run(*argv) -> str:
@@ -111,3 +121,75 @@ def test_capacity_window_reports_a_csv_path_it_cannot_write(tmp_path):
     proc = _proc("scripts/capacity_window.py", "--points", "3", "--csv", str(target))
     assert (proc.returncode, proc.stderr) == (2, f"error: cannot write {target}: No such file or directory\n")
     assert "Traceback" not in proc.stderr and not target.parent.exists()
+
+
+@pytest.mark.parametrize("script", ["capacity_window", "decay_boundary"])
+def test_scripts_run_from_any_directory(tmp_path, script):
+    # the package comes from the script's own checkout, not from the working directory or PYTHONPATH
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = _proc(str(ROOT / "scripts" / f"{script}.py"), "--points", "3", cwd=tmp_path, env=env)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_capacity_window_takes_a_grid_whose_products_overflow():
+    # tmax * 2 overflows, but every grid point 0, 5e307, 1e308 is finite
+    rows = [line.split() for line in _run("scripts/capacity_window.py", "--tmax", "1e308", "--points", "3").splitlines()
+            if re.match(r" *\d+\.\d{5} ", line)]
+    assert [float(row[0]) for row in rows] == [0.0, 5e307, 1e308]
+
+
+@pytest.mark.parametrize("extra", [[], ["--loss", "0.8"]], ids=["plain", "lossy"])
+def test_capacity_window_prints_the_cli_numbers(tmp_path, extra):
+    # each CSV row carries compute_record's keep share, status, Q and p* for its point
+    path = tmp_path / "window.csv"
+    _run("scripts/capacity_window.py", "--points", "9", "--csv", str(path), *extra)
+    with path.open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["t", "keep_prob", "status", "Q", "p_star"] and len(rows) == 9
+    for t, keep_prob, status, q, p_star in rows:
+        vals = {"g": 1.0, "delta": 0.0, "t": float(t), "nu": 0.0}
+        if extra:  # the receiving stage: resonant, half a cycle, after a fiber of transmittance 0.8
+            vals.update(g2=1.0, delta2=0.0, t2=math.pi / 2.0, T=0.8)
+        outputs = cli.compute_record("concat" if extra else "conversion", vals).outputs
+        assert (float(keep_prob), status, float(q), float(p_star)) == tuple(outputs[i] for i in (0, 2, 3, 4))
+
+
+@pytest.mark.parametrize("argv", [["--t", "1e300", "--points", "6"], []], ids=["huge-t", "default"])
+def test_decay_boundary_calls_boundary_what_capacity_calls_boundary(argv):
+    out = _run("scripts/decay_boundary.py", *argv)
+    points = int(argv[-1]) if argv else 21
+    t = float(argv[1]) if argv else 2.356194490192345
+    rows = out.splitlines()[1:points + 1]
+    for i, row in enumerate(rows):
+        vals = {"g": 1.0, "delta": 0.0, "t": t, "kappa": 2.0 * i / (points - 1), "gamma": 0.0, "nu": 0.0}
+        status = cli.compute_record("decayed", vals).outputs[2]
+        assert (row.split()[-1] == "boundary") == (status == "boundary"), row
+    assert any(row.split()[-1] == "boundary" for row in rows)
+
+
+def _traced_peak(script: str, argv: list, monkeypatch) -> int:
+    """tracemalloc's peak, in bytes, over one main() call of a script, its stdout discarded."""
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its src/
+    main = runpy.run_path(str(ROOT / "scripts" / f"{script}.py"))["main"]
+    monkeypatch.setattr(sys, "argv", [script, *argv])
+    with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+        tracemalloc.start()
+        try:
+            main()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_capacity_window_memory_is_flat_in_the_point_count(tmp_path, monkeypatch):
+    # rows go out as they are made; lists of every point's channel and row peaked at ~7 MB here
+    path = tmp_path / "window.csv"
+    peak = _traced_peak("capacity_window", ["--points", "20000", "--csv", str(path)], monkeypatch)
+    assert peak < 1_000_000
+    assert path.read_text().count("\n") == 20001
+
+
+def test_decay_boundary_memory_is_flat_in_the_point_count(monkeypatch):
+    # only the last point off the boundary is kept; a list of every such point peaked at ~2.1 MB here
+    assert _traced_peak("decay_boundary", ["--points", "20000"], monkeypatch) < 1_000_000
