@@ -30,7 +30,8 @@ def main():
     ap.add_argument("--delta", type=float, default=0.0)
     ap.add_argument("--tmax", type=float, default=None, help="default 2*pi/g")
     ap.add_argument("--points", type=int, default=81)
-    ap.add_argument("--loss", type=float, default=None, help="fiber transmittance; adds a resonant receiving stage")
+    ap.add_argument("--loss", type=float, default=None,
+                    help="fiber transmittance; adds a resonant receiving stage")
     ap.add_argument("--csv", type=str, default=None)
     args = ap.parse_args()
     flags = (("g", "g", args.g), ("delta", "delta", args.delta), ("tmax", "t", args.tmax), ("loss", "T", args.loss))
@@ -48,7 +49,7 @@ def main():
     windows = []  # [first t, last t, peak Q] of each contiguous run of points with Q > 0
     n_deg = 0
 
-    def csv_lines():
+    def rows():  # prints the table row of each point, yields its CSV row if asked, tallies both summaries
         nonlocal n_deg
         print(f"{'g*t':>10} {'keep_prob':>10} {'status':>16} {'Q':>12} {'p*':>8}")
         yield "t,keep_prob,status,Q,p_star\r\n"
@@ -73,9 +74,9 @@ def main():
             positive = q > 0.0
 
     if args.csv:
-        _emit(csv_lines(), args.csv)
+        _emit(rows(), args.csv)
     else:
-        collections.deque(csv_lines(), maxlen=0)
+        collections.deque(rows(), maxlen=0)
     for first, last, peak in windows:
         print(f"\npositive-capacity window: g*t in "
               f"[{args.g * first:.5f}, {args.g * last:.5f}] (peak Q = {peak:.8f})")

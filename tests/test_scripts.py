@@ -155,12 +155,11 @@ def test_capacity_window_prints_the_cli_numbers(tmp_path, extra):
         assert (float(keep_prob), status, float(q), float(p_star)) == tuple(outputs[i] for i in (0, 2, 3, 4))
 
 
-@pytest.mark.parametrize("argv", [["--t", "1e300", "--points", "6"], []], ids=["huge-t", "default"])
-def test_decay_boundary_calls_boundary_what_capacity_calls_boundary(argv):
-    out = _run("scripts/decay_boundary.py", *argv)
-    points = int(argv[-1]) if argv else 21
-    t = float(argv[1]) if argv else 2.356194490192345
-    rows = out.splitlines()[1:points + 1]
+@pytest.mark.parametrize("t, points", [(1e300, 6), (2.356194490192345, 21)], ids=["huge-t", "default"])
+def test_decay_boundary_calls_boundary_what_capacity_calls_boundary(t, points):
+    # the default scan at its default t and points; the huge t underflows both populations for kappa > 0
+    argv = [] if points == 21 else ["--t", repr(t), "--points", str(points)]
+    rows = _run("scripts/decay_boundary.py", *argv).splitlines()[1:points + 1]
     for i, row in enumerate(rows):
         vals = {"g": 1.0, "delta": 0.0, "t": t, "kappa": 2.0 * i / (points - 1), "gamma": 0.0, "nu": 0.0}
         status = cli.compute_record("decayed", vals).outputs[2]
