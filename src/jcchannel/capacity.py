@@ -83,13 +83,13 @@ def degrading_map(ch: TransferChannel) -> JCParams:
 
     The second stage must turn the kept output into the environment
     output, so its amplitude has to be w = h_env / h_keep; that is
-    realizable by a resonant stage exactly when |w| <= 1.  Magnitude is
-    set through sin(g' t') and the phase through nu' t' (principal
-    value).  Only decay-free channels are supported.
+    realizable by a resonant stage when |w| <= 1; NotDegradable exactly where
+    classify gives ANTI_DEGRADABLE.  Magnitude is set through sin(g' t') and
+    the phase through nu' t' (principal value).  Only decay-free channels.
     """
     if abs(ch.keep_prob + ch.env_prob - 1.0) > 1e-9:
         raise ValueError("degrading map construction requires a decay-free channel")
-    if ch.keep_prob < 0.5 - TIE_BAND:
+    if classify(ch) is DegradabilityStatus.ANTI_DEGRADABLE:
         raise NotDegradable(f"|h_keep|^2 = {ch.keep_prob} < 1/2: environment holds the larger share")
     hk, he = complex(ch.h_keep), complex(ch.h_env)
     tp, nu = degrading_map_columns(CArray(hk.real, hk.imag), CArray(he.real, he.imag))

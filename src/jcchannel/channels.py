@@ -35,10 +35,13 @@ class TransferChannel:
         hk, he = complex(self.h_keep), complex(self.h_env)
         if not (cmath.isfinite(hk) and cmath.isfinite(he)):
             raise ValueError("channel amplitudes must be finite")
-        if abs(hk) > 1 + _AMP_TOL or abs(he) > 1 + _AMP_TOL:
-            raise ValueError("channel amplitudes cannot exceed 1 in magnitude")
-        if abs(hk) ** 2 + abs(he) ** 2 > 1 + 1e-9:
-            raise ValueError("|h_keep|^2 + |h_env|^2 exceeds 1")
+        keep, env = abs(hk), abs(he)
+        try:
+            inside = TransferChannel.accepts(keep, env, keep ** 2, env ** 2)
+        except OverflowError:  # a square past the float range, of a magnitude far past 1
+            inside = False
+        if not inside:
+            raise ValueError("channel amplitudes must be at most 1 in magnitude, their squares at most 1 in sum")
 
     @property
     def keep_prob(self) -> float:
@@ -58,12 +61,8 @@ class TransferChannel:
 
     @staticmethod
     def accepts(keep_abs, env_abs, keep_sq, env_sq) -> np.ndarray:
-        """Where the checks above pass, over arrays of |h_keep|, |h_env| and their squares."""
-        return (
-            (keep_abs <= 1 + _AMP_TOL)
-            & (env_abs <= 1 + _AMP_TOL)
-            & (np.add(keep_sq, env_sq) <= 1 + 1e-9)
-        )
+        """The bounds every channel meets, over floats or arrays of |h_keep|, |h_env| and their squares."""
+        return (keep_abs <= 1 + _AMP_TOL) & (env_abs <= 1 + _AMP_TOL) & (keep_sq + env_sq <= 1 + _AMP_TOL)
 
     def complement(self) -> "TransferChannel":
         return TransferChannel(self.h_env, self.h_keep)

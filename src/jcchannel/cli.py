@@ -8,16 +8,16 @@ Subcommands:
   degrade    construct the degrading stage for a channel and verify it
   verify     run the oracle cross-check suites (quick or full)
 
-PARAMS (each model parameter and its domain), OUTPUTS (each output column
-and its text-table label) and MODES (each mode's columns, required flags,
-channel builder and column builder) drive every subcommand; each subcommand
-declares only the flags of its COMMAND_MODES, and --mode only where it runs
-more than one.  Every CSV or JSON-lines record prints through a row
-template, and the template's field names give the CSV header.  A sweep
-walks its grid, and evolve its times, a chunk of points at a time, as
-column arrays; each chunk's rows are formatted with one template % and
-written with one write, up to the first point the one-point path rejects,
-whose error ends the output.  capacity prints one point's row or its table.
+PARAMS (each model parameter and its domain), ZERO_DEFAULTS (those a request
+may leave out), OUTPUTS (each output column and its text-table label) and
+MODES (each mode's columns, channel builder and column builder) drive every
+subcommand; each subcommand declares only the flags of its COMMAND_MODES,
+and --mode only where it runs more than one.  Every CSV or JSON-lines
+record prints through a row template, and the template's field names give
+the CSV header.  A sweep walks its grid, and evolve its times, a chunk of
+points at a time, as column arrays; each chunk's rows are formatted with
+one template % and written with one write, up to the first point the
+one-point path rejects, whose error ends the output.  capacity prints one point's row or its table.
 All numeric text uses shortest round-trip decimals so identical inputs
 produce byte-identical output (sweep accepts --threads, which changes nothing).
 A flat key=value config file can supply any flag; explicit flags win.
@@ -69,6 +69,7 @@ PARAMS = {
     "gamma": _NONNEGATIVE,
     "nu": _REAL,
 }
+ZERO_DEFAULTS = {"delta", "delta2", "kappa", "gamma", "nu"}  # the parameters a request may leave out
 _PARAM_COLUMNS = tuple(name for name in PARAMS if name != "nu")
 _PARAM_FLAGS = {f"--{name}" for name in PARAMS}
 _NEGATIVE_VALUE = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
@@ -106,7 +107,6 @@ def _stage_columns(c: dict, suffix: str = "") -> tuple:
 @dataclass(frozen=True)
 class Mode:
     columns: tuple[str, ...]  # parameters its records show; also its sweep axes
-    required: tuple[str, ...]  # other columns, and nu, default to zero
     build: Callable[[dict], TransferChannel]  # the channel of one point
     # (h_keep, h_env) of a chunk of points, from a dict of column arrays;
     # bit for bit build's, and not finite where build raises
@@ -116,19 +116,16 @@ class Mode:
 MODES = {
     "conversion": Mode(
         ("g", "delta", "t"),
-        ("g", "t"),
         lambda v: conversion_channel(_stage(v)),
         lambda c: block_amplitude_columns(*_stage_columns(c))[1:],
     ),
     "concat": Mode(
         ("g", "delta", "t", "g2", "delta2", "t2", "T"),
-        ("g", "t", "g2", "t2", "T"),
         lambda v: concatenate(_stage(v), LossChannel(T=v["T"]), _stage(v, "2")),
         lambda c: concatenate_columns(_stage_columns(c), c["T"], _stage_columns(c, "2")),
     ),
     "decayed": Mode(
         ("g", "delta", "t", "kappa", "gamma"),
-        ("g", "t"),
         lambda v: decayed_conversion(_stage(v), _decay(v), v["t"]).as_transfer(),
         lambda c: block_amplitude_columns(*_stage_columns(c), c["kappa"], c["gamma"])[1::-1],
     ),
@@ -374,7 +371,7 @@ def _gather_values(args, mode: str, parser, axes=()) -> dict:
             if v is not None and name not in args.from_config:
                 parser.error(f"--{name} is also swept")
             continue
-        if v is None and name in entry.required:
+        if v is None and name not in ZERO_DEFAULTS:
             parser.error(f"--{name} is required for mode {mode} (or sweep it)")
         vals[name] = 0.0 if v is None else v
     ends = [(axis.name, end) for axis in axes for end in (axis.start, axis.stop)]

@@ -236,14 +236,20 @@ def block_propagator(params: JCParams, t: float, kappa: float = 0.0, gamma: floa
     """(e^{i delta t/2}; G00, G01 = G10, G11) at time t: see _block.
 
     Raises ValueError where they are out of range or not finite, naming g
-    where g^2 underflows and t otherwise.
+    where g^2 underflows, the input with the largest square where g^2 + w^2
+    overflows (mu is then not finite at any t), and t otherwise.
     """
     try:
         in_range, *out = _block(SCALARS, params.g, params.delta, params.nu, t, kappa, gamma)
     except (OverflowError, ValueError):  # where cmath raises, numpy gives inf or NaN
         in_range = False
     if not (in_range and all(map(cmath.isfinite, out))):
-        at = f"g = {params.g!r}, whose square underflows" if params.g * params.g < sys.float_info.min else f"t = {t!r}"
+        g, w = params.g, complex(0.5 * params.delta, 0.25 * (kappa - gamma))
+        rate = f"kappa = {kappa!r}" if kappa >= gamma else f"gamma = {gamma!r}"
+        culprits = [(g, f"g = {g!r}, whose square overflows"), (abs(w.real), f"delta = {params.delta!r}"),
+                    (abs(w.imag), rate)]
+        at = (f"g = {g!r}, whose square underflows" if g * g < sys.float_info.min
+              else f"t = {t!r}" if cmath.isfinite(g * g + w * w) else max(culprits)[1])
         raise ValueError(f"the propagator leaves the float range at {at}")
     return tuple(out)
 

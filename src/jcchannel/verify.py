@@ -9,7 +9,7 @@ vs direct composition.
 A suite only computes: it yields its checks, each as (tolerance name,
 deviations over the check's points, describe(*index) naming a point), and
 `_suite` alone judges them.  A point passes only if its deviation is at
-most the named tolerance in `TOLERANCES`, so a NaN fails.  A suite reports
+most the named tolerance in `SUITES`, so a NaN fails.  A suite reports
 its largest deviation over all its checks and names the first failing
 point of the first failing check, in the order it yields them.
 
@@ -45,21 +45,6 @@ GRID_ORACLE_Q_090 = 0.7094182634666657
 _DECAY_INPUT = QubitInput(p=0.6, r=0.25 + 0.31j)
 
 _SEED = 20260817
-
-# every check's tolerance, by suite: a point passes only where its deviation is at most it
-TOLERANCES = {
-    "kraus-completeness": {"completeness": 1e-12},
-    "unitary-oracle": {"unitary": 1e-9},
-    "amplitude-completeness": {"norm": 1e-12},
-    "degrading-composition": {"composition": 1e-9},
-    "capacity-goldens": {"exact": 0.0, "p_star": 1e-15, "grid": 1e-6, "stored_grid": 1e-12, "golden": 1e-15},
-    "coherent-info-two-route": {"rank": 1e-10, "route": 1e-9},
-    "concatenation-law": {"product": 1e-12, "phase": 1e-10},
-    "lindblad-closed-form": {"closed_form": 1e-6, "decay_free": 1e-9},
-    "degradability-equivalence": {"tie_band": 1e-10, "identity": 1e-12, "boolean": 0.0},
-    "capacity-monotonicity": {"drop": 1e-12, "edge": 1e-4},
-}
-
 
 @dataclass(frozen=True)
 class SuiteResult:
@@ -134,9 +119,9 @@ def _inputs(draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, mag * np.cos(phase) + 1j * (mag * np.sin(phase))
 
 
-def _suite(name, fn, level):
+def _suite(name, level):
     start = time.perf_counter()
-    tol, max_dev, detail = TOLERANCES[name], 0.0, ""
+    (fn, tol), max_dev, detail = SUITES[name], 0.0, ""
     # each check is judged as it is yielded, while describe can still read the suite's state
     for what, devs, describe in fn(level):
         devs = np.asarray(devs, dtype=float)
@@ -317,7 +302,7 @@ def _lindblad_closed_form(level: str):
 
 
 def _degradability_equivalence(level: str):
-    band = TOLERANCES["degradability-equivalence"]["tie_band"]
+    band = SUITES["degradability-equivalence"][1]["tie_band"]
     checked, mismatch, identity = [], [], []
     for params, decay, t in _lindblad_points(level):
         conv = lindblad.decayed_conversion(params, decay, t)
@@ -342,22 +327,25 @@ def _capacity_monotonicity(level: str):
     yield "edge", [q_edge], lambda _: f"Q jumps at the boundary: Q(0.5 + 1e-6) = {q_edge}"
 
 
-_SUITES = (
-    ("kraus-completeness", _kraus_completeness),
-    ("unitary-oracle", _unitary_oracle),
-    ("amplitude-completeness", _amplitude_completeness),
-    ("degrading-composition", _degrading_composition),
-    ("capacity-goldens", _capacity_goldens),
-    ("coherent-info-two-route", _coherent_info_two_route),
-    ("concatenation-law", _concatenation_law),
-    ("lindblad-closed-form", _lindblad_closed_form),
-    ("degradability-equivalence", _degradability_equivalence),
-    ("capacity-monotonicity", _capacity_monotonicity),
-)
+# every suite in run order -> (its checks, the tolerance each check names): a point passes only where
+# its deviation is at most its check's tolerance
+SUITES = {
+    "kraus-completeness": (_kraus_completeness, {"completeness": 1e-12}),
+    "unitary-oracle": (_unitary_oracle, {"unitary": 1e-9}),
+    "amplitude-completeness": (_amplitude_completeness, {"norm": 1e-12}),
+    "degrading-composition": (_degrading_composition, {"composition": 1e-9}),
+    "capacity-goldens": (_capacity_goldens,
+                         {"exact": 0.0, "p_star": 1e-15, "grid": 1e-6, "stored_grid": 1e-12, "golden": 1e-15}),
+    "coherent-info-two-route": (_coherent_info_two_route, {"rank": 1e-10, "route": 1e-9}),
+    "concatenation-law": (_concatenation_law, {"product": 1e-12, "phase": 1e-10}),
+    "lindblad-closed-form": (_lindblad_closed_form, {"closed_form": 1e-6, "decay_free": 1e-9}),
+    "degradability-equivalence": (_degradability_equivalence, {"tie_band": 1e-10, "identity": 1e-12, "boolean": 0.0}),
+    "capacity-monotonicity": (_capacity_monotonicity, {"drop": 1e-12, "edge": 1e-4}),
+}
 
 
 def run_verify(level: str = "quick") -> VerifyReport:
     if level not in ("quick", "full"):
         raise ValueError("level must be 'quick' or 'full'")
-    results = tuple(_suite(name, fn, level) for name, fn in _SUITES)
+    results = tuple(_suite(name, level) for name in SUITES)
     return VerifyReport(level=level, results=results)

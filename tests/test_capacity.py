@@ -31,7 +31,7 @@ from jcchannel.capacity import (
     quantum_capacity,
     status_codes,
 )
-from jcchannel.channels import TransferChannel, compose
+from jcchannel.channels import TransferChannel, compose, conversion_channel
 from jcchannel.jc import CArray, JCParams
 from jcchannel.qmat import QubitInput, binary_entropy, binary_entropy_array, trace_distance
 
@@ -77,6 +77,22 @@ def test_degrading_map_golden_duration():
 def test_degrading_map_rejects_antidegradable():
     with pytest.raises(NotDegradable):
         degrading_map(_unit(0.3))
+
+
+def test_degrading_map_refuses_exactly_the_channels_classify_calls_anti_degradable():
+    # resonant conversions across g t = pi/4, where |h_keep| crosses |h_env| inside the tie band
+    refused, anti = [], []
+    for k in range(-4000, 4000):
+        ch = conversion_channel(JCParams.resonant(g=1.0, t=math.pi / 4 + k * 4e-16))
+        anti.append(classify(ch) is DegradabilityStatus.ANTI_DEGRADABLE)
+        try:
+            degrading_map(ch)
+        except NotDegradable:
+            refused.append(True)
+        else:
+            refused.append(False)
+    assert refused == anti
+    assert 0 < sum(anti) < len(anti)
 
 
 def test_degrading_map_rejects_leakage_channels():

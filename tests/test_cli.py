@@ -741,6 +741,23 @@ def test_evolve_rows_equal_the_row_by_row_closed_form(flags, params, times, json
     assert out == _evolve_row_by_row(*params, times.tolist(), json_lines)
 
 
+@pytest.mark.parametrize("args, at", [
+    # g^2 + w^2 overflows, w = delta/2 + i (kappa - gamma)/4: mu is not finite at any t, t = 0 included
+    (["capacity", "--mode", "decayed", "--g", "1", "--t", "1e-300", "--kappa", "1e308"], "kappa = 1e+308"),
+    (["capacity", "--mode", "decayed", "--g", "1", "--t", "0", "--kappa", "1e300"], "kappa = 1e+300"),
+    (["capacity", "--mode", "decayed", "--g", "1", "--t", "0", "--gamma", "1e300"], "gamma = 1e+300"),
+    (["evolve", "--g", "1", "--t", "3", "--kappa", "1e300"], "kappa = 1e+300"),
+    (["capacity", "--g", "1", "--t", "1", "--delta", "1e308"], "delta = 1e+308"),
+    (["capacity", "--g", "1e300", "--t", "0"], "g = 1e+300, whose square overflows"),
+    # mu is finite, mu t is not in range
+    (["capacity", "--mode", "decayed", "--g", "1", "--t", "1", "--kappa", "1e150"], "t = 1.0"),
+])
+def test_the_range_error_names_the_input_out_of_range(args, at, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert (code, out) == (2, EVOLVE_HEADER + "\n" if args[0] == "evolve" else "")
+    assert err == f"error: the propagator leaves the float range at {at}\n"
+
+
 def test_evolve_prints_the_rows_before_a_time_out_of_range_then_its_error(capsys):
     count = 3 * SWEEP_CHUNK // 2
     times = np.linspace(0.0, 1.0, count).tolist()
@@ -879,6 +896,16 @@ def test_degrade_antidegradable_exits_1(capsys):
     )
     assert code == 1
     assert "not degradable" in err
+
+
+def test_degrade_refuses_what_capacity_calls_anti_degradable(capsys):
+    # |h_keep| is below |h_env| by more than the tie band, but |h_keep|^2 is within 1e-12 of 1/2
+    args = ["--g", "1", "--t", "0.7853981633966"]
+    code, out, err = run_cli(["capacity", *args], capsys)
+    assert (code, err) == (0, "") and "AntiDegradable" in out
+    code, out, err = run_cli(["degrade", *args], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("not degradable: ")
 
 
 def test_verify_quick_passes(capsys):

@@ -1,5 +1,6 @@
 """The verify oracles: stacked matrix exponentials, the one verdict every suite's checks get, the tolerance table."""
 
+import ast
 import math
 import random
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from jcchannel import capacity, channels, jc, lindblad, qmat, verify
-from jcchannel.verify import TOLERANCES, expm_taylor, run_verify
+from jcchannel.verify import SUITES, expm_taylor, run_verify
 
 
 def test_stacked_expm_equals_single_calls():
@@ -133,18 +134,26 @@ def test_coherent_info_suite_names_its_first_failing_point(monkeypatch):
     assert result.max_dev == pytest.approx(1e-3, rel=1e-6)
 
 
-@pytest.mark.parametrize("name", list(TOLERANCES))
+@pytest.mark.parametrize("name", list(SUITES))
 def test_each_suite_fails_when_its_tolerances_in_the_table_are_negative(name, monkeypatch):
-    monkeypatch.setitem(TOLERANCES, name, dict.fromkeys(TOLERANCES[name], -1.0))
-    assert not verify._suite(name, dict(verify._SUITES)[name], "quick").passed
+    checks, tolerances = SUITES[name]
+    monkeypatch.setitem(SUITES, name, (checks, dict.fromkeys(tolerances, -1.0)))
+    assert not verify._suite(name, "quick").passed
 
 
 def test_degradability_equivalence_reads_its_tie_band_from_the_table(monkeypatch):
     name = "degradability-equivalence"
-    monkeypatch.setitem(TOLERANCES, name, {**TOLERANCES[name], "tie_band": 1.0})  # every point is a tie: none checked
-    result = verify._suite(name, dict(verify._SUITES)[name], "quick")
+    monkeypatch.setitem(SUITES[name][1], "tie_band", 1.0)  # every point is a tie: none checked
+    result = verify._suite(name, "quick")
     assert result.passed and result.max_dev == 0.0
-    assert list(TOLERANCES) == [n for n, _ in verify._SUITES]
+
+
+def test_the_suite_table_names_the_suites_the_benchmark_times():
+    # the benchmark's per-suite metrics, verify.suite.<name>_s, are keyed by these names; read without running
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    names = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["VERIFY_SUITE_NAMES"])
+    assert list(names) == list(SUITES)
 
 
 @pytest.mark.parametrize("entry", ["np.nan", "np.inf"])
@@ -263,7 +272,7 @@ def test_run_verify_rejects_an_unknown_level(level):
 
 
 def _run(name):
-    return verify._suite(name, dict(verify._SUITES)[name], "quick")
+    return verify._suite(name, "quick")
 
 
 def test_unitary_oracle_fails_on_nan_and_names_its_point(monkeypatch):
@@ -351,7 +360,7 @@ def test_a_sample_whose_scalar_amplitudes_raise_fails_every_check(name, monkeypa
     monkeypatch.setattr(verify, "_PARAM_BOUNDS", ((1e200, *low[1:]), (1e201, *high[1:])))
     with pytest.raises(ValueError):
         jc.transfer_amplitude(jc.JCParams.from_detuning(g=1e200, delta=0.0, t=1.0))
-    for _, devs, _ in dict(verify._SUITES)[name]("quick"):
+    for _, devs, _ in SUITES[name][0]("quick"):
         assert np.isnan(devs).all()
     result = _run(name)
     assert result.passed is False
@@ -410,7 +419,7 @@ def test_every_suite_max_deviation_is_pinned(level):
 
 def test_degradability_equivalence_gates_its_identity(monkeypatch):
     name = "degradability-equivalence"
-    monkeypatch.setitem(TOLERANCES, name, {**TOLERANCES[name], "identity": 1e-16})
+    monkeypatch.setitem(SUITES[name][1], "identity", 1e-16)
     result = _run(name)
     assert result.passed is False
     assert result.detail.startswith("degradability identity off at ")
