@@ -104,9 +104,6 @@ def test_scripts_reject_invalid_arguments_with_a_usage_error(script, argv, messa
     # g * g overflows: no time is in range, t = 0 included
     ("decay_boundary", ["--g", "1e300"],
      "error: the propagator leaves the float range at g = 1e+300, whose square overflows"),
-    # at the scan's kappa = 5e307, (kappa / 4)^2 overflows
-    ("decay_boundary", ["--kmax", "1e308", "--points", "3"],
-     "error: the propagator leaves the float range at kappa = 5e+307"),
     # g * g underflows: the Rabi frequency would lose g
     ("decay_boundary", ["--g", "1e-300"],
      "error: the propagator leaves the float range at g = 1e-300, whose square underflows"),
@@ -114,6 +111,9 @@ def test_scripts_reject_invalid_arguments_with_a_usage_error(script, argv, messa
      "error: the propagator leaves the float range at g = 1e-300, whose square underflows"),
     ("capacity_window", ["--g", "1e-160"],
      "error: the propagator leaves the float range at g = 1e-160, whose square underflows"),
+    # at the scan's kappa = 5e307, (kappa / 4)^2 overflows
+    ("decay_boundary", ["--kmax", "1e308", "--points", "3"],
+     "error: the propagator leaves the float range at kappa = 5e+307"),
 ])
 def test_scripts_report_a_value_the_model_cannot_evaluate(script, argv, message):
     proc = _proc(f"scripts/{script}.py", *argv)
